@@ -11,6 +11,13 @@ schema-versioned, with host metadata and iteration counts, so a
 timing swing between hosts is attributable (the bare-number era could
 not tell a 113→307 ns host change from a regression).
 
+Each enabled per-site figure is the median of :data:`ROUNDS` rounds of
+:data:`N` sites, each round in a fresh session, and
+``merge_ns_per_record`` is the cost of folding one round's snapshot
+(spans and events) into a session with an
+:class:`~repro.observe.sli.SliMonitor` attached, per record — the
+parent side of every pooled chunk.
+
 Drift detection: the disabled-path ns/site is asserted against a
 pinned budget.  The budget is a generous ceiling (~6x the fastest
 host observed) — it tolerates host variance but catches the failure
@@ -21,6 +28,7 @@ exactness, snapshot round-trip fidelity, the allocation-free verdict)
 so table-level drift detection stays meaningful.
 """
 
+import statistics
 import time
 import tracemalloc
 
@@ -30,6 +38,9 @@ from repro.harness.report import render_table
 from _common import save_result, update_bench_json
 
 N = 20_000
+
+#: Rounds per enabled figure; the section reports their median.
+ROUNDS = 5
 
 #: Retained-bytes budget for the disabled resolve-and-check path: it
 #: must not build anything at all (same contract as H1's 512 bytes for
@@ -65,8 +76,9 @@ def _net_disabled_allocation(n):
     return net
 
 
-def _time_enabled_sites(n):
-    """Per-site seconds for counter / publish / span with a session."""
+def _enabled_round(n):
+    """One round: seconds for ``n`` counter / publish / span sites and
+    for merging the round's snapshot into an SLI-monitored session."""
     timings = {}
     with observe.session() as tel:
         start = time.perf_counter()
@@ -85,19 +97,41 @@ def _time_enabled_sites(n):
         counter_exact = tel.metrics.value("bench_total") == n
         published_exact = tel.bus.published == n
         snapshot = tel.snapshot()
+    records = len(snapshot["spans"]["spans"]) + \
+        len(snapshot["events"]["events"])
     with observe.session() as merged:
+        observe.SliMonitor(merged.bus)
+        start = time.perf_counter()
         merged.merge(snapshot)
+        timings["merge"] = time.perf_counter() - start
         roundtrip_exact = (
             merged.metrics.value("bench_total") == n
             and merged.bus.published == n
             and merged.tracer.started == snapshot["spans"]["started"])
-    return timings, counter_exact, published_exact, roundtrip_exact
+    exact = (counter_exact, published_exact, roundtrip_exact)
+    return timings, records, exact
+
+
+def _time_enabled_sites(n):
+    """Median nanoseconds per site (and per merged record) over
+    :data:`ROUNDS` rounds, plus the counter / publish / round-trip
+    exactness facts, each of which must hold in every round."""
+    samples = [_enabled_round(n) for _ in range(ROUNDS)]
+    figures = {
+        f"enabled_{site}_ns_per_site": statistics.median(
+            timings[site] for timings, _, _ in samples) / n * 1e9
+        for site in ("counter", "publish", "span")}
+    figures["merge_ns_per_record"] = statistics.median(
+        timings["merge"] / records * 1e9 for timings, records, _ in samples)
+    exact = [all(column) for column in zip(*(facts for _, _, facts
+                                              in samples))]
+    return (figures, *exact)
 
 
 def _experiment():
     disabled_seconds = _time_disabled_checks(N)
     net = _net_disabled_allocation(2_000)
-    timings, counter_exact, published_exact, roundtrip_exact = \
+    figures, counter_exact, published_exact, roundtrip_exact = \
         _time_enabled_sites(N)
 
     disabled_ns = disabled_seconds / N * 1e9
@@ -112,10 +146,10 @@ def _experiment():
         rows, title="observe: per-site instrumentation overhead")
     section = {
         "iterations": N,
+        "rounds": ROUNDS,
         "disabled_ns_per_site": disabled_ns,
         "disabled_budget_ns_per_site": DISABLED_BUDGET_NS,
-        **{f"enabled_{site}_ns_per_site": seconds / N * 1e9
-           for site, seconds in sorted(timings.items())},
+        **figures,
     }
     return rows, section, net, disabled_ns, table
 
@@ -125,7 +159,7 @@ def test_observe_overhead_disabled_path_is_allocation_free(benchmark):
     save_result("OBS_overhead", table)
     update_bench_json("sites", section)
     print(" ".join(f"{key}={value:.0f}" for key, value in section.items()
-                   if key.endswith("_ns_per_site")))
+                   if key.endswith(("_ns_per_site", "_ns_per_record"))))
 
     assert net < ALLOCATION_BUDGET, \
         f"disabled observe path retained {net} bytes"

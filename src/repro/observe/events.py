@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -53,11 +53,33 @@ class Event:
         payload: Free-form event data.
     """
 
+    __slots__ = ("topic", "time", "seq", "payload")
+
     topic: str
     time: float
     seq: int
     payload: Dict[str, Any]
 
+    def __init__(self, topic: str, time: float, seq: int,
+                 payload: Dict[str, Any]) -> None:
+        # Every publish and every merge redelivery builds one.  The
+        # generated frozen __init__ pays an object.__setattr__ call per
+        # field; the slot descriptors store the same fields cheaper.
+        _set_topic(self, topic)
+        _set_time(self, time)
+        _set_seq(self, seq)
+        _set_payload(self, payload)
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through __init__: restoring slot state
+        # would go through the frozen __setattr__, which refuses.
+        return Event, (self.topic, self.time, self.seq, self.payload)
+
+
+_set_topic = Event.topic.__set__  # type: ignore[attr-defined]
+_set_time = Event.time.__set__  # type: ignore[attr-defined]
+_set_seq = Event.seq.__set__  # type: ignore[attr-defined]
+_set_payload = Event.payload.__set__  # type: ignore[attr-defined]
 
 Handler = Callable[[Event], None]
 
@@ -98,6 +120,12 @@ class EventBus:
                  history: int = 4096) -> None:
         self._now = now or (lambda: 0.0)
         self._subscriptions: List[Subscription] = []
+        #: Topic -> the subscriptions matching it, in subscription
+        #: order.  Filled on first use of a topic and replaced by an
+        #: empty table on every subscribe/unsubscribe; a delivery
+        #: iterates the tuple it looked up, so a change made by a
+        #: handler takes effect from the next delivery on.
+        self._routes: Dict[str, Tuple[Subscription, ...]] = {}
         self._seq = 0
         self.history: Deque[Event] = collections.deque(maxlen=history)
         #: Per-topic publication counts (cheap aggregate, never trimmed).
@@ -107,6 +135,7 @@ class EventBus:
         """Attach ``handler`` to a topic pattern; returns the handle."""
         subscription = Subscription(self, topic, handler)
         self._subscriptions.append(subscription)
+        self._routes = {}
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -114,19 +143,37 @@ class EventBus:
         try:
             self._subscriptions.remove(subscription)
         except ValueError:
-            pass
+            return
+        self._routes = {}
+
+    def _route(self, topic: str) -> Tuple[Subscription, ...]:
+        """The subscriptions matching ``topic``, cached per topic.
+
+        The table is read before the subscriptions, so a route built
+        while another thread subscribes lands in the table that
+        subscribe discards, never in its replacement.  The filter walks
+        a one-step copy of the list, so a concurrent unsubscribe cannot
+        shift it and make it skip a subscription.
+        """
+        routes = self._routes
+        route = tuple(subscription
+                      for subscription in tuple(self._subscriptions)
+                      if subscription.matches(topic))
+        routes[topic] = route
+        return route
 
     def publish(self, topic: str, **payload: Any) -> Event:
         """Publish an event and deliver it to matching subscribers."""
-        event = Event(topic=topic, time=self._now(), seq=self._seq,
-                      payload=payload)
+        event = Event(topic, self._now(), self._seq, payload)
         self._seq += 1
         self.history.append(event)
         self.counts[topic] = self.counts.get(topic, 0) + 1
-        for subscription in tuple(self._subscriptions):
-            if subscription.matches(topic):
-                subscription.delivered += 1
-                subscription.handler(event)
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._route(topic)
+        for subscription in route:
+            subscription.delivered += 1
+            subscription.handler(event)
         return event
 
     @property
@@ -164,13 +211,14 @@ class EventBus:
         """
         seq_base = self._seq
         for topic, time, seq, payload in snapshot["events"]:
-            event = Event(topic=topic, time=time, seq=seq + seq_base,
-                          payload=dict(payload))
+            event = Event(topic, time, seq + seq_base, dict(payload))
             self.history.append(event)
-            for subscription in tuple(self._subscriptions):
-                if subscription.matches(topic):
-                    subscription.delivered += 1
-                    subscription.handler(event)
+            route = self._routes.get(topic)
+            if route is None:
+                route = self._route(topic)
+            for subscription in route:
+                subscription.delivered += 1
+                subscription.handler(event)
         self._seq += snapshot["published"]
         for topic, count in snapshot["counts"]:
             self.counts[topic] = self.counts.get(topic, 0) + count

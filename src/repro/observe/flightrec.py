@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import collections
 import os
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro.observe.events import Event
 from repro.observe.tracer import Span
@@ -71,14 +71,22 @@ class FlightRecorder:
     Span.to_dict` as the payload.  ``seq`` is the recorder's own
     monotonic observation counter — bus sequence numbers restart per
     session, the window spans sessions.
+
+    The ring holds the observed :class:`~repro.observe.events.Event`
+    and :class:`~repro.observe.tracer.Span` objects themselves; the
+    record dicts are built by :meth:`window` (and so :meth:`dump`).
+    Most records are evicted unread, so intake stays an append.  A
+    span or payload mutated after it was recorded therefore renders in
+    its final state.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.records: Deque[Dict[str, Any]] = collections.deque(
-            maxlen=capacity)
+        #: ``(seq, event-or-span)`` pairs, oldest first.
+        self._ring: Deque[Tuple[int, Union[Event, Span]]] = \
+            collections.deque(maxlen=capacity)
         #: Total records ever observed (eviction never decrements it).
         self.captured = 0
         #: Dump documents produced so far.
@@ -90,16 +98,12 @@ class FlightRecorder:
 
     def record_event(self, event: Event) -> None:
         """Bus handler: fold one published (or redelivered) event in."""
-        self.records.append({"topic": event.topic, "time": event.time,
-                             "seq": self.captured,
-                             "payload": dict(event.payload)})
+        self._ring.append((self.captured, event))
         self.captured += 1
 
     def record_span(self, span: Span) -> None:
         """Tracer ``on_finish`` tap: fold one finished span in."""
-        self.records.append({"topic": "span", "time": span.end,
-                             "seq": self.captured,
-                             "payload": span.to_dict()})
+        self._ring.append((self.captured, span))
         self.captured += 1
 
     def attach(self, telemetry: Any) -> None:
@@ -114,13 +118,25 @@ class FlightRecorder:
 
     # -- reads / dumps -----------------------------------------------------
 
+    def __len__(self) -> int:
+        """Number of retained records."""
+        return len(self._ring)
+
     def window(self) -> List[Dict[str, Any]]:
-        """The retained records, oldest first (a copy)."""
-        return [dict(record) for record in self.records]
+        """The retained records, oldest first, as fresh dicts."""
+        records: List[Dict[str, Any]] = []
+        for seq, item in tuple(self._ring):
+            if isinstance(item, Span):
+                records.append({"topic": "span", "time": item.end,
+                                "seq": seq, "payload": item.to_dict()})
+            else:
+                records.append({"topic": item.topic, "time": item.time,
+                                "seq": seq, "payload": dict(item.payload)})
+        return records
 
     def clear(self) -> None:
         """Drop the retained window (tallies keep counting)."""
-        self.records.clear()
+        self._ring.clear()
 
     def dump(self, reason: str, **context: Any) -> Dict[str, Any]:
         """Freeze the current window into one dump document.

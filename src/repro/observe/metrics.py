@@ -146,6 +146,15 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
         self._kinds: Dict[str, type] = {}
+        #: ``(name, raw label items)`` -> counter, consulted by
+        #: :meth:`inc` before it builds the canonical key.  Only calls
+        #: whose label values are all exactly ``str`` use it: there
+        #: ``str(v)`` is ``v``, so equal raw items mean one series.
+        #: Any other value takes the canonical path, so ``1``, ``True``
+        #: and ``1.0`` (equal, and equally hashed) stay three series.
+        #: One entry per label order a call site uses.
+        self._counters: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
+                             Counter] = {}
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -182,7 +191,17 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1.0, **labels: object) -> None:
         """Increment the counter ``name`` for this label set."""
-        self.counter(name, **labels).inc(amount)
+        for value in labels.values():
+            if type(value) is not str:
+                counter = self._get(Counter, name, labels)
+                break
+        else:
+            raw = (name, tuple(labels.items()))
+            counter = self._counters.get(raw)
+            if counter is None:
+                counter = self._counters[raw] = self._get(Counter, name,
+                                                          labels)
+        counter.inc(amount)
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set the gauge ``name`` for this label set."""

@@ -462,7 +462,7 @@ class LiveDashboard:
             "pool": (self._pool_info()
                      if self._pool_info is not None else None),
             "flight": {"captured": recorder.captured,
-                       "window": len(recorder.records),
+                       "window": len(recorder),
                        "dumps": recorder.dumps},
             "sli": self.monitor.as_dict(),
         }

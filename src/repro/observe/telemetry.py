@@ -39,13 +39,14 @@ ship worker-side telemetry home (see docs/OBSERVABILITY.md).
 from __future__ import annotations
 
 import contextlib
+import functools
 import threading
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.observe import flightrec as _flightrec
 from repro.observe.events import EventBus
 from repro.observe.metrics import MetricsRegistry
-from repro.observe.tracer import Tracer
+from repro.observe.tracer import SpanScope, Tracer
 
 
 class _SeqClock:
@@ -58,10 +59,25 @@ class _SeqClock:
     def __init__(self) -> None:
         self._now = 0.0
 
-    @property
-    def now(self) -> float:
+    def tick(self) -> float:
+        """Advance one unit and return the new time."""
         self._now += 1.0
         return self._now
+
+    now = property(tick)
+
+
+def _reader(clock: Any) -> Callable[[], float]:
+    """A zero-argument callable returning ``clock.now``, for the tracer
+    and the bus to timestamp with.
+
+    The fallback clock is read through its bound ``tick``, which skips
+    a method call and a descriptor lookup on every span and event; any
+    other clock through ``getattr``.  Both forms pickle.
+    """
+    if type(clock) is _SeqClock:
+        return clock.tick
+    return functools.partial(getattr, clock, "now")
 
 
 class Telemetry:
@@ -78,6 +94,7 @@ class Telemetry:
     def __init__(self, clock: Optional[Any] = None,
                  enabled: bool = True) -> None:
         self._clock = clock if clock is not None else _SeqClock()
+        self._now = _reader(self._clock)
         self.enabled = enabled
         self.tracer = Tracer(now=self._now)
         self.metrics = MetricsRegistry()
@@ -88,9 +105,6 @@ class Telemetry:
         # delta byte-identity are unaffected.
         _flightrec.recorder().attach(self)
 
-    def _now(self) -> float:
-        return self._clock.now
-
     def bind_clock(self, clock: Any) -> None:
         """Timestamp subsequent spans/events from ``clock.now``.
 
@@ -99,12 +113,13 @@ class Telemetry:
         clock once the environment exists.
         """
         self._clock = clock
+        self._now = self.tracer._now = self.bus._now = _reader(clock)
 
     # -- producer conveniences --------------------------------------------
 
-    def span(self, name: str, **attrs: Any):
+    def span(self, name: str, **attrs: Any) -> SpanScope:
         """Record a span (see :meth:`Tracer.span`)."""
-        return self.tracer.span(name, **attrs)
+        return SpanScope(self.tracer, name, attrs)
 
     def publish(self, topic: str, **payload: Any) -> None:
         """Publish an event when enabled; silently drop otherwise."""

@@ -38,10 +38,9 @@ trace byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Span statuses.
 OK = "ok"
@@ -97,6 +96,34 @@ class Span:
         }
 
 
+class SpanScope:
+    """The context manager :meth:`Tracer.span` returns.
+
+    Creating the scope records nothing: the span opens when the
+    ``with`` block is entered and closes when it is left.  An exception
+    escaping the block marks the span ``"error"`` unless the block
+    already set a status, and propagates.
+    """
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_span")
+
+    def __init__(self, tracer: "Tracer", name: str,
+                 attrs: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Span:
+        span = self._span = self._tracer.start(self._name, **self._attrs)
+        return span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        span = self._span
+        if exc_type is not None and span.status == OK:
+            span.status = ERROR
+        self._tracer.finish(span)
+
+
 class Tracer:
     """Records spans with parent/child nesting.
 
@@ -127,14 +154,16 @@ class Tracer:
 
     def start(self, name: str, **attrs: Any) -> Span:
         """Open a span (nested under the innermost open span)."""
-        parent = self._stack[-1].span_id if self._stack else None
-        span = Span(name=name, span_id=self._next_id, parent_id=parent,
-                    start=self._now(), seq=self.started, attrs=attrs)
+        stack = self._stack
+        # Positional: a keyword build of the dataclass costs twice as much.
+        span = Span(name, self._next_id,
+                    stack[-1].span_id if stack else None, self._now(),
+                    None, self.started, OK, attrs)
         self._next_id += 1
         self.started += 1
         if len(self.spans) < self.capacity:
             self.spans.append(span)
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def finish(self, span: Span, status: Optional[str] = None) -> Span:
@@ -154,22 +183,9 @@ class Tracer:
             self.on_finish(span)
         return span
 
-    @contextlib.contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
-        """Context manager recording one span.
-
-        An exception escaping the block marks the span ``"error"``
-        (unless the block already set a status) and propagates.
-        """
-        sp = self.start(name, **attrs)
-        try:
-            yield sp
-        except BaseException:
-            if sp.status == OK:
-                sp.status = ERROR
-            raise
-        finally:
-            self.finish(sp)
+    def span(self, name: str, **attrs: Any) -> SpanScope:
+        """Context manager recording one span (see :class:`SpanScope`)."""
+        return SpanScope(self, name, attrs)
 
     # -- snapshot / merge --------------------------------------------------
 
@@ -199,12 +215,10 @@ class Tracer:
                 break
             parent = row["parent_id"]
             self.spans.append(Span(
-                name=row["name"],
-                span_id=row["span_id"] + id_base,
-                parent_id=None if parent is None else parent + id_base,
-                start=row["start"], end=row["end"],
-                seq=row["seq"] + seq_base,
-                status=row["status"], attrs=dict(row["attrs"])))
+                row["name"], row["span_id"] + id_base,
+                None if parent is None else parent + id_base,
+                row["start"], row["end"], row["seq"] + seq_base,
+                row["status"], dict(row["attrs"])))
         self._next_id += snapshot["next_id"] - 1
         self.started += snapshot["started"]
 

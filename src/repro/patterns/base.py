@@ -64,7 +64,7 @@ class PatternStats:
         fields[counter] = fields[counter] + amount
         tel = _telemetry()
         if tel.enabled:
-            tel.metrics.inc(f"repro_pattern_{counter}_total", amount,
+            tel.metrics.inc(_METRIC_NAMES[counter], amount,
                             pattern=self.owner or "pattern")
 
     def as_dict(self) -> dict:
@@ -88,6 +88,11 @@ class PatternStats:
             disabled=self.disabled + other.disabled,
             owner=self.owner if self.owner == other.owner else "",
         )
+
+
+#: Counter field -> the metric its increments are forwarded to.
+_METRIC_NAMES = {field.name: f"repro_pattern_{field.name}_total"
+                 for field in dataclasses.fields(PatternStats)}
 
 
 class ExecutionUnit(abc.ABC):

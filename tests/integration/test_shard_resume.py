@@ -42,15 +42,26 @@ def _run(requests, extra, hash_seed):
                           capture_output=True, text=True, timeout=300)
 
 
+def _kill_group(proc):
+    """SIGKILL the run and its pool workers (its own process group), so
+    a killed process-backend run leaves no orphaned workers behind."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=30)
+
+
 def _kill_mid_grid(store, extra, hash_seed):
     """Start a checkpointing run and SIGKILL it once the log shows the
-    first shard record.  Returns True if the kill landed mid-run (a
-    fast machine may finish first — then every shard is checkpointed
-    and the resume-serves-everything path is what gets exercised)."""
+    first shard record.  Returns True if the kill landed mid-run, False
+    if the run finished first (the callers fail on that: a resume of a
+    finished grid only serves, so it would prove nothing)."""
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
     proc = subprocess.Popen(
         _command(KILL_REQUESTS, ["--store", str(store)] + extra),
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
     try:
         deadline = time.monotonic() + KILL_DEADLINE
         while time.monotonic() < deadline:
@@ -58,15 +69,22 @@ def _kill_mid_grid(store, extra, hash_seed):
                 return False
             if store.exists() and \
                     store.read_text(encoding="utf-8").count("\n") >= 2:
-                proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=30)
-                return True
+                _kill_group(proc)
+                return proc.returncode == -signal.SIGKILL
             time.sleep(0.01)
         raise AssertionError("no checkpoint appeared before deadline")
     finally:
         if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+            _kill_group(proc)
+
+
+def _shard_counts(stderr):
+    """``{"served": n, "executed": m, ...}`` from the ``shards:`` line."""
+    line = next(line for line in stderr.splitlines()
+                if line.startswith("shards:"))
+    return {key: int(value) for key, value in
+            (token.split("=") for token in line.split()[1:]
+             if "=" in token)}
 
 
 @pytest.mark.parametrize("extra", [
@@ -77,6 +95,7 @@ def _kill_mid_grid(store, extra, hash_seed):
 def test_sigkilled_campaign_resumes_byte_identical(tmp_path, extra):
     store = tmp_path / "checkpoints.jsonl"
     killed = _kill_mid_grid(store, extra, hash_seed="11")
+    assert killed, "the run finished before the kill; raise KILL_REQUESTS"
     assert store.exists() and store.stat().st_size > 0
 
     resumed = _run(KILL_REQUESTS,
@@ -84,10 +103,12 @@ def test_sigkilled_campaign_resumes_byte_identical(tmp_path, extra):
                    hash_seed="23")
     assert resumed.returncode == 0, resumed.stderr
     assert "shards:" in resumed.stderr
-    if killed:
-        # The kill landed mid-grid, so the resume both served
-        # checkpoints and executed the remainder.
-        assert "served=0" not in resumed.stderr
+    # The kill landed mid-grid, so the resume both served checkpoints
+    # and executed the remainder.
+    counts = _shard_counts(resumed.stderr)
+    assert counts["served"] > 0, resumed.stderr
+    assert counts["executed"] > 0, resumed.stderr
+    assert counts["served"] + counts["executed"] == counts["total"]
 
     reference = _run(KILL_REQUESTS, extra, hash_seed="37")
     assert reference.returncode == 0, reference.stderr
