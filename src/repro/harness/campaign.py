@@ -23,7 +23,7 @@ from repro.harness.report import render_table
 from repro.observe import current as _telemetry
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.runtime.store import ResultStore
+    from repro.runtime.store import ResultStore, SourceMemo
 
 #: Builds a fault instance (fresh per cell, so activation counters and
 #: leak state never bleed between cells).
@@ -159,6 +159,10 @@ class FaultCampaign:
         self.stream = stream
         self.pool_stats: Optional[Any] = None
         self.flight_records: List[Any] = []
+        #: Source digests of the oracle and factories, read once per
+        #: campaign and shared by every key derived from them (cell
+        #: keys, the shard fingerprint).
+        self._sources: "SourceMemo" = {}
 
     def _enforce_certificate(self) -> None:
         """Gate on ``certify=`` (no-op when unset); runs once before
@@ -180,12 +184,14 @@ class FaultCampaign:
         # certificate is enforced before fan-out, and the stream's
         # transport is handed to workers by the pool itself; pool
         # workers get a copy without any of them so fan-out never
-        # depends on them being picklable.
+        # depends on them being picklable.  Keys are derived
+        # parent-side too, so the source memo stays home.
         state = dict(self.__dict__)
         state["store"] = None
         state["certify"] = None
         state["stream"] = None
         state["flight_records"] = []
+        state["_sources"] = {}
         return state
 
     def run_cell(self, protector_label: str, fault_label: str
@@ -216,7 +222,8 @@ class FaultCampaign:
         from repro.runtime.store import code_fingerprint
 
         code = code_fingerprint(self.protectors[protector_label],
-                                self.faults[fault_label], self.oracle)
+                                self.faults[fault_label], self.oracle,
+                                memo=self._sources)
         return (store if store is not None else self.store).key(
             "repro.harness.campaign.cell",
             (protector_label, fault_label, self.requests),

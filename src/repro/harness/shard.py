@@ -73,7 +73,8 @@ def campaign_fingerprint(campaign: FaultCampaign) -> str:
     code = code_fingerprint(
         campaign.oracle,
         *(campaign.protectors[label] for label in protector_labels),
-        *(campaign.faults[label] for label in fault_labels))
+        *(campaign.faults[label] for label in fault_labels),
+        memo=campaign._sources)
     raw = repr((code, protector_labels, fault_labels,
                 campaign.requests, campaign.seed))
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()[:16]
@@ -206,8 +207,9 @@ class ShardedCampaign:
             uninterrupted runs and must not leak into the SLI section.
         resume: Serve already-checkpointed shards instead of
             re-executing them.
-        max_shards: Stop after this many completed shards (test and
-            smoke hook for deterministic interruption).
+        max_shards: Complete only the first this-many shards of the
+            plan (test and smoke hook for deterministic interruption);
+            later shards are neither looked up nor submitted.
     """
 
     def __init__(self, campaign: FaultCampaign, shards: int,
@@ -347,28 +349,27 @@ class ShardedCampaign:
         telemetry = _telemetry()
         capture = telemetry.enabled
         self.stats = ShardStats(shards_total=len(self.plan))
+        # Only the shards this run may complete are looked up or
+        # submitted: a shard past ``max_shards`` handed to the pool
+        # would keep running after the run returns.
+        limit = (len(self.plan) if self.max_shards is None
+                 else min(self.max_shards, len(self.plan)))
         served: Dict[int, Dict[str, Any]] = {}
         if self.store is not None and self.resume:
             from repro.runtime.store import MISS
 
             keys = {index: self.shard_key(index, capture)
-                    for index in range(len(self.plan))}
+                    for index in range(limit)}
             values = self.store.get_many(list(keys.values()))
             for index, key in keys.items():
                 record = values[key]
                 if record is not MISS and self._valid(record, index,
                                                       capture):
                     served[index] = record
-        pending = [index for index in range(len(self.plan))
-                   if index not in served]
+        pending = [index for index in range(limit) if index not in served]
         executed = self._execute(pending, capture)
-        limit = (len(self.plan) if self.max_shards is None
-                 else min(self.max_shards, len(self.plan)))
         try:
-            for index in range(len(self.plan)):
-                if index >= limit:
-                    self.stats.truncated = True
-                    return
+            for index in range(limit):
                 pairs = self.plan.shards[index]
                 was_served = index in served
                 if was_served:
@@ -394,6 +395,7 @@ class ShardedCampaign:
                                       cells=len(cells))
                 yield ShardOutcome(index=index, pairs=pairs, cells=cells,
                                    served=was_served, snapshot=snapshot)
+            self.stats.truncated = limit < len(self.plan)
         finally:
             executed.close()
 

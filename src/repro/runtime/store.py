@@ -18,13 +18,13 @@ content**: a ``PYTHONHASHSEED``-stable fingerprint of
 
 * **memory tier** — a :class:`~repro.runtime.cache.MemoCache` LRU, so
   repeated lookups within a process never touch disk;
-* **disk tier** — an append-only JSONL log replayed into a
-  :mod:`repro.sqlstore` storage engine (the survey's own diverse-engine
-  substrate) acting as the in-memory index.  Appends are single
-  ``O_APPEND`` writes under an advisory ``flock``, so concurrent
-  writers from pool workers or parallel CI jobs interleave whole
-  records, never bytes; readers pick up foreign appends on
-  :meth:`refresh` (called automatically on a miss when the log grew).
+* **disk tier** — an append-only JSONL log replayed into a plain dict
+  from key to its parsed record, so a lookup costs one dict probe.
+  Appends are single ``O_APPEND`` writes under an advisory ``flock``,
+  so concurrent writers from pool workers or parallel CI jobs
+  interleave whole records, never bytes; readers pick up foreign
+  appends on :meth:`refresh` (called automatically on a miss when the
+  log grew).
 
 Caching is **opt-in everywhere** (the ``store=`` knobs on
 :class:`~repro.harness.experiment.Experiment`,
@@ -46,13 +46,11 @@ import json
 import os
 import pickle
 import zlib
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 from repro._util import stable_int
 from repro.observe import current as _telemetry
 from repro.runtime.cache import MemoCache
-from repro.sqlstore.engines import QueryError, SortedStoreEngine
-from repro.sqlstore.query import Insert, Select
 
 __all__ = ["MISS", "ResultStore", "args_digest", "code_fingerprint",
            "fingerprint"]
@@ -80,7 +78,26 @@ def args_digest(args: Any) -> str:
             f"-{hashlib.sha256(data).hexdigest()[:24]}")
 
 
-def code_fingerprint(*callables: Callable) -> str:
+#: ``id(callable) -> (callable, its source digest)``: a caller-owned
+#: memo for :func:`code_fingerprint`.  Holding the callable keeps its
+#: id from being reused while the memo lives.
+SourceMemo = Dict[int, Tuple[Callable, str]]
+
+
+def _source_digest(fn: Callable) -> str:
+    """``module.qualname=sha256(source)`` for one callable."""
+    try:
+        body = inspect.getsource(fn)
+    except (OSError, TypeError):
+        code = getattr(fn, "__code__", None)
+        body = code.co_code.hex() if code is not None else repr(fn)
+    name = (f"{getattr(fn, '__module__', '?')}"
+            f".{getattr(fn, '__qualname__', type(fn).__name__)}")
+    return f"{name}={hashlib.sha256(body.encode('utf-8')).hexdigest()}"
+
+
+def code_fingerprint(*callables: Callable,
+                     memo: Optional[SourceMemo] = None) -> str:
     """A digest of the *source* of one or more callables.
 
     Editing a task (or any helper passed alongside it) changes the
@@ -88,17 +105,20 @@ def code_fingerprint(*callables: Callable) -> str:
     results are never served after a code change.  Falls back to the
     compiled bytecode for callables without retrievable source (e.g.
     defined in a REPL) and to the repr for builtins.
+
+    ``memo`` lets a caller that fingerprints the same callables many
+    times (a campaign keys every cell by its factories) read each
+    source once: a callable already in the memo reuses its digest.
+    The fingerprint is the same with or without it.
     """
     parts = []
     for fn in callables:
-        try:
-            body = inspect.getsource(fn)
-        except (OSError, TypeError):
-            code = getattr(fn, "__code__", None)
-            body = code.co_code.hex() if code is not None else repr(fn)
-        name = (f"{getattr(fn, '__module__', '?')}"
-                f".{getattr(fn, '__qualname__', type(fn).__name__)}")
-        parts.append(f"{name}={hashlib.sha256(body.encode('utf-8')).hexdigest()}")
+        entry = memo.get(id(fn)) if memo is not None else None
+        if entry is None or entry[0] is not fn:
+            entry = (fn, _source_digest(fn))
+            if memo is not None:
+                memo[id(fn)] = entry
+        parts.append(entry[1])
     return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
 
 
@@ -118,9 +138,6 @@ class ResultStore:
         name: Label on the ``repro_runtime_store_*`` metrics and
             ``store.*`` events this store emits.
         memory_entries: LRU capacity of the in-memory front tier.
-        engine: The :mod:`repro.sqlstore` engine indexing the log
-            in memory (default: a :class:`SortedStoreEngine`, whose
-            dump order is deterministic).
         quiet: Suppress the store's telemetry (``repro_runtime_store_*``
             counters and ``store.*`` events).  Python-side counters and
             :meth:`stats` still accumulate.  The shard checkpoint store
@@ -139,16 +156,16 @@ class ResultStore:
 
     def __init__(self, path: Union[str, os.PathLike], name: str = "results",
                  memory_entries: Optional[int] = 1024,
-                 engine: Optional[Any] = None,
                  quiet: bool = False) -> None:
         self.path = os.fspath(path)
         self.name = name
         self.quiet = quiet
-        self.engine = engine if engine is not None else SortedStoreEngine(
-            name=f"{name}-index")
         self.memory = MemoCache(name=f"{name}-mem",
                                 max_entries=memory_entries, quiet=quiet)
-        #: Bytes of the log consumed into the engine so far.
+        #: ``key -> parsed record`` for every key in the log consumed so
+        #: far; the first record for a key wins.
+        self._rows: Dict[str, Dict[str, Any]] = {}
+        #: Bytes of the log consumed into the index so far.
         self._offset = 0
         self.hits = 0
         self.misses = 0
@@ -165,9 +182,8 @@ class ResultStore:
         self.puts_batched = 0
         #: ``key -> trials`` for batch records seen via put/index.
         self._trials: Dict[str, int] = {}
-        #: Log lines that failed to parse (skipped, never fatal).
+        #: Log lines that are not a store record (skipped, never fatal).
         self.corrupt_lines = 0
-        self.entries = 0
         parent = os.path.dirname(self.path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -175,6 +191,11 @@ class ResultStore:
 
     def __len__(self) -> int:
         return self.entries
+
+    @property
+    def entries(self) -> int:
+        """Distinct keys indexed from the log."""
+        return len(self._rows)
 
     # -- keys --------------------------------------------------------------
 
@@ -202,18 +223,18 @@ class ResultStore:
     def get(self, key: str) -> Any:
         """The stored value for ``key``, or :data:`MISS`.
 
-        Memory tier first; then the engine index, refreshed from the
-        log when another writer has appended since the last read.  A
-        disk hit is promoted into the memory tier.
+        Memory tier first; then the log index, refreshed from the log
+        when another writer has appended since the last read.  A disk
+        hit is promoted into the memory tier.
         """
         value = self.memory.get(key, default=MISS)
         if value is not MISS:
             self._record_hit(key, tier="memory")
             return value
-        row = self._lookup(key)
+        row = self._rows.get(key)
         if row is None and self._log_grew():
             self.refresh()
-            row = self._lookup(key)
+            row = self._rows.get(key)
         if row is None:
             self.misses += 1
             self._count("misses")
@@ -222,14 +243,14 @@ class ResultStore:
         return self._load_row(key, row)
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Any]:
-        """``{key: value-or-MISS}`` for every key, in one index pass.
+        """``{key: value-or-MISS}`` for every key.
 
         The batched counterpart of :meth:`get`: the memory tier is
-        consulted per key, then every remaining key is resolved with a
-        **single** engine select (and at most one log refresh), instead
-        of replaying the index lock and a full-scan lookup once per
-        key.  Hit/miss accounting and ``store.hit``/``store.miss``
-        events are identical to ``{k: self.get(k) for k in keys}``.
+        consulted per key, then every remaining key is looked up in the
+        log index with **at most one** log refresh for the whole list,
+        not one per key.  Hit/miss accounting and
+        ``store.hit``/``store.miss`` events are identical to
+        ``{k: self.get(k) for k in keys}``.
         """
         out: Dict[str, Any] = {}
         wanted: Dict[str, None] = {}  # insertion-ordered key set
@@ -391,16 +412,28 @@ class ResultStore:
         if end == 0:
             return 0
         self._offset += end
+        rows = self._rows
         added = 0
         for raw in data[:end].splitlines():
             try:
                 row = json.loads(raw)
-                if not isinstance(row, dict) or "key" not in row:
-                    raise ValueError("not a store record")
             except ValueError:
+                row = None
+            if not (isinstance(row, dict)
+                    and isinstance(row.get("key"), str)
+                    and isinstance(row.get("payload"), str)):
                 self.corrupt_lines += 1
                 continue
-            added += self._index(row)
+            key = row["key"]
+            if key in rows:
+                # The same key computed by two writers: the first
+                # record wins and the duplicate is not an error.
+                continue
+            rows[key] = row
+            trials = row.get("trials")
+            if isinstance(trials, int) and trials > 1:
+                self._trials[key] = trials
+            added += 1
         return added
 
     def _log_grew(self) -> bool:
@@ -422,37 +455,12 @@ class ResultStore:
         finally:
             os.close(fd)
 
-    # -- the sqlstore index ------------------------------------------------
-
-    def _index(self, row: Dict[str, Any]) -> int:
-        """Insert one record into the engine; duplicates (the same key
-        computed by two writers) keep the first record and are not an
-        error."""
-        try:
-            self.engine.execute(Insert(row=tuple(sorted(row.items()))))
-        except QueryError:
-            return 0
-        trials = row.get("trials")
-        if isinstance(trials, int) and trials > 1:
-            self._trials[row["key"]] = trials
-        self.entries += 1
-        return 1
-
-    def _lookup(self, key: str) -> Optional[Dict[str, Any]]:
-        rows = self.engine.execute(
-            Select(where=lambda r: r.get("key") == key))
-        return rows[0] if rows else None
-
     def _lookup_many(self, keys: Dict[str, None]) -> Dict[str, Any]:
-        """``key -> row`` for every indexed key of ``keys``, found with
-        one engine scan (duplicates keep the first record, matching
-        :meth:`_index`)."""
-        rows = self.engine.execute(
-            Select(where=lambda r: r.get("key") in keys))
-        found: Dict[str, Any] = {}
-        for row in rows:
-            found.setdefault(row["key"], row)
-        return found
+        """``key -> row`` for every indexed key of ``keys``: one dict
+        lookup per key (the index already keeps the first record of
+        each key)."""
+        rows = self._rows
+        return {key: rows[key] for key in keys if key in rows}
 
     # -- accounting --------------------------------------------------------
 

@@ -8,9 +8,11 @@ the raw store and for the ``store=`` knobs on ``run_trials`` and
 ``FaultCampaign``.
 """
 
+import inspect
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 
@@ -54,6 +56,25 @@ class TestKeys:
         # Multi-callable fingerprints mix every source in.
         assert code_fingerprint(add_one, seeded_trial) \
             != code_fingerprint(add_one)
+
+    def test_code_fingerprint_memo_reads_each_source_once(
+            self, monkeypatch):
+        reads = []
+        getsource = inspect.getsource
+
+        def counting_getsource(fn):
+            reads.append(fn)
+            return getsource(fn)
+
+        plain = [code_fingerprint(add_one, seeded_trial),
+                 code_fingerprint(seeded_trial, add_one_differently)]
+        monkeypatch.setattr(inspect, "getsource", counting_getsource)
+        memo = {}
+        memoized = [code_fingerprint(add_one, seeded_trial, memo=memo),
+                    code_fingerprint(seeded_trial, add_one_differently,
+                                     memo=memo)]
+        assert memoized == plain
+        assert reads == [add_one, seeded_trial, add_one_differently]
 
     def test_key_varies_with_every_part(self):
         store_key = fingerprint("task", "digest", 7, "code")
@@ -143,13 +164,35 @@ class TestTwoTierStore:
         store = ResultStore(path)
         key = store.key("task", (1,), seed=0, code="v1")
         store.put(key, 42, task="task")
+        first, second = (pickle.dumps(value, protocol=4).hex()
+                         for value in ("first", "second"))
+        lines = [
+            "not json at all",
+            {"no_key_field": 1},
+            [key, first],                        # not an object
+            {"key": "no-id"},                    # no id, no payload
+            {"id": 7, "key": "no-payload"},
+            {"id": 8, "key": 8, "payload": first},       # key not str
+            {"id": 9, "key": "int-payload", "payload": 9},
+            # Well formed: the id is not part of the index, so a
+            # string id among int ids is served like any record.
+            {"id": "str-id", "key": "str-id", "payload": first},
+            # The same key twice in one refresh: the first wins.
+            {"id": 10, "key": "dup", "payload": first},
+            {"id": 10, "key": "dup", "payload": second},
+        ]
         with open(path, "a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write(json.dumps({"no_key_field": 1}) + "\n")
+            for line in lines:
+                handle.write((line if isinstance(line, str)
+                              else json.dumps(line)) + "\n")
         reloaded = ResultStore(path)
         assert reloaded.get(key) == 42
-        assert reloaded.stats()["corrupt_lines"] == 2
-        assert reloaded.stats()["entries"] == 1
+        assert reloaded.get("str-id") == "first"
+        assert reloaded.get("dup") == "first"
+        for missing in ("no-id", "no-payload", "int-payload"):
+            assert reloaded.get(missing) is MISS
+        assert reloaded.stats()["corrupt_lines"] == 7
+        assert reloaded.stats()["entries"] == 3
 
     def test_torn_trailing_record_waits_for_next_refresh(self, tmp_path):
         path = tmp_path / "s.jsonl"

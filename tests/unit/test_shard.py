@@ -1,9 +1,13 @@
 """Unit tests for the sharded, resumable campaign engine."""
 
+import hashlib
+import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -12,6 +16,7 @@ from repro.faults.development import Bohrbug, Heisenbug, InputRegion
 from repro.harness.campaign import FaultCampaign
 from repro.harness.shard import (ShardPlan, ShardedCampaign,
                                  campaign_fingerprint, pairs_digest)
+from repro.runtime.pool import get_pool, retire_pool
 from repro.runtime.store import ResultStore
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -59,6 +64,26 @@ def build_campaign(requests=30, seed=3, workers=1, backend="auto"):
 
 def snapshot_bytes(snapshot):
     return json.dumps(snapshot, sort_keys=True, default=str)
+
+
+def sha256(data):
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+class CountingProtector:
+    """A retry protector factory that counts the cells it is built for
+    (one build per measured cell)."""
+
+    def __init__(self):
+        self.cells = 0
+        self._lock = threading.Lock()
+
+    def __call__(self, faulty, env):
+        with self._lock:
+            self.cells += 1
+        return retry_protector(faulty, env)
 
 
 class TestShardPlan:
@@ -143,6 +168,22 @@ class TestShardedExecution:
         assert sharded.stats.shards_executed == 2
         with pytest.raises(ValueError):
             ShardedCampaign(build_campaign(), shards=2, max_shards=0)
+        # Pooled, shards past the limit must never reach the pool: once
+        # the pool has drained, only the first K shards' cells were
+        # built.
+        counter = CountingProtector()
+        campaign = FaultCampaign(
+            {"retry": counter, "unprotected": counter},
+            {"bohrbug": make_bohrbug, "heisenbug": make_heisenbug,
+             "none": make_quiet},
+            oracle=oracle, requests=30, seed=3, workers=2,
+            backend="thread")
+        sharded = ShardedCampaign(campaign, shards=6, max_shards=2)
+        assert len(sharded.run()) == 2
+        assert sharded.stats.truncated
+        retire_pool(get_pool("thread", 2), wait=True)
+        assert counter.cells == sum(len(shard)
+                                    for shard in sharded.plan.shards[:2])
 
 
 class TestCheckpointResume:
@@ -258,7 +299,86 @@ class TestFingerprint:
         assert campaign_fingerprint(
             build_campaign(workers=8, backend="thread")) == base
 
+    def test_sources_are_read_once_per_campaign(self, tmp_path,
+                                                monkeypatch):
+        # The fingerprint, the checkpointed cells' keys and a later
+        # store= run's cell keys all share the campaign's source memo.
+        reads = []
+        getsource = inspect.getsource
+
+        def counting_getsource(fn):
+            reads.append(fn)
+            return getsource(fn)
+
+        monkeypatch.setattr(inspect, "getsource", counting_getsource)
+        campaign = build_campaign()
+        ShardedCampaign(campaign, shards=4, store=ResultStore(
+            tmp_path / "ck.jsonl", quiet=True)).run()
+        campaign.store = ResultStore(tmp_path / "ck.jsonl")
+        campaign.run()
+        assert campaign.store.hits == len(campaign.pairs())
+        distinct = [campaign.oracle, *campaign.protectors.values(),
+                    *campaign.faults.values()]
+        assert sorted(map(id, reads)) == sorted(map(id, distinct))
+        # Worker pickles leave the memo behind.
+        assert pickle.loads(pickle.dumps(campaign))._sources == {}
+
     def test_pairs_digest_is_order_sensitive(self):
         pairs = [("a", "x"), ("b", "y")]
         assert pairs_digest(pairs) == pairs_digest(tuple(pairs))
         assert pairs_digest(pairs) != pairs_digest(pairs[::-1])
+
+
+class TestPinnedAddresses:
+    """Content addresses and log bytes, pinned as sha256 digests of what
+    an earlier commit computed for :func:`build_campaign`.
+
+    A key that changes silently turns every existing log into misses,
+    so these must never move.  The source of the campaign pieces above
+    (and of the ``unprotected`` baseline) is part of every key: editing
+    them changes the pins by design.
+    """
+
+    CELL_KEYS = \
+        "5334d95a74e168b7c1c01aee82e221c459484c4921ddb7783c598cb510199d51"
+    FINGERPRINT = \
+        "5a27e6a34645985697e3a5272d451c43e8f64ec1ab925b724d84d88a3d3a0c2e"
+    SHARD_KEYS = \
+        "4b7e706334f1b45aa0084b602dde4127104cb8fd5c0903f7683375862944f806"
+    STORE_LOG = \
+        "8ca95381782eb36d1bc2a140db72b88cfd57932c862be44f296ced815fd5381d"
+    CHECKPOINT_LOG = \
+        "4752c8902171f7a26d9b1d3c8f8ea5b9b9cc85c2d00c54284a55f41f70c137ff"
+
+    def test_cell_keys(self, tmp_path):
+        campaign = build_campaign()
+        store = ResultStore(tmp_path / "keys.jsonl")
+        keys = [campaign._cell_key(*pair, store=store)
+                for pair in campaign.pairs()]
+        assert sha256("\n".join(keys)) == self.CELL_KEYS
+
+    def test_campaign_fingerprint(self):
+        assert sha256(campaign_fingerprint(build_campaign())) \
+            == self.FINGERPRINT
+
+    def test_shard_keys_in_both_capture_modes(self, tmp_path):
+        sharded = ShardedCampaign(
+            build_campaign(), shards=4,
+            store=ResultStore(tmp_path / "keys.jsonl", quiet=True))
+        keys = [sharded.shard_key(index, captured)
+                for captured in (False, True)
+                for index in range(len(sharded.plan))]
+        assert sha256("\n".join(keys)) == self.SHARD_KEYS
+
+    def test_store_run_log_bytes(self, tmp_path):
+        campaign = build_campaign()
+        campaign.store = ResultStore(tmp_path / "store.jsonl")
+        campaign.run()
+        assert sha256((tmp_path / "store.jsonl").read_bytes()) \
+            == self.STORE_LOG
+
+    def test_checkpointed_sharded_log_bytes(self, tmp_path):
+        store = ResultStore(tmp_path / "ck.jsonl", quiet=True)
+        ShardedCampaign(build_campaign(), shards=4, store=store).run()
+        assert sha256((tmp_path / "ck.jsonl").read_bytes()) \
+            == self.CHECKPOINT_LOG
