@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 __all__ = ["import_closure", "import_graph", "imported_modules",
-           "module_name_for"]
+           "module_name_for", "resolve_import_from"]
 
 
 def module_name_for(path: str) -> Tuple[str, str]:
@@ -40,8 +40,9 @@ def module_name_for(path: str) -> Tuple[str, str]:
     return ".".join(parts) or stem, directory
 
 
-def imported_modules(tree: ast.Module, package: str) -> List[str]:
-    """Dotted module names imported anywhere in ``tree``, sorted.
+def imported_modules(nodes: Iterable[ast.AST], package: str) -> List[str]:
+    """Dotted module names imported by the ``Import`` / ``ImportFrom``
+    statements among ``nodes`` (e.g. ``ast.walk(tree)``), sorted.
 
     Relative imports are resolved against ``package`` (the module's own
     package, i.e. its dotted name minus the last component).  ``from
@@ -50,18 +51,18 @@ def imported_modules(tree: ast.Module, package: str) -> List[str]:
     set.
     """
     found: Set[str] = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 found.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(node, package)
+            base = resolve_import_from(node, package)
             if base:
                 found.add(base)
     return sorted(found)
 
 
-def _resolve_relative(node: ast.ImportFrom, package: str) -> str:
+def resolve_import_from(node: ast.ImportFrom, package: str) -> str:
     """The absolute dotted module an ``ImportFrom`` targets."""
     if node.level == 0:
         return node.module or ""
@@ -122,7 +123,7 @@ def import_closure(path: str, limit: int = 512) -> List[str]:
                 tree = ast.parse(handle.read(), filename=current)
         except (OSError, SyntaxError, ValueError):
             continue
-        for target in imported_modules(tree, package):
+        for target in imported_modules(ast.walk(tree), package):
             for candidate in _candidate_files(root, target):
                 if candidate not in seen and os.path.isfile(candidate):
                     seen[candidate] = None

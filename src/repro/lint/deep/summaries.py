@@ -36,7 +36,11 @@ import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.deep.certificate import function_fingerprint
-from repro.lint.deep.graph import imported_modules, module_name_for
+from repro.lint.deep.graph import (
+    imported_modules,
+    module_name_for,
+    resolve_import_from,
+)
 from repro.lint.registry import ModuleSource
 from repro.lint.rules_determinism import UNSEEDED_RANDOM_FNS
 from repro.lint.rules_process_safety import POOL_API, POOL_MODULE
@@ -201,12 +205,12 @@ class ModuleSummary:
 class _Aliases:
     """Import bindings of one module, for canonical name resolution."""
 
-    def __init__(self, tree: ast.Module, package: str) -> None:
+    def __init__(self, imports: Sequence[ast.AST], package: str) -> None:
         #: ``bound name -> dotted module`` from ``import a.b [as c]``.
         self.modules: Dict[str, str] = {}
         #: ``bound name -> module.attr`` from ``from m import a [as b]``.
         self.members: Dict[str, str] = {}
-        for node in ast.walk(tree):
+        for node in imports:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.asname:
@@ -215,14 +219,7 @@ class _Aliases:
                         head = alias.name.split(".")[0]
                         self.modules[head] = head
             elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    parts = package.split(".") if package else []
-                    climb = node.level - 1
-                    kept = parts[:len(parts) - climb] if climb <= len(parts) \
-                        else []
-                    base = ".".join(kept + (node.module.split(".")
-                                            if node.module else []))
+                base = resolve_import_from(node, package)
                 for alias in node.names:
                     if base:
                         self.members[alias.asname or alias.name] = \
@@ -256,6 +253,7 @@ class _Aliases:
 
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_IMPORTS = (ast.Import, ast.ImportFrom)
 
 
 def _own_nodes(fn: ast.AST) -> List[ast.AST]:
@@ -291,8 +289,9 @@ def _module_globals(tree: ast.Module) -> set:
     return names
 
 
-def _local_bindings(fn: ast.AST) -> set:
-    """Parameter and locally assigned names (they shadow globals)."""
+def _local_bindings(fn: ast.AST, own: Sequence[ast.AST]) -> set:
+    """Parameter and locally assigned names (they shadow globals);
+    ``own`` is :func:`_own_nodes` of ``fn``."""
     bound = set()
     args = fn.args
     for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
@@ -302,7 +301,7 @@ def _local_bindings(fn: ast.AST) -> set:
     if args.kwarg:
         bound.add(args.kwarg.arg)
     declared_global = set()
-    for node in _own_nodes(fn):
+    for node in own:
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
         elif isinstance(node, ast.Assign):
@@ -329,7 +328,7 @@ class _ModuleScanner:
         self.module = module
         self.name = module_name
         self.package = module_name.rpartition(".")[0]
-        self.aliases = _Aliases(module.tree, self.package)
+        self.aliases = _Aliases(module.nodes(*_IMPORTS), self.package)
         self.globals = _module_globals(module.tree)
         self.functions: Dict[str, FunctionSummary] = {}
         #: top-level function/class names, for local call resolution.
@@ -372,8 +371,8 @@ class _ModuleScanner:
             qualname=qual, line=fn.lineno, col=fn.col_offset,
             is_trial="trial" in fn.name.lower(),
             code=function_fingerprint(segment))
-        locals_ = _local_bindings(fn)
         own = _own_nodes(fn)
+        locals_ = _local_bindings(fn, own)
         for node in own:
             if isinstance(node, ast.Call):
                 self._scan_call(node, summary, class_name, locals_)
@@ -560,9 +559,7 @@ class _ModuleScanner:
 
     def _collect_task_refs(self) -> None:
         """Names referenced as task callables anywhere in the module."""
-        for node in ast.walk(self.module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in self.module.nodes(ast.Call):
             for keyword in node.keywords:
                 if (keyword.arg in ("trial", "fn", "task")
                         and isinstance(keyword.value, ast.Name)):
@@ -589,5 +586,5 @@ def summarize_module(module: ModuleSource,
     package = module_name.rpartition(".")[0]
     return ModuleSummary(
         path=module.path, module=module_name,
-        imports=imported_modules(module.tree, package),
+        imports=imported_modules(module.nodes(*_IMPORTS), package),
         functions=functions)

@@ -11,14 +11,27 @@ from __future__ import annotations
 import abc
 import ast
 import dataclasses
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, TypeVar)
 
 from repro.lint.findings import Finding, severity_rank
+
+T = TypeVar("T")
 
 
 @dataclasses.dataclass
 class ModuleSource:
     """One parsed source file handed to every rule.
+
+    A lint pass does each module's shared work once: :meth:`nodes`
+    answers "every node of these types" from a single ``ast.walk`` of
+    ``tree``, and :meth:`shared` computes an analysis several rules
+    read (e.g. the process-safety call sites) once per module.  Both
+    live and die with this object — never with the process — so a
+    one-shot CLI run and a long-lived caller pay the same.
+
+    Rules share ``tree``, the lists :meth:`nodes` returns and the
+    values :meth:`shared` returns: treat all of them as read-only.
 
     Attributes:
         path: Path the file was read from (relative paths stay relative
@@ -33,12 +46,40 @@ class ModuleSource:
     source: str
     tree: ast.Module
     lines: List[str]
+    #: :meth:`nodes` results by type tuple (``()``: the whole walk) and
+    #: :meth:`shared` results by build function.
+    _memo: Dict[Any, Any] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleSource":
         return cls(path=path, source=source,
                    tree=ast.parse(source, filename=path),
                    lines=source.splitlines())
+
+    def nodes(self, *types: type) -> List[ast.AST]:
+        """Every node of exactly one of ``types``, in ``ast.walk`` order.
+
+        One walk of ``tree`` on first use; each distinct query filters
+        it once.  Walk order holds across types too, so findings of
+        one rule at one ``(line, col)`` keep their order.  For parser
+        output, matching the exact type is the same as ``isinstance``.
+        """
+        walked = self._memo.get(())
+        if walked is None:
+            walked = self._memo[()] = list(ast.walk(self.tree))
+        found = self._memo.get(types)
+        if found is None:
+            found = self._memo[types] = [node for node in walked
+                                         if type(node) in types]
+        return found
+
+    def shared(self, build: Callable[["ModuleSource"], T]) -> T:
+        """``build(self)``, computed on first use and kept with the
+        module for every later rule that asks."""
+        if build not in self._memo:
+            self._memo[build] = build(self)
+        return self._memo[build]
 
 
 class Rule(abc.ABC):

@@ -29,6 +29,7 @@ the whole class at review time:
 from __future__ import annotations
 
 import ast
+import collections
 import pathlib
 from typing import Dict, Iterable, Iterator, Set, Type
 
@@ -53,22 +54,21 @@ WALL_CLOCK_CALLS = frozenset((
 ))
 
 
-def _random_aliases(tree: ast.Module) -> Set[str]:
+def _random_aliases(module: ModuleSource) -> Set[str]:
     """Names the ``random`` module is bound to in this file."""
     aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random":
-                    aliases.add(alias.asname or "random")
+    for node in module.nodes(ast.Import):
+        for alias in node.names:
+            if alias.name == "random":
+                aliases.add(alias.asname or "random")
     return aliases
 
 
-def _from_random_imports(tree: ast.Module) -> Set[str]:
+def _from_random_imports(module: ModuleSource) -> Set[str]:
     """Local names bound by ``from random import ...``."""
     names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
+    for node in module.nodes(ast.ImportFrom):
+        if node.module == "random":
             for alias in node.names:
                 if alias.name in UNSEEDED_RANDOM_FNS:
                     names.add(alias.asname or alias.name)
@@ -82,11 +82,9 @@ class UnseededRandomRule(Rule):
                "shared global RNG breaks seeded reproducibility")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = _random_aliases(module.tree)
-        from_imports = _from_random_imports(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        aliases = _random_aliases(module)
+        from_imports = _from_random_imports(module)
+        for node in module.nodes(ast.Call):
             func = node.func
             if (isinstance(func, ast.Attribute)
                     and isinstance(func.value, ast.Name)
@@ -119,9 +117,7 @@ class WallClockRule(Rule):
                "depend on when the run happens, not on seeds")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             name = dotted_name(node.func)
             if name in WALL_CLOCK_CALLS:
                 yield self.finding(
@@ -139,9 +135,8 @@ class BuiltinHashRule(Rule):
                "across runs")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
+        for node in module.nodes(ast.Call):
+            if (isinstance(node.func, ast.Name)
                     and node.func.id == "hash"):
                 yield self.finding(
                     module, node,
@@ -150,13 +145,17 @@ class BuiltinHashRule(Rule):
                     "stable_fraction or zlib.crc32 for stable values")
 
 
-def _iter_targets(tree: ast.Module) -> Iterator[ast.expr]:
+_LOOPS = (ast.For, ast.AsyncFor)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
+
+
+def _iter_targets(module: ModuleSource) -> Iterator[ast.expr]:
     """Every expression whose iteration order the program observes."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
+    for node in module.nodes(*_LOOPS, *_COMPREHENSIONS):
+        if isinstance(node, _LOOPS):
             yield node.iter
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
+        else:
             for generator in node.generators:
                 yield generator.iter
 
@@ -168,7 +167,7 @@ class EnvIterationRule(Rule):
                "environment-dependent; wrap in sorted()")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for target in _iter_targets(module.tree):
+        for target in _iter_targets(module):
             if isinstance(target, (ast.Set, ast.SetComp)):
                 yield self.finding(
                     module, target,
@@ -210,9 +209,7 @@ class ObserveClockRule(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if "observe" not in pathlib.PurePath(module.path).parts:
             return
-        calls = (node for node in ast.walk(module.tree)
-                 if isinstance(node, ast.Call))
-        for call in calls:
+        for call in module.nodes(ast.Call):
             dotted = dotted_name(call.func) or ""
             prefix, _, attr = dotted.rpartition(".")
             if prefix != "time" or attr not in PROCESS_CLOCK_ATTRS:
@@ -224,26 +221,46 @@ class ObserveClockRule(Rule):
                 f"bound clock so traces and dumps stay byte-stable")
 
 
-def _seed_imports(tree: ast.Module) -> Dict[str, str]:
+def _seed_imports(module: ModuleSource) -> Dict[str, str]:
     """``local name -> original name`` bound by ``from random import
     seed / Random``."""
     names: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
+    for node in module.nodes(ast.ImportFrom):
+        if node.module == "random":
             for alias in node.names:
                 if alias.name in ("seed", "Random"):
                     names[alias.asname or alias.name] = alias.name
     return names
 
 
-def _uses_batch_keyword(tree: ast.Module) -> bool:
+def _uses_batch_keyword(module: ModuleSource) -> bool:
     """True when any call in the module passes a ``batch=`` keyword —
     the module is explicitly on the batched path."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and any(
-                keyword.arg == "batch" for keyword in node.keywords):
-            return True
-    return False
+    return any(keyword.arg == "batch"
+               for node in module.nodes(ast.Call)
+               for keyword in node.keywords)
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _is_trial(function: ast.AST) -> bool:
+    return "trial" in function.name.lower()
+
+
+def _trial_calls(trial: ast.AST) -> Iterator[ast.Call]:
+    """The calls in ``trial``, in ``ast.walk`` order, except those in
+    nested trials: each call belongs to its innermost enclosing trial,
+    which reports it.  Nested non-trial helpers stay with ``trial``."""
+    todo = collections.deque([trial])
+    while todo:
+        node = todo.popleft()
+        if isinstance(node, ast.Call):
+            yield node
+        elif node is not trial and isinstance(node, _FUNCTIONS) \
+                and _is_trial(node):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
 
 
 class TrialReseedRule(Rule):
@@ -254,19 +271,13 @@ class TrialReseedRule(Rule):
                "identity; use repro.runtime.kernel.trial_stream")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = _random_aliases(module.tree)
-        from_imports = _seed_imports(module.tree)
-        severity = ("error" if _uses_batch_keyword(module.tree)
-                    else None)
-        for function in ast.walk(module.tree):
-            if not isinstance(function, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
+        aliases = _random_aliases(module)
+        from_imports = _seed_imports(module)
+        severity = "error" if _uses_batch_keyword(module) else None
+        for function in module.nodes(*_FUNCTIONS):
+            if not _is_trial(function):
                 continue
-            if "trial" not in function.name.lower():
-                continue
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
+            for node in _trial_calls(function):
                 func = node.func
                 seeded = bool(node.args or node.keywords)
                 if (isinstance(func, ast.Attribute)

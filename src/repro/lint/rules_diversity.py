@@ -12,6 +12,7 @@ score so reviewers can judge how much diversity actually exists.
 from __future__ import annotations
 
 import ast
+import io
 from typing import Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.lint.diversity import (
@@ -31,14 +32,48 @@ MIN_TOKENS = 45
 DEFAULT_THRESHOLD = 0.9
 
 
+def parser_lines(source: str) -> List[str]:
+    """``source`` split into lines the way the parser counts them, line
+    ends kept: on ``\\r\\n``, ``\\r`` and ``\\n`` only.
+
+    ``str.splitlines`` also splits on ``\\v``, ``\\f``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``, so its
+    line numbers drift from the AST's; universal-newline reading
+    without translation does not.
+    """
+    return io.StringIO(source, newline="").readlines()
+
+
+def source_segment(lines: List[str], node: ast.AST) -> Optional[str]:
+    """``ast.get_source_segment(source, node)`` over the source's
+    :func:`parser_lines`.
+
+    The standard function re-splits the whole source on every call (a
+    per-character loop), so one call per function is quadratic in
+    module size; splitting once and slicing by UTF-8 byte columns, as
+    it does, gives the same text.
+    """
+    if getattr(node, "end_lineno", None) is None \
+            or getattr(node, "end_col_offset", None) is None:
+        return None
+    first, last = node.lineno - 1, node.end_lineno - 1
+    if first == last:
+        return lines[first].encode()[
+            node.col_offset:node.end_col_offset].decode()
+    return "".join([lines[first].encode()[node.col_offset:].decode(),
+                    *lines[first + 1:last],
+                    lines[last].encode()[:node.end_col_offset].decode()])
+
+
 def module_functions(module: ModuleSource) -> List[
         Tuple[str, ast.AST, str]]:
     """``(qualified_name, node, source_segment)`` for every top-level
     function and method in the module."""
     out = []
+    lines = parser_lines(module.source)
 
     def add(node: ast.AST, qualname: str) -> None:
-        segment = ast.get_source_segment(module.source, node)
+        segment = source_segment(lines, node)
         if segment:
             out.append((qualname, node, segment))
 
@@ -84,20 +119,17 @@ class NearCloneRule(Rule):
             tokens = normalize_tokens(segment)
             if len(tokens) < MIN_TOKENS:
                 continue
-            functions.append((qualname, node, segment, tokens,
+            functions.append((qualname, node, shingles(tokens),
                               ast_fingerprint(segment)))
 
-        for i, (name_a, node_a, src_a, tokens_a, fp_a) in \
-                enumerate(functions):
-            for name_b, node_b, src_b, tokens_b, fp_b in \
-                    functions[i + 1:]:
+        for i, (name_a, node_a, sh_a, fp_a) in enumerate(functions):
+            for name_b, node_b, sh_b, fp_b in functions[i + 1:]:
                 if fp_a is not None and fp_a == fp_b:
                     score = 1.0
                 else:
-                    sh_a = shingles(tokens_a)
-                    sh_b = shingles(tokens_b)
-                    union = len(sh_a | sh_b)
-                    score = (len(sh_a & sh_b) / union) if union else 1.0
+                    shared = len(sh_a & sh_b)
+                    union = len(sh_a) + len(sh_b) - shared
+                    score = (shared / union) if union else 1.0
                 if score >= self.threshold:
                     yield self.finding(
                         module, node_b,

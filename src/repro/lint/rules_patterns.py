@@ -72,9 +72,7 @@ class EvenVoterRule(Rule):
                "deadlocks the majority voter")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             name = _call_name(node)
             if name not in VOTING_CONSTRUCTORS or not node.args:
                 continue
@@ -96,9 +94,7 @@ class MissingAdjudicatorRule(Rule):
                "the collected results")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             name = _call_name(node)
             keyword = ADJUDICATED_PATTERNS.get(name or "")
             if keyword is None:
@@ -120,9 +116,7 @@ class MissingRollbackRule(Rule):
                "side effects (no rollback)")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for node in module.nodes(ast.Call):
             if _call_name(node) not in SEQUENTIAL_PATTERNS:
                 continue
             has_subject = (keyword_value(node, "subject") is not None

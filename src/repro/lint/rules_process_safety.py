@@ -73,15 +73,19 @@ def _backend_literal(call: Optional[ast.Call]) -> Optional[str]:
 
 class _ScopeInfo:
     """Names bound to lambdas, nested defs, and ParallelMap instances
-    within one lexical scope."""
+    within one lexical scope, and the scope's calls."""
 
     def __init__(self, body: List[ast.stmt], inside_function: bool) -> None:
         self.lambda_names: Set[str] = set()
         self.nested_def_names: Set[str] = set()
         #: name -> the ParallelMap(...) constructor call it was bound to
         self.pool_vars: Dict[str, ast.Call] = {}
+        #: every call in the scope, in :func:`_walk_scope` order
+        self.calls: List[ast.Call] = []
         for node in _walk_scope(body):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, ast.Call):
+                self.calls.append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if inside_function:
                     self.nested_def_names.add(node.name)
             elif isinstance(node, ast.Assign):
@@ -105,21 +109,19 @@ def _task_argument(call: ast.Call) -> Optional[ast.expr]:
     return keyword_value(call, "fn")
 
 
-def _scopes(tree: ast.Module) -> Iterator[Tuple[List[ast.stmt], bool]]:
+def _scopes(module: ModuleSource
+            ) -> Iterator[Tuple[List[ast.stmt], bool]]:
     """Every lexical scope body in the module, with whether it is a
     function body (where a nested def becomes a closure)."""
-    yield tree.body, False
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node.body, True
+    yield module.tree.body, False
+    for node in module.nodes(ast.FunctionDef, ast.AsyncFunctionDef):
+        yield node.body, True
 
 
-def _map_call_sites(info: _ScopeInfo, body: List[ast.stmt]) -> Iterator[
+def _map_call_sites(info: _ScopeInfo) -> Iterator[
         Tuple[ast.Call, Optional[ast.Call]]]:
     """``(map_call, constructor_call_or_None)`` per call site in scope."""
-    for node in _walk_scope(body):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in info.calls:
         func = node.func
         # parallel_map(fn, items, ...)
         if isinstance(func, ast.Name) and func.id in PARALLEL_MAP_FNS:
@@ -136,21 +138,33 @@ def _map_call_sites(info: _ScopeInfo, body: List[ast.stmt]) -> Iterator[
                 yield node, info.pool_vars[owner.id]
 
 
+_Site = Tuple[ast.expr, _ScopeInfo, Optional[str], Optional[str]]
+
+
+def _task_sites(module: ModuleSource) -> List[_Site]:
+    """``(task, scope info, backend, severity)`` per map call site in
+    the module — one scan, which every PROC rule filters."""
+    sites: List[_Site] = []
+    for body, inside_function in _scopes(module):
+        info = _ScopeInfo(body, inside_function)
+        for call, ctor in _map_call_sites(info):
+            task = _task_argument(call)
+            if task is None:
+                continue
+            backend = (_backend_literal(ctor) if ctor is not None
+                       else _backend_literal(call))
+            severity = "error" if backend == "process" else None
+            sites.append((task, info, backend, severity))
+    return sites
+
+
 class _ProcessSafetyBase(Rule):
-    """Shared scaffolding: walk map call sites, classify the task arg."""
+    """Shared scaffolding: classify the task of every map call site."""
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for body, inside_function in _scopes(module.tree):
-            info = _ScopeInfo(body, inside_function)
-            for call, ctor in _map_call_sites(info, body):
-                task = _task_argument(call)
-                if task is None:
-                    continue
-                backend = (_backend_literal(ctor) if ctor is not None
-                           else _backend_literal(call))
-                severity = "error" if backend == "process" else None
-                yield from self._check_task(module, task, info,
-                                            backend, severity)
+        for task, info, backend, severity in module.shared(_task_sites):
+            yield from self._check_task(module, task, info, backend,
+                                        severity)
 
     def _check_task(self, module, task, info, backend, severity):
         raise NotImplementedError

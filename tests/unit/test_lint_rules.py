@@ -170,6 +170,32 @@ class TestTrialReseed:
         assert rule_ids(src, select=["DET006"]) \
             == ["DET006", "DET006"]
 
+    def test_nested_trial_reports_its_reseed_once(self):
+        src = """
+            import random
+
+            def run_trial(seed):
+                def trial_step():
+                    random.seed(seed)
+                trial_step()
+        """
+        found = findings(src, select=["DET006"])
+        assert [(f.line, f.col) for f in found] == [(6, 8)]
+        assert "inside trial 'trial_step'" in found[0].message
+
+    def test_nested_helper_calls_stay_with_the_trial(self):
+        src = """
+            import random
+
+            def run_trial(seed):
+                def helper():
+                    random.seed(seed)
+                helper()
+        """
+        found = findings(src, select=["DET006"])
+        assert len(found) == 1
+        assert "inside trial 'run_trial'" in found[0].message
+
     def test_non_trial_functions_are_out_of_scope(self):
         src = """
             import random
