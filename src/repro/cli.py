@@ -285,7 +285,9 @@ def _campaign_report(cells, monitor, args) -> dict:
     are pure functions of their labels and the base seed, and the
     monitor carries no wall clock, so a streaming run's final frame
     embeds this byte-for-byte equal to a non-streaming run's output
-    (the CI observe-smoke job pins exactly that).
+    (the CI observe-smoke job pins exactly that).  It reads no span and
+    no counter, which is why the sessions that feed it keep events
+    only.
     """
     import dataclasses
 
@@ -381,14 +383,16 @@ def _run_live_campaign(args) -> int:
     from repro.runtime.pool import pool_stats
 
     interval = max(0.05, args.interval)
-    live_view = observe.Telemetry()
+    # Frames and the final report read events only (see
+    # _campaign_report), so neither session keeps spans or counters.
+    live_view = observe.Telemetry(events_only=True)
     stream = TelemetryStream(every=args.every, live=live_view)
     live_monitor = observe.SliMonitor(live_view.bus, window=args.window,
                                       wall_clock=time.perf_counter)
     campaign, _ = _build_campaign(args, stream=stream)
     sharded = _make_sharded(campaign, args)
     box: dict = {}
-    with observe.session() as tel:
+    with observe.session(events_only=True) as tel:
         monitor = observe.SliMonitor(tel.bus, window=args.window)
         shard_info = None
         if sharded is not None:
@@ -460,7 +464,9 @@ def _cmd_campaign(args) -> int:
 
         campaign, store = _build_campaign(args)
         sharded = _make_sharded(campaign, args)
-        with observe.session() as tel:
+        # The report reads the cells and the SLI fold of events, so the
+        # session keeps events only.
+        with observe.session(events_only=True) as tel:
             monitor = observe.SliMonitor(tel.bus, window=args.window)
             cells = sharded.run() if sharded is not None \
                 else campaign.run()
@@ -802,35 +808,65 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The subcommands, in the order ``repro --help`` lists them.
+COMMANDS = ("tables", "techniques", "experiments", "recommend", "campaign",
+            "top", "bench", "lint", "certify", "demo", "trace", "metrics",
+            "report")
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` argument parser.
+
+    With ``command`` (one of :data:`COMMANDS`) only that subcommand's
+    parser is built, which costs a fraction of building all of them.
+    A command line that names ``command`` first parses to the same
+    namespace, and prints the same help, usage and errors, with either
+    parser; :func:`main` relies on that.
+    """
+    if command is not None and command not in COMMANDS:
+        raise ValueError(f"unknown command {command!r}")
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Redundancy-based software fault handling "
                     "(Carzaniga, Gorla & Pezzè, 2008 — reproduction)")
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+    else:
+        # The usage line a top-level error prints ("unrecognized
+        # arguments") lists every command, as the full parser's does.
+        sub = parser.add_subparsers(
+            dest="command", required=True,
+            metavar="{" + ",".join(COMMANDS) + "}")
 
-    sub.add_parser("tables", help="render Tables 1 and 2 and diff "
-                                  "against the paper").set_defaults(
-        func=_cmd_tables)
-    sub.add_parser("techniques",
-                   help="list the seventeen implemented techniques"
-                   ).set_defaults(func=_cmd_techniques)
-    sub.add_parser("experiments",
-                   help="list the experiment index and bench targets"
-                   ).set_defaults(func=_cmd_experiments)
+    def wanted(name: str) -> bool:
+        return command is None or command == name
 
-    rec = sub.add_parser("recommend",
-                         help="rank techniques for a fault class")
-    rec.add_argument("fault", choices=("bohrbug", "heisenbug",
-                                       "malicious", "development"))
-    rec.add_argument("--budget", choices=("low", "high"), default="high")
-    rec.add_argument("--no-adjudicator", action="store_true",
-                     help="no application-specific failure detector can "
-                          "be engineered")
-    rec.add_argument("--top", type=int, default=5)
-    rec.set_defaults(func=_cmd_recommend)
+    if wanted("tables"):
+        sub.add_parser("tables", help="render Tables 1 and 2 and diff "
+                                      "against the paper").set_defaults(
+            func=_cmd_tables)
+    if wanted("techniques"):
+        sub.add_parser("techniques",
+                       help="list the seventeen implemented techniques"
+                       ).set_defaults(func=_cmd_techniques)
+    if wanted("experiments"):
+        sub.add_parser("experiments",
+                       help="list the experiment index and bench targets"
+                       ).set_defaults(func=_cmd_experiments)
+
+    if wanted("recommend"):
+        rec = sub.add_parser("recommend",
+                             help="rank techniques for a fault class")
+        rec.add_argument("fault", choices=("bohrbug", "heisenbug",
+                                           "malicious", "development"))
+        rec.add_argument("--budget", choices=("low", "high"), default="high")
+        rec.add_argument("--no-adjudicator", action="store_true",
+                         help="no application-specific failure detector can "
+                              "be engineered")
+        rec.add_argument("--top", type=int, default=5)
+        rec.set_defaults(func=_cmd_recommend)
 
     def live_args(sub_parser):
         """Flags shared by ``campaign --live`` and ``top``."""
@@ -852,213 +888,231 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the process flight-recorder window as a "
                  "repro-events-jsonl/v1 log on exit")
 
-    campaign = sub.add_parser(
-        "campaign", help="run a technique x fault-class injection matrix")
-    campaign.add_argument("--requests", type=int, default=120)
-    campaign.add_argument("--seed", type=int, default=7)
-    campaign.add_argument("--workers", type=int, default=1,
-                          help="fan cells out over a worker pool "
-                               "(byte-identical to serial)")
-    campaign.add_argument("--backend", choices=("auto", "serial",
-                                                "thread", "process"),
-                          default="auto")
-    campaign.add_argument("--batch", type=int, default=None, metavar="B",
-                          help="cells per pool task: coarser units, "
-                               "~B× less pickle traffic, byte-identical "
-                               "matrix for any B")
-    campaign.add_argument("--store", metavar="PATH", default=None,
-                          help="serve unchanged cells from a result-store "
-                               "log at PATH (opt-in incremental re-runs)")
-    campaign.add_argument("--format", choices=("text", "json"),
+    if wanted("campaign"):
+        campaign = sub.add_parser(
+            "campaign", help="run a technique x fault-class injection matrix")
+        campaign.add_argument("--requests", type=int, default=120)
+        campaign.add_argument("--seed", type=int, default=7)
+        campaign.add_argument("--workers", type=int, default=1,
+                              help="fan cells out over a worker pool "
+                                   "(byte-identical to serial)")
+        campaign.add_argument("--backend", choices=("auto", "serial",
+                                                    "thread", "process"),
+                              default="auto")
+        campaign.add_argument("--batch", type=int, default=None, metavar="B",
+                              help="cells per pool task: coarser units, "
+                                   "~B× less pickle traffic, byte-identical "
+                                   "matrix for any B")
+        campaign.add_argument("--store", metavar="PATH", default=None,
+                              help="serve unchanged cells from a result-store "
+                                   "log at PATH (opt-in incremental re-runs)")
+        campaign.add_argument("--format", choices=("text", "json"),
+                              default="text",
+                              help="json: the canonical campaign report "
+                                   "document (deterministic; what a live "
+                                   "run's final frame embeds)")
+        campaign.add_argument("--live", action="store_true",
+                              help="stream telemetry deltas and refresh a "
+                                   "dashboard while the matrix runs "
+                                   "(equivalent to 'repro top')")
+        campaign.add_argument("--shards", type=int, default=None, metavar="N",
+                              help="partition the matrix into N deterministic "
+                                   "shards, each one pool work unit; with "
+                                   "--store every finished shard is "
+                                   "checkpointed (repro-campaign-shard/v1)")
+        campaign.add_argument("--resume", action="store_true",
+                              help="serve already-checkpointed shards from "
+                                   "the --store log and execute only the "
+                                   "remainder (byte-identical report)")
+        campaign.add_argument("--max-shards", type=int, default=None,
+                              metavar="K",
+                              help="stop after K completed shards "
+                                   "(deterministic interruption, for tests "
+                                   "and the CI resume smoke)")
+        campaign.add_argument("--gate", action="store_true",
+                              help="evaluate the repro-campaign-verdict/v1 "
+                                   "acceptance gates; exit 3 when rejected")
+        campaign.add_argument("--gate-baseline", metavar="PATH", default=None,
+                              help="baseline campaign report JSON for the "
+                                   "telemetry-drift gate")
+        campaign.add_argument("--gate-bench", metavar="PATH", default=None,
+                              help="bench report JSON (BENCH_harness.json) "
+                                   "for the bench-regression gate")
+        campaign.add_argument("--gate-tolerance", type=float, default=0.0,
+                              help="absolute rate tolerance for the "
+                                   "telemetry-drift gate")
+        live_args(campaign)
+        campaign.set_defaults(func=_cmd_campaign)
+
+    if wanted("top"):
+        top = sub.add_parser(
+            "top", help="live campaign dashboard: stream telemetry deltas "
+                        "and refresh per-technique SLIs while cells run")
+        top.add_argument("--requests", type=int, default=120)
+        top.add_argument("--seed", type=int, default=7)
+        top.add_argument("--workers", type=int, default=2,
+                         help="pool workers for the campaign under watch")
+        top.add_argument("--backend", choices=("auto", "serial", "thread",
+                                               "process"),
+                         default="auto")
+        top.add_argument("--format", choices=("text", "json"),
+                         default="text",
+                         help="json: one repro-top-frame/v1 document per "
+                              "refresh, final frame embeds the canonical "
+                              "report")
+        live_args(top)
+        top.set_defaults(func=_cmd_top, live=True, batch=None, store=None,
+                         shards=None, resume=False, max_shards=None,
+                         gate=False, gate_baseline=None, gate_bench=None,
+                         gate_tolerance=0.0)
+
+    if wanted("bench"):
+        from repro.runtime.bench import configure_parser as _configure_bench
+
+        bench = sub.add_parser(
+            "bench", help="run the benchmark suite through the parallel "
+                          "runtime and check for results drift")
+        _configure_bench(bench)
+
+    if wanted("lint"):
+        lint = sub.add_parser(
+            "lint", help="redundancy-aware static analysis: diversity, "
+                         "determinism, process-safety, pattern misuse")
+        lint.add_argument("paths", nargs="+",
+                          help="files or directories to analyse")
+        lint.add_argument("--format", choices=("text", "json", "github"),
                           default="text",
-                          help="json: the canonical campaign report "
-                               "document (deterministic; what a live "
-                               "run's final frame embeds)")
-    campaign.add_argument("--live", action="store_true",
-                          help="stream telemetry deltas and refresh a "
-                               "dashboard while the matrix runs "
-                               "(equivalent to 'repro top')")
-    campaign.add_argument("--shards", type=int, default=None, metavar="N",
-                          help="partition the matrix into N deterministic "
-                               "shards, each one pool work unit; with "
-                               "--store every finished shard is "
-                               "checkpointed (repro-campaign-shard/v1)")
-    campaign.add_argument("--resume", action="store_true",
-                          help="serve already-checkpointed shards from "
-                               "the --store log and execute only the "
-                               "remainder (byte-identical report)")
-    campaign.add_argument("--max-shards", type=int, default=None,
-                          metavar="K",
-                          help="stop after K completed shards "
-                               "(deterministic interruption, for tests "
-                               "and the CI resume smoke)")
-    campaign.add_argument("--gate", action="store_true",
-                          help="evaluate the repro-campaign-verdict/v1 "
-                               "acceptance gates; exit 3 when rejected")
-    campaign.add_argument("--gate-baseline", metavar="PATH", default=None,
-                          help="baseline campaign report JSON for the "
-                               "telemetry-drift gate")
-    campaign.add_argument("--gate-bench", metavar="PATH", default=None,
-                          help="bench report JSON (BENCH_harness.json) "
-                               "for the bench-regression gate")
-    campaign.add_argument("--gate-tolerance", type=float, default=0.0,
-                          help="absolute rate tolerance for the "
-                               "telemetry-drift gate")
-    live_args(campaign)
-    campaign.set_defaults(func=_cmd_campaign)
+                          help="report format (github emits workflow-command "
+                               "annotations for pull-request diffs)")
+        lint.add_argument("--fail-on",
+                          choices=("error", "warning", "info", "never"),
+                          default="error",
+                          help="lowest severity that fails the run "
+                               "(default: error)")
+        lint.add_argument("--baseline", metavar="PATH",
+                          help="baseline file of accepted findings "
+                               "(see docs/STATIC_ANALYSIS.md)")
+        lint.add_argument("--write-baseline", action="store_true",
+                          help="accept every current finding into "
+                               "--baseline and exit")
+        lint.add_argument("--select", metavar="RULES",
+                          help="comma-separated rule ids to run "
+                               "(e.g. DET001,DIV001)")
+        lint.add_argument("--diversity-threshold", type=float, default=None,
+                          metavar="S",
+                          help="similarity in (0, 1] at which DIV001 flags "
+                               "a near-clone pair (default: 0.9)")
+        lint.add_argument("--prune-baseline", action="store_true",
+                          help="rewrite --baseline dropping entries whose "
+                               "finding no longer exists, and exit")
+        lint.add_argument("--deep", action="store_true",
+                          help="also run the whole-program pass: call-graph "
+                               "propagation of determinism / picklability / "
+                               "purity (XDET*/XPROC* rules)")
+        lint.add_argument("--deep-cache", metavar="PATH", default=None,
+                          help="content-addressed summary cache for --deep "
+                               "(a result-store log; warm re-lints only "
+                               "re-summarize edited modules)")
+        lint.add_argument("--certificate", metavar="PATH", default=None,
+                          help="with --deep: write the determinism "
+                               "certificate JSON consumed by certify= "
+                               "runtime enforcement")
+        lint.set_defaults(func=_cmd_lint)
 
-    top = sub.add_parser(
-        "top", help="live campaign dashboard: stream telemetry deltas "
-                    "and refresh per-technique SLIs while cells run")
-    top.add_argument("--requests", type=int, default=120)
-    top.add_argument("--seed", type=int, default=7)
-    top.add_argument("--workers", type=int, default=2,
-                     help="pool workers for the campaign under watch")
-    top.add_argument("--backend", choices=("auto", "serial", "thread",
-                                           "process"),
-                     default="auto")
-    top.add_argument("--format", choices=("text", "json"),
-                     default="text",
-                     help="json: one repro-top-frame/v1 document per "
-                          "refresh, final frame embeds the canonical "
-                          "report")
-    live_args(top)
-    top.set_defaults(func=_cmd_top, live=True, batch=None, store=None,
-                     shards=None, resume=False, max_shards=None,
-                     gate=False, gate_baseline=None, gate_bench=None,
-                     gate_tolerance=0.0)
+    if wanted("certify"):
+        certify = sub.add_parser(
+            "certify", help="deep-analyze one task module and report its "
+                            "determinism certificate")
+        certify.add_argument("target", metavar="MODULE[:FUNC]",
+                             help="a file path or importable dotted module, "
+                                  "optionally narrowed to one function "
+                                  "(e.g. mytasks.py:my_trial)")
+        certify.add_argument("--out", metavar="PATH", default=None,
+                             help="write the full certificate JSON to PATH")
+        certify.add_argument("--json", action="store_true",
+                             help="also print the selected entries as JSON")
+        certify.set_defaults(func=_cmd_certify)
 
-    from repro.runtime.bench import configure_parser as _configure_bench
-
-    bench = sub.add_parser(
-        "bench", help="run the benchmark suite through the parallel "
-                      "runtime and check for results drift")
-    _configure_bench(bench)
-
-    lint = sub.add_parser(
-        "lint", help="redundancy-aware static analysis: diversity, "
-                     "determinism, process-safety, pattern misuse")
-    lint.add_argument("paths", nargs="+",
-                      help="files or directories to analyse")
-    lint.add_argument("--format", choices=("text", "json", "github"),
-                      default="text",
-                      help="report format (github emits workflow-command "
-                           "annotations for pull-request diffs)")
-    lint.add_argument("--fail-on",
-                      choices=("error", "warning", "info", "never"),
-                      default="error",
-                      help="lowest severity that fails the run "
-                           "(default: error)")
-    lint.add_argument("--baseline", metavar="PATH",
-                      help="baseline file of accepted findings "
-                           "(see docs/STATIC_ANALYSIS.md)")
-    lint.add_argument("--write-baseline", action="store_true",
-                      help="accept every current finding into "
-                           "--baseline and exit")
-    lint.add_argument("--select", metavar="RULES",
-                      help="comma-separated rule ids to run "
-                           "(e.g. DET001,DIV001)")
-    lint.add_argument("--diversity-threshold", type=float, default=None,
-                      metavar="S",
-                      help="similarity in (0, 1] at which DIV001 flags "
-                           "a near-clone pair (default: 0.9)")
-    lint.add_argument("--prune-baseline", action="store_true",
-                      help="rewrite --baseline dropping entries whose "
-                           "finding no longer exists, and exit")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program pass: call-graph "
-                           "propagation of determinism / picklability / "
-                           "purity (XDET*/XPROC* rules)")
-    lint.add_argument("--deep-cache", metavar="PATH", default=None,
-                      help="content-addressed summary cache for --deep "
-                           "(a result-store log; warm re-lints only "
-                           "re-summarize edited modules)")
-    lint.add_argument("--certificate", metavar="PATH", default=None,
-                      help="with --deep: write the determinism "
-                           "certificate JSON consumed by certify= "
-                           "runtime enforcement")
-    lint.set_defaults(func=_cmd_lint)
-
-    certify = sub.add_parser(
-        "certify", help="deep-analyze one task module and report its "
-                        "determinism certificate")
-    certify.add_argument("target", metavar="MODULE[:FUNC]",
-                         help="a file path or importable dotted module, "
-                              "optionally narrowed to one function "
-                              "(e.g. mytasks.py:my_trial)")
-    certify.add_argument("--out", metavar="PATH", default=None,
-                         help="write the full certificate JSON to PATH")
-    certify.add_argument("--json", action="store_true",
-                         help="also print the selected entries as JSON")
-    certify.set_defaults(func=_cmd_certify)
-
-    demo = sub.add_parser("demo", help="run a small NVP demonstration")
-    demo.add_argument("--versions", type=int, default=5)
-    demo.add_argument("--failure-rate", type=float, default=0.15)
-    demo.add_argument("--seed", type=int, default=0)
-    demo.set_defaults(func=_cmd_demo)
-
-    from repro.harness.scenarios import SCENARIOS
+    if wanted("demo"):
+        demo = sub.add_parser("demo", help="run a small NVP demonstration")
+        demo.add_argument("--versions", type=int, default=5)
+        demo.add_argument("--failure-rate", type=float, default=0.15)
+        demo.add_argument("--seed", type=int, default=0)
+        demo.set_defaults(func=_cmd_demo)
 
     def scenario_args(sub_parser):
+        from repro.harness.scenarios import SCENARIOS
+
         sub_parser.add_argument("scenario", choices=sorted(SCENARIOS))
         sub_parser.add_argument("--requests", type=int, default=50)
         sub_parser.add_argument("--seed", type=int, default=7)
 
-    trace = sub.add_parser(
-        "trace", help="trace a scenario and print its span timeline")
-    scenario_args(trace)
-    trace.add_argument("--limit", type=int, default=200,
-                       help="maximum timeline rows to print")
-    trace.add_argument("--jsonl", metavar="PATH",
-                       help="also export raw spans as JSON lines")
-    trace.add_argument("--out", metavar="PATH",
-                       help="also export the trace as Chrome trace-event "
-                            "JSON (loadable in Perfetto)")
-    trace.set_defaults(func=_cmd_trace)
+    if wanted("trace"):
+        trace = sub.add_parser(
+            "trace", help="trace a scenario and print its span timeline")
+        scenario_args(trace)
+        trace.add_argument("--limit", type=int, default=200,
+                           help="maximum timeline rows to print")
+        trace.add_argument("--jsonl", metavar="PATH",
+                           help="also export raw spans as JSON lines")
+        trace.add_argument("--out", metavar="PATH",
+                           help="also export the trace as Chrome trace-event "
+                                "JSON (loadable in Perfetto)")
+        trace.set_defaults(func=_cmd_trace)
 
-    metrics = sub.add_parser(
-        "metrics", help="run a scenario and dump its metrics registry")
-    scenario_args(metrics)
-    metrics.add_argument("--format",
-                         choices=("text", "json", "openmetrics"),
-                         default="text",
-                         help="text = Prometheus exposition, openmetrics "
-                              "adds histogram quantiles and '# EOF'")
-    metrics.set_defaults(func=_cmd_metrics)
+    if wanted("metrics"):
+        metrics = sub.add_parser(
+            "metrics", help="run a scenario and dump its metrics registry")
+        scenario_args(metrics)
+        metrics.add_argument("--format",
+                             choices=("text", "json", "openmetrics"),
+                             default="text",
+                             help="text = Prometheus exposition, openmetrics "
+                                  "adds histogram quantiles and '# EOF'")
+        metrics.set_defaults(func=_cmd_metrics)
 
-    report = sub.add_parser(
-        "report", help="per-technique SLI health report (availability, "
-                       "failure rate, recovery-latency percentiles)")
-    report.add_argument("scenario", choices=("all", *sorted(SCENARIOS)),
-                        help="scenario to report on, or 'all'")
-    report.add_argument("--requests", type=int, default=50)
-    report.add_argument("--seed", type=int, default=7)
-    report.add_argument("--window", type=int, default=256,
-                        help="sliding-window size per technique, "
-                             "in samples")
-    report.add_argument("--format", choices=("text", "json"),
-                        default="text")
-    report.add_argument("--trace-out", metavar="PATH",
-                        help="export the session trace as Chrome "
-                             "trace-event JSON")
-    report.add_argument("--metrics-out", metavar="PATH",
-                        help="export the session metrics as OpenMetrics "
-                             "text")
-    report.add_argument("--workers", type=int, default=1,
-                        help="fan scenarios out over a worker pool "
-                             "(telemetry merges in submission order)")
-    report.add_argument("--backend", choices=("auto", "serial", "thread",
-                                              "process"),
-                        default="auto")
-    report.set_defaults(func=_cmd_report)
+    if wanted("report"):
+        from repro.harness.scenarios import SCENARIOS
+
+        report = sub.add_parser(
+            "report", help="per-technique SLI health report (availability, "
+                           "failure rate, recovery-latency percentiles)")
+        report.add_argument("scenario", choices=("all", *sorted(SCENARIOS)),
+                            help="scenario to report on, or 'all'")
+        report.add_argument("--requests", type=int, default=50)
+        report.add_argument("--seed", type=int, default=7)
+        report.add_argument("--window", type=int, default=256,
+                            help="sliding-window size per technique, "
+                                 "in samples")
+        report.add_argument("--format", choices=("text", "json"),
+                            default="text")
+        report.add_argument("--trace-out", metavar="PATH",
+                            help="export the session trace as Chrome "
+                                 "trace-event JSON")
+        report.add_argument("--metrics-out", metavar="PATH",
+                            help="export the session metrics as OpenMetrics "
+                                 "text")
+        report.add_argument("--workers", type=int, default=1,
+                            help="fan scenarios out over a worker pool "
+                                 "(telemetry merges in submission order)")
+        report.add_argument("--backend", choices=("auto", "serial", "thread",
+                                                  "process"),
+                            default="auto")
+        report.set_defaults(func=_cmd_report)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """CLI entry point; returns the process exit code.
+
+    When the first argument names a command only that command's parser
+    is built; anything else (``--help``, ``--version``, no command or
+    an unknown one) gets the full parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     return args.func(args)
 
 

@@ -28,9 +28,10 @@ generalized to interrupted-vs-uninterrupted):
 Checkpoint keys carry the *campaign fingerprint* (source versions of
 the oracle and every factory, plus labels, requests and seed), the
 shard index, the plan's shard count, the shard's own pair-list digest,
-and whether telemetry was captured — editing any factory, resizing the
-plan, or switching telemetry on invalidates stale checkpoints instead
-of serving them.
+and how telemetry was captured (``False``: not at all, ``True``: a
+full session, :data:`EVENTS_ONLY`: an events-only session) — editing
+any factory, resizing the plan, or switching telemetry on or between
+modes invalidates stale checkpoints instead of serving them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
-                    TYPE_CHECKING)
+                    TYPE_CHECKING, Union)
 
 from repro._util import stable_int
 from repro.harness.campaign import CampaignCell, FaultCampaign
@@ -54,6 +55,16 @@ SHARD_SCHEMA = "repro-campaign-shard/v1"
 
 #: Store task name shard checkpoints are addressed under.
 SHARD_TASK = "repro.harness.campaign.shard"
+
+#: The capture value of a shard measured under an events-only session.
+#: Full-session capture stays ``True`` and no capture ``False``, so
+#: their keys never move; this third value keys apart checkpoints whose
+#: snapshots hold events only.
+EVENTS_ONLY = "events"
+
+#: How a shard's telemetry is captured: ``False``, ``True`` or
+#: :data:`EVENTS_ONLY`.
+Capture = Union[bool, str]
 
 
 def campaign_fingerprint(campaign: FaultCampaign) -> str:
@@ -174,20 +185,20 @@ class ShardOutcome:
     snapshot: Optional[Dict[str, Any]]
 
 
-def _run_shard(campaign: FaultCampaign, capture: bool,
+def _run_shard(campaign: FaultCampaign, capture: Capture,
                pairs: Tuple[Tuple[str, str], ...]
                ) -> Tuple[List[CampaignCell], Optional[Dict[str, Any]]]:
     """Pool task: measure one whole shard, one pickled result.
 
     Runs the shard inside a private telemetry session when ``capture``
-    is set and ships the session's snapshot home with the cells — the
-    shard analogue of the pool's own chunk capture, but snapshotted
-    here so the snapshot can be *checkpointed* alongside the cells and
-    replayed on resume.
+    is set (an events-only one for :data:`EVENTS_ONLY`) and ships the
+    session's snapshot home with the cells — the shard analogue of the
+    pool's own chunk capture, but snapshotted here so the snapshot can
+    be *checkpointed* alongside the cells and replayed on resume.
     """
     if not capture:
         return campaign._run_pairs(pairs), None
-    with _local_session() as telemetry:
+    with _local_session(events_only=capture == EVENTS_ONLY) as telemetry:
         cells = campaign._run_pairs(pairs)
         return cells, telemetry.snapshot()
 
@@ -228,7 +239,7 @@ class ShardedCampaign:
 
     # -- checkpoint addressing --------------------------------------------
 
-    def shard_key(self, index: int, captured: bool) -> str:
+    def shard_key(self, index: int, captured: Capture) -> str:
         """Content address of shard ``index``'s checkpoint record."""
         assert self.store is not None
         return self.store.key(
@@ -237,10 +248,12 @@ class ShardedCampaign:
              pairs_digest(self.plan.shards[index]), captured),
             seed=self.campaign.seed)
 
-    def _valid(self, record: Any, index: int, captured: bool) -> bool:
+    def _valid(self, record: Any, index: int, captured: Capture) -> bool:
         """Paranoia gate on a served checkpoint: the key already pins
-        fingerprint/index/digest, but a malformed record (hand-edited
-        log, version skew) must degrade to re-execution, not a crash."""
+        fingerprint/index/digest/capture mode, but a malformed record
+        (hand-edited log, version skew) must degrade to re-execution,
+        not a crash.  The capture mode must match exactly: a snapshot
+        kept in one mode never feeds a session of another."""
         return (isinstance(record, dict)
                 and record.get("schema") == SHARD_SCHEMA
                 and record.get("campaign") == self.fingerprint
@@ -254,7 +267,7 @@ class ShardedCampaign:
     def _checkpoint(self, index: int,
                     cells: Sequence[CampaignCell],
                     snapshot: Optional[Dict[str, Any]],
-                    captured: bool) -> None:
+                    captured: Capture) -> None:
         """Persist one completed shard: the shard record plus every
         cell under its own content address (one flock'd append for the
         whole batch), so a later *unsharded* ``--store`` run serves the
@@ -285,7 +298,7 @@ class ShardedCampaign:
 
     # -- execution --------------------------------------------------------
 
-    def _execute(self, pending: List[int], capture: bool
+    def _execute(self, pending: List[int], capture: Capture
                  ) -> Iterator[Tuple[List[CampaignCell],
                                      Optional[Dict[str, Any]]]]:
         """Yield ``(cells, snapshot)`` for every pending shard, in
@@ -347,7 +360,9 @@ class ShardedCampaign:
         """
         self.campaign._enforce_certificate()
         telemetry = _telemetry()
-        capture = telemetry.enabled
+        capture: Capture = False
+        if telemetry.enabled:
+            capture = EVENTS_ONLY if telemetry.events_only else True
         self.stats = ShardStats(shards_total=len(self.plan))
         # Only the shards this run may complete are looked up or
         # submitted: a shard past ``max_shards`` handed to the pool

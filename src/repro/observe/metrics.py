@@ -141,9 +141,18 @@ class MetricsRegistry:
     :meth:`observe`) cover the common one-liner call sites; the typed
     accessors (:meth:`counter`, :meth:`gauge`, :meth:`histogram`) return
     the metric object for repeated updates.
+
+    Args:
+        recording: When false the registry stays empty: :meth:`inc`
+            returns at once, :meth:`merge` folds nothing, and the
+            typed accessors (so :meth:`set_gauge` and :meth:`observe`
+            too) hand out a detached series that is never registered.
+            This is the registry of an events-only telemetry session
+            (see :class:`~repro.observe.telemetry.Telemetry`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, recording: bool = True) -> None:
+        self.recording = recording
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
         self._kinds: Dict[str, type] = {}
         #: ``(name, raw label items)`` -> counter, consulted by
@@ -161,6 +170,10 @@ class MetricsRegistry:
 
     def _get(self, cls, name: str, labels: Mapping[str, object],
              **extra) -> object:
+        if not self.recording:
+            # A detached series: whatever the caller records goes
+            # nowhere, and the registry stays empty.
+            return cls(name, _label_key(labels), **extra)
         kind = self._kinds.setdefault(name, cls)
         if kind is not cls:
             raise ValueError(f"metric {name!r} already registered as "
@@ -191,6 +204,8 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1.0, **labels: object) -> None:
         """Increment the counter ``name`` for this label set."""
+        if not self.recording:
+            return
         for value in labels.values():
             if type(value) is not str:
                 counter = self._get(Counter, name, labels)
@@ -252,7 +267,10 @@ class MetricsRegistry:
         delta); histogram min/max combine.  Merging is commutative and
         associative.  A kind conflict with an existing metric, or a
         histogram bucket-layout mismatch, raises :class:`ValueError`.
+        A registry that is not :attr:`recording` folds nothing.
         """
+        if not self.recording:
+            return
         for kind, name, labels, payload in snapshot["series"]:
             cls = self.KINDS.get(kind)
             if cls is None:

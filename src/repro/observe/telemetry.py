@@ -34,6 +34,14 @@ Cross-process aggregation: :meth:`Telemetry.snapshot` freezes all three
 pieces into one picklable document and :meth:`Telemetry.merge` folds it
 back — the protocol :class:`~repro.runtime.pmap.ParallelMap` uses to
 ship worker-side telemetry home (see docs/OBSERVABILITY.md).
+
+A session opened with ``events_only=True`` keeps its events and
+nothing else: spans still open, close, tick the clock and reach the
+flight recorder, but the tracer retains none, and counters, gauges and
+histograms are not recorded.  ``repro campaign`` and ``repro top``
+open such sessions, because their outputs read events only; worker
+chunk and shard sessions inherit the mode from the session they
+capture for.
 """
 
 from __future__ import annotations
@@ -89,15 +97,30 @@ class Telemetry:
             any time via :meth:`bind_clock`.  Defaults to an internal
             ticking clock.
         enabled: Whether instrumentation sites should record anything.
+        events_only: Keep the event bus only.  Spans still open, close,
+            tick the clock and reach the flight recorder, but the
+            tracer retains none (its capacity is 0), and the metrics
+            registry records nothing.  The bus, and so every
+            subscriber, sees exactly what a full session's would.
+            Snapshots keep the usual schema, with no span and no
+            series; merging a full snapshot in redelivers its events
+            and drops the rest.
     """
 
     def __init__(self, clock: Optional[Any] = None,
-                 enabled: bool = True) -> None:
+                 enabled: bool = True, events_only: bool = False) -> None:
         self._clock = clock if clock is not None else _SeqClock()
         self._now = _reader(self._clock)
         self.enabled = enabled
+        self.events_only = events_only
+        self._fresh()
+
+    def _fresh(self) -> None:
+        """Install a fresh tracer, registry and bus for this mode."""
         self.tracer = Tracer(now=self._now)
-        self.metrics = MetricsRegistry()
+        if self.events_only:
+            self.tracer.capacity = 0
+        self.metrics = MetricsRegistry(recording=not self.events_only)
         self.bus = EventBus(now=self._now)
         # Always-on flight recorder: every session taps the calling
         # process's bounded ring (see repro.observe.flightrec).  The
@@ -136,8 +159,9 @@ class Telemetry:
         """Replace all three pieces with fresh, empty ones.
 
         The clock object (and therefore its position — a ticking
-        :class:`_SeqClock` does not restart) carries over, as does the
-        ``enabled`` flag, and the process flight recorder is re-tapped.
+        :class:`_SeqClock` does not restart) carries over, as do the
+        ``enabled`` and ``events_only`` flags, and the process flight
+        recorder is re-tapped.
         This is the delta-streaming primitive: a worker emits
         ``snapshot()`` then ``reset()``, so consecutive deltas
         partition the session's content and folding them in order is
@@ -145,10 +169,7 @@ class Telemetry:
         :mod:`repro.observe.stream`).  Subscribers of the old bus are
         dropped — worker capture sessions have none.
         """
-        self.tracer = Tracer(now=self._now)
-        self.metrics = MetricsRegistry()
-        self.bus = EventBus(now=self._now)
-        _flightrec.recorder().attach(self)
+        self._fresh()
 
     # -- snapshot / merge --------------------------------------------------
 
@@ -187,7 +208,8 @@ class Telemetry:
         Returns a dict with ``spans`` (per span-name count / total cost
         / error count), ``events`` (per-topic counts) and ``metrics``
         (flat sample map) — the payload the experiment harness attaches
-        to each trial.
+        to each trial.  An events-only session reports empty ``spans``
+        and ``metrics``: it keeps neither.
         """
         spans: Dict[str, Dict[str, float]] = {}
         for span in self.tracer.spans:
@@ -266,14 +288,16 @@ def disable() -> None:
 
 
 @contextlib.contextmanager
-def session(clock: Optional[Any] = None) -> Iterator[Telemetry]:
+def session(clock: Optional[Any] = None,
+            events_only: bool = False) -> Iterator[Telemetry]:
     """Install a fresh :class:`Telemetry` for the duration of a block.
 
     The previously installed session (usually the disabled default) is
     restored on exit, so sessions nest and never leak across tests or
-    trials.
+    trials.  ``events_only`` opens a session that keeps events only
+    (see :class:`Telemetry`).
     """
-    telemetry = Telemetry(clock=clock)
+    telemetry = Telemetry(clock=clock, events_only=events_only)
     previous = current()
     install(telemetry)
     try:
@@ -283,7 +307,8 @@ def session(clock: Optional[Any] = None) -> Iterator[Telemetry]:
 
 
 @contextlib.contextmanager
-def local_session(clock: Optional[Any] = None) -> Iterator[Telemetry]:
+def local_session(clock: Optional[Any] = None,
+                  events_only: bool = False) -> Iterator[Telemetry]:
     """Install a fresh session visible *only to the calling thread*.
 
     This is the capture mechanism of the parallel runtime: each worker
@@ -293,8 +318,10 @@ def local_session(clock: Optional[Any] = None) -> Iterator[Telemetry]:
     merges it in submission order.  Sessions opened with
     :func:`session`/:func:`install` inside the block nest within the
     thread's override rather than touching the process-global session.
+    The parallel runtime passes the capturing session's
+    ``events_only``, so a chunk records what its parent keeps.
     """
-    telemetry = Telemetry(clock=clock)
+    telemetry = Telemetry(clock=clock, events_only=events_only)
     previous = _local.current
     _local.current = telemetry
     try:

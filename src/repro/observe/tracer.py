@@ -134,7 +134,12 @@ class Tracer:
             telemetry facade to get meaningful timestamps.
         capacity: Maximum number of retained spans; recording silently
             stops beyond it (the count keeps growing) so a runaway
-            workload cannot exhaust memory.
+            workload cannot exhaust memory.  ``0`` retains none: spans
+            still open, close, read the clock and reach
+            :attr:`on_finish`, and ids and ``started`` still count, but
+            :meth:`snapshot` carries no span and :meth:`merge` only
+            advances the counts.  An events-only session's tracer (see
+            :class:`~repro.observe.telemetry.Telemetry`).
     """
 
     def __init__(self, now: Optional[Callable[[], float]] = None,

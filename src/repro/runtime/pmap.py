@@ -37,7 +37,8 @@ run's (workload series — pool self-metrics ``repro_runtime_*`` are
 backend-dependent by nature; see docs/OBSERVABILITY.md).  The enabled
 check happens per chunk, not per pool, so a session installed while a
 long campaign is already fanned out still captures the remaining
-chunks.
+chunks.  The same read takes the session's ``events_only`` flag, and
+the chunk's local session keeps what the parent keeps.
 
 **Delta streaming.**  Pass a :class:`~repro.observe.stream.
 TelemetryStream` as ``stream=`` and captured chunks ship their
@@ -114,21 +115,24 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
     return [fn(item) for item in chunk]
 
 
-def _run_chunk_captured(fn: Callable[[T], R], chunk: Sequence[T]):
+def _run_chunk_captured(fn: Callable[[T], R], chunk: Sequence[T],
+                        events_only: bool):
     """Run one chunk inside a worker-local telemetry session.
 
     Returns ``(results, snapshot)`` — the chunk's outputs plus the
     frozen telemetry the chunk produced, for the parent to merge in
-    submission order.  Module-level so the process backend can pickle
-    it.
+    submission order.  The local session keeps events only when
+    ``events_only`` is set (the parent's session does).  Module-level
+    so the process backend can pickle it.
     """
-    with _local_session() as telemetry:
+    with _local_session(events_only=events_only) as telemetry:
         results = [fn(item) for item in chunk]
         return results, telemetry.snapshot()
 
 
 def _run_chunk_streamed(fn: Callable[[T], R], chunk: Sequence[T],
-                        sink: Any, origin: Any, every: int):
+                        sink: Any, origin: Any, every: int,
+                        events_only: bool):
     """Run one chunk, streaming incremental telemetry deltas.
 
     Like :func:`_run_chunk_captured`, but instead of shipping one
@@ -140,9 +144,10 @@ def _run_chunk_streamed(fn: Callable[[T], R], chunk: Sequence[T],
     emitted)``; the parent takes exactly ``emitted`` deltas for
     ``origin`` from the stream collector and folds them in emission
     order, which is byte-identical to merging the whole-chunk snapshot.
+    ``events_only`` is as for :func:`_run_chunk_captured`.
     Module-level so the process backend can pickle it.
     """
-    with _local_session() as telemetry:
+    with _local_session(events_only=events_only) as telemetry:
         results: List[R] = []
         emitted = 0
         since_emit = 0
@@ -335,18 +340,21 @@ class ParallelMap:
                     # The enabled check is per chunk, not per pool: a
                     # session installed mid-campaign captures (and
                     # streams) whatever chunks are submitted from then
-                    # on.
-                    captured = _telemetry().enabled
+                    # on, keeping what that session keeps.
+                    tel = _telemetry()
+                    captured = tel.enabled
                     streamed = captured and sink is not None
                     try:
                         if streamed:
                             future = pool.submit(
                                 _run_chunk_streamed, fn,
                                 chunks[submitted], sink,
-                                (epoch, submitted), stream.every)
+                                (epoch, submitted), stream.every,
+                                tel.events_only)
                         elif captured:
                             future = pool.submit(_run_chunk_captured,
-                                                 fn, chunks[submitted])
+                                                 fn, chunks[submitted],
+                                                 tel.events_only)
                         else:
                             future = pool.submit(_run_chunk, fn,
                                                  chunks[submitted])
@@ -432,7 +440,8 @@ class ParallelMap:
         try:
             origin = (epoch, 0)
             results, emitted = _run_chunk_streamed(
-                fn, tasks, sink, origin, stream.every)
+                fn, tasks, sink, origin, stream.every,
+                _telemetry().events_only)
             self.stats.captured_chunks += 1
             self.stats.streamed_chunks += 1
             self._fold_deltas(origin, emitted)

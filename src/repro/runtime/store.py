@@ -24,7 +24,9 @@ content**: a ``PYTHONHASHSEED``-stable fingerprint of
   so concurrent writers from pool workers or parallel CI jobs
   interleave whole records, never bytes; readers pick up foreign
   appends on :meth:`refresh` (called automatically on a miss when the
-  log grew).
+  log grew).  A record whose payload does not decode (not hex, or not
+  a whole pickle) counts as a corrupt line and gives way to the key's
+  next record in the log, or to a miss, so the caller recomputes it.
 
 Caching is **opt-in everywhere** (the ``store=`` knobs on
 :class:`~repro.harness.experiment.Experiment`,
@@ -46,7 +48,8 @@ import json
 import os
 import pickle
 import zlib
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro._util import stable_int
 from repro.observe import current as _telemetry
@@ -165,6 +168,10 @@ class ResultStore:
         #: ``key -> parsed record`` for every key in the log consumed so
         #: far; the first record for a key wins.
         self._rows: Dict[str, Dict[str, Any]] = {}
+        #: ``key -> its later records``, in log order, for keys the log
+        #: holds more than once (two writers computed the same key):
+        #: what is served when the indexed record's payload is damaged.
+        self._spares: Dict[str, List[Dict[str, Any]]] = {}
         #: Bytes of the log consumed into the index so far.
         self._offset = 0
         self.hits = 0
@@ -182,7 +189,8 @@ class ResultStore:
         self.puts_batched = 0
         #: ``key -> trials`` for batch records seen via put/index.
         self._trials: Dict[str, int] = {}
-        #: Log lines that are not a store record (skipped, never fatal).
+        #: Log lines that are not a store record, or whose payload does
+        #: not decode (skipped, never fatal).
         self.corrupt_lines = 0
         parent = os.path.dirname(self.path)
         if parent:
@@ -235,12 +243,10 @@ class ResultStore:
         if row is None and self._log_grew():
             self.refresh()
             row = self._rows.get(key)
-        if row is None:
-            self.misses += 1
-            self._count("misses")
-            self._publish("store.miss")
-            return MISS
-        return self._load_row(key, row)
+        value = MISS if row is None else self._load_row(key, row)
+        if value is MISS:
+            self._record_miss()
+        return value
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Any]:
         """``{key: value-or-MISS}`` for every key.
@@ -270,14 +276,16 @@ class ResultStore:
                 rows = self._lookup_many(wanted)
             for key in wanted:
                 row = rows.get(key)
-                if row is None:
-                    self.misses += 1
-                    self._count("misses")
-                    self._publish("store.miss")
-                    out[key] = MISS
-                else:
-                    out[key] = self._load_row(key, row)
+                value = MISS if row is None else self._load_row(key, row)
+                if value is MISS:
+                    self._record_miss()
+                out[key] = value
         return out
+
+    def _record_miss(self) -> None:
+        self.misses += 1
+        self._count("misses")
+        self._publish("store.miss")
 
     def _record_hit(self, key: str, tier: str, bytes_read: int = 0
                     ) -> None:
@@ -293,15 +301,44 @@ class ResultStore:
             payload["trials"] = trials
         self._publish("store.hit", **payload)
 
-    def _load_row(self, key: str, row: Dict[str, Any]) -> Any:
-        """Decode a disk row, promote it into memory, account the hit."""
-        payload = bytes.fromhex(row["payload"])
-        self.bytes_read += len(payload)
-        value = pickle.loads(payload)
-        self.memory.put(key, value)
-        self._count("bytes_read", len(payload))
-        self._record_hit(key, tier="disk", bytes_read=len(payload))
-        return value
+    def _load_row(self, key: str, row: Optional[Dict[str, Any]]) -> Any:
+        """Decode a disk row, promote it into memory, account the hit.
+
+        A row whose payload is not hex, or not a whole pickle, counts
+        as a corrupt line and leaves the index; the key's next record
+        in the log takes its place and is tried in turn.  With none
+        left the result is :data:`MISS` (not yet accounted), so the
+        caller recomputes the value and appends it afresh.
+        """
+        while row is not None:
+            try:
+                payload = bytes.fromhex(row["payload"])
+                value = pickle.loads(payload)
+            except (ValueError, EOFError, pickle.UnpicklingError):
+                self.corrupt_lines += 1
+                row = self._next_record(key)
+                continue
+            self.bytes_read += len(payload)
+            self.memory.put(key, value)
+            self._count("bytes_read", len(payload))
+            self._record_hit(key, tier="disk", bytes_read=len(payload))
+            return value
+        return MISS
+
+    def _next_record(self, key: str) -> Optional[Dict[str, Any]]:
+        """Index ``key``'s next record in place of a damaged one; drop
+        the key when the log holds no other record of it."""
+        spares = self._spares.get(key)
+        self._trials.pop(key, None)
+        if not spares:
+            self._spares.pop(key, None)
+            del self._rows[key]
+            return None
+        row = self._rows[key] = spares.pop(0)
+        trials = row.get("trials")
+        if isinstance(trials, int) and trials > 1:
+            self._trials[key] = trials
+        return row
 
     def put(self, key: str, value: Any, task: str = "?",
             seed: Optional[int] = None, trials: int = 1) -> None:
@@ -427,7 +464,10 @@ class ResultStore:
             key = row["key"]
             if key in rows:
                 # The same key computed by two writers: the first
-                # record wins and the duplicate is not an error.
+                # record wins and the duplicate is not an error.  It
+                # is kept aside, to serve if the first one's payload
+                # turns out to be damaged.
+                self._spares.setdefault(key, []).append(row)
                 continue
             rows[key] = row
             trials = row.get("trials")

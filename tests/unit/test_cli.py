@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENT_INDEX, build_parser, main
+from repro import cli
+from repro.cli import COMMANDS, EXPERIMENT_INDEX, build_parser, main
 
 
 class TestParser:
@@ -19,6 +20,111 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_commands_lists_every_subcommand_in_help_order(self):
+        [sub] = [action for action in build_parser()._actions
+                 if action.dest == "command"]
+        assert tuple(sub.choices) == COMMANDS
+        with pytest.raises(ValueError):
+            build_parser("frobnicate")
+
+
+class TestOneCommandParser:
+    """``main`` builds only the parser of the command it runs.  Every
+    command line must still give the output, exit code and namespace
+    the parser of every command gives."""
+
+    VALID = [
+        ["tables"], ["techniques"], ["experiments"],
+        ["recommend", "heisenbug", "--budget", "low", "--top", "2",
+         "--no-adjudicator"],
+        ["campaign"],
+        ["campaign", "--format", "json", "--requests", "120",
+         "--workers", "2", "--seed", "3", "--backend", "thread",
+         "--batch", "4"],
+        ["campaign", "--shards", "8", "--store", "ck.jsonl", "--resume",
+         "--max-shards", "4", "--gate", "--gate-baseline", "b.json",
+         "--gate-bench", "h.json", "--gate-tolerance", "0.1"],
+        ["campaign", "--live", "--interval", "0.2", "--frames", "2",
+         "--every", "3", "--window", "16", "--flight-out", "f.jsonl"],
+        ["top"], ["top", "--workers", "3", "--format", "json"],
+        ["bench", "--quick", "--workers", "2", "--only", "h4",
+         "--only", "c1", "--incremental", "--json", "b.json"],
+        ["lint", "src", "tests", "--deep", "--format", "json",
+         "--fail-on", "warning", "--select", "DET001",
+         "--deep-cache", "c.jsonl"],
+        ["certify", "mod.py:fn", "--json", "--out", "c.json"],
+        ["demo", "--versions", "3", "--failure-rate", "0.2"],
+        ["trace", "nvp", "--limit", "5", "--jsonl", "t.jsonl"],
+        ["metrics", "c3", "--format", "openmetrics", "--seed", "1"],
+        ["report", "all", "--workers", "2", "--backend", "thread",
+         "--trace-out", "t.json"],
+    ]
+    EXITING = [
+        [], ["--help"], ["-h"], ["--version"], ["frobnicate"],
+        ["--help", "campaign"], ["--bogus", "campaign"],
+        # Missing required positionals.
+        ["recommend"], ["lint"], ["certify"], ["trace"], ["metrics"],
+        ["report"],
+        # Errors raised by the subcommand's parser and by the top one.
+        ["recommend", "gremlins"], ["campaign", "--backend", "nope"],
+        ["campaign", "--requests", "many"], ["campaign", "--bogus"],
+        ["campaign", "stray"], ["trace", "nvp", "extra"],
+        *([command, "--help"] for command in COMMANDS),
+    ]
+
+    @pytest.fixture
+    def stub(self, monkeypatch):
+        """Every command's entry point replaced by a stub that keeps
+        the namespace it receives, and every parser that ``main``
+        builds recorded with the command it was built for."""
+        import repro.runtime.bench
+
+        calls = {"args": [], "built": []}
+
+        def entry(args):
+            calls["args"].append(args)
+            return 0
+
+        for name in dir(cli):
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(cli, name, entry)
+        monkeypatch.setattr(repro.runtime.bench, "cmd_bench", entry)
+        full = cli.build_parser
+
+        def build(command=None):
+            calls["built"].append(command)
+            return full(command)
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        monkeypatch.setenv("COLUMNS", "80")
+        calls["full"] = full
+        return calls
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        try:
+            namespace, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+        captured = capsys.readouterr()
+        return namespace, code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", VALID + EXITING, ids=" ".join)
+    def test_same_as_the_full_parser(self, argv, stub, capsys):
+        full = self._outcome(lambda a: stub["full"]().parse_args(a),
+                             argv, capsys)
+
+        def via_main(a):
+            assert main(a) == 0
+            return stub["args"][-1]
+
+        ours = self._outcome(via_main, argv, capsys)
+        assert ours == full
+        named = argv[0] if argv and argv[0] in COMMANDS else None
+        assert stub["built"] == [named]
+        if argv in self.VALID:
+            assert full[0] is not None and named is not None
 
 
 class TestTables:

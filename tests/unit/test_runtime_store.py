@@ -255,6 +255,99 @@ class TestTwoTierStore:
         assert topics.count("store.hit") == 1
 
 
+def damage(path, key, payload):
+    """Rewrite the first record of ``key`` in the log at ``path`` with
+    ``payload`` (a function of the old payload)."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for index, line in enumerate(lines):
+        row = json.loads(line)
+        if row["key"] == key:
+            row["payload"] = payload(row["payload"])
+            lines[index] = json.dumps(row, sort_keys=True)
+            break
+    else:  # pragma: no cover - a test defect
+        raise AssertionError(f"no record of {key} in {path}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def not_hex(payload):
+    return "zz" + payload[2:]
+
+
+def truncated(payload):
+    """Half the pickle: still hex, no longer a whole pickle."""
+    return payload[:len(payload) // 4 * 2]
+
+
+class TestDamagedPayloads:
+    """A payload that does not decode is a miss, never a crash."""
+
+    def _store_with(self, path, values):
+        store = ResultStore(path)
+        keys = [store.key("task", (i,), seed=0, code="v1")
+                for i in range(len(values))]
+        for key, value in zip(keys, values):
+            store.put(key, value, task="task")
+        return keys
+
+    def test_non_hex_and_truncated_payloads_miss(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        keys = self._store_with(path, [{"v": 1}, {"v": 2}, {"v": 3}])
+        damage(path, keys[0], not_hex)
+        damage(path, keys[1], truncated)
+        for lookup in ("get", "get_many"):
+            reloaded = ResultStore(path)
+            if lookup == "get":
+                got = [reloaded.get(key) for key in keys]
+            else:
+                values = reloaded.get_many(keys)
+                got = [values[key] for key in keys]
+            assert got == [MISS, MISS, {"v": 3}]
+            stats = reloaded.stats()
+            assert stats["corrupt_lines"] == 2
+            assert (stats["hits"], stats["misses"]) == (1, 2)
+            assert stats["entries"] == 1
+
+    def test_damaged_record_falls_back_to_a_duplicate(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        [key] = self._store_with(path, ["first"])
+        ResultStore(path).put(key, "second", task="task")
+        damage(path, key, truncated)
+        reloaded = ResultStore(path)
+        assert reloaded.get(key) == "second"
+        assert reloaded.stats()["corrupt_lines"] == 1
+        assert reloaded.stats()["misses"] == 0
+
+    def test_campaign_reexecutes_only_the_damaged_cell(self, tmp_path):
+        from tests.unit.test_parallel_harness import CAMPAIGN_KWARGS
+        from repro.harness.campaign import FaultCampaign
+
+        path = tmp_path / "c.jsonl"
+        clean = FaultCampaign(**CAMPAIGN_KWARGS,
+                              store=ResultStore(path)).run()
+        campaign = FaultCampaign(**CAMPAIGN_KWARGS)
+        damaged = campaign._cell_key(*campaign.pairs()[1],
+                                     store=ResultStore(path))
+        damage(path, damaged, not_hex)
+
+        store = ResultStore(path)
+        assert FaultCampaign(**CAMPAIGN_KWARGS, store=store).run() == clean
+        stats = store.stats()
+        assert (stats["hits"], stats["misses"], stats["writes"]) == \
+            (len(clean) - 1, 1, 1)
+        assert stats["corrupt_lines"] == 1
+
+        # Reopened, the log serves the appended record in place of the
+        # damaged one: nothing runs again.
+        reopened = ResultStore(path)
+        assert FaultCampaign(**CAMPAIGN_KWARGS,
+                             store=reopened).run() == clean
+        stats = reopened.stats()
+        assert (stats["hits"], stats["misses"], stats["writes"]) == \
+            (len(clean), 0, 0)
+        assert stats["corrupt_lines"] == 1
+
+
 class TestBatchedPuts:
     def test_put_many_round_trips_and_counts(self, tmp_path):
         store = ResultStore(tmp_path / "b.jsonl", name="batch")
