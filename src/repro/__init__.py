@@ -69,7 +69,7 @@ from repro.patterns import (
     SequentialAlternatives,
 )
 from repro.result import Outcome
-from repro.runtime import MemoCache, ParallelMap, parallel_map
+from repro.runtime import ParallelMap, parallel_map
 from repro.services import (
     Service,
     ServiceBroker,
@@ -124,7 +124,6 @@ __all__ = [
     "LeakFault",
     "MajorityVoter",
     "MedianVoter",
-    "MemoCache",
     "MicroReboot",
     "ModularApplication",
     "NVariantDataStore",

@@ -201,14 +201,10 @@ class FaultCampaign:
         version."""
         if self.store is None:
             return self._measure(protector_label, fault_label)
-        from repro.runtime.store import MISS
-
-        key = self._cell_key(protector_label, fault_label)
-        cell = self.store.get(key)
-        if cell is MISS:
-            cell = self._measure(protector_label, fault_label)
-            self.store.put(key, cell, task="campaign.cell",
-                           seed=self.seed)
+        [cell] = self.store.serve(
+            [self._cell_key(protector_label, fault_label)],
+            lambda missing: [self._measure(protector_label, fault_label)],
+            task="campaign.cell", seeds=[self.seed])
         return cell
 
     def _cell_key(self, protector_label: str, fault_label: str,
@@ -284,27 +280,10 @@ class FaultCampaign:
         pairs = self.pairs()
         if self.store is None:
             return self._execute(pairs)
-        from repro.runtime.store import MISS
-
-        keys = {pair: self._cell_key(*pair) for pair in pairs}
-        values = self.store.get_many([keys[pair] for pair in pairs])
-        found = {pair: values[keys[pair]] for pair in pairs}
-        missing = [pair for pair in pairs if found[pair] is MISS]
-        computed = iter(self._execute(missing))
-        out: List[CampaignCell] = []
-        staged: List[Dict[str, Any]] = []
-        for pair in pairs:
-            cell = found[pair]
-            if cell is MISS:
-                cell = next(computed)
-                staged.append({"key": keys[pair], "value": cell,
-                               "task": "campaign.cell",
-                               "seed": self.seed})
-            out.append(cell)
-        if staged:
-            # One flock'd append for the whole miss tail.
-            self.store.put_many(staged)
-        return out
+        return self.store.serve(
+            [self._cell_key(*pair) for pair in pairs],
+            lambda missing: self._execute([pairs[i] for i in missing]),
+            task="campaign.cell", seeds=[self.seed] * len(pairs))
 
     def _execute(self, pairs: List[Tuple[str, str]]) -> List[CampaignCell]:
         """Measure ``pairs`` (a sub-list on store partial hits), in

@@ -7,9 +7,8 @@ import functools
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, Union)
 
-from repro import observe
-from repro.runtime.kernel import (BatchResult, MetricAccumulator, partition,
-                                  run_batch)
+from repro.runtime.kernel import (BatchResult, MetricAccumulator, _run_trial,
+                                  partition, run_batch)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.runtime.store import ResultStore
@@ -136,32 +135,19 @@ class Experiment:
             return [result for batch in self.run_batches()
                     for result in batch.results()]
         self._enforce_certificate()
+        seeds = list(self.seeds)
         if self.store is None:
-            return self._execute(list(self.seeds))
-        from repro.runtime.store import MISS, code_fingerprint
+            return self._execute(seeds)
+        from repro.runtime.store import code_fingerprint
 
         code = code_fingerprint(self.trial)
         task_name = self._task_name()
-        keys = {seed: self.store.key(task_name, (self.instrument,),
-                                     seed=seed, code=code)
-                for seed in self.seeds}
-        found = self.store.get_many([keys[seed] for seed in self.seeds])
-        missing = [seed for seed in self.seeds
-                   if found[keys[seed]] is MISS]
-        computed = iter(self._execute(missing))
-        out: List[TrialResult] = []
-        staged: List[Dict[str, Any]] = []
-        for seed in self.seeds:
-            result = found[keys[seed]]
-            if result is MISS:
-                result = next(computed)
-                staged.append({"key": keys[seed], "value": result,
-                               "task": task_name, "seed": seed})
-            out.append(result)
-        if staged:
-            # One flock'd append for the whole miss tail.
-            self.store.put_many(staged)
-        return out
+        keys = [self.store.key(task_name, (self.instrument,), seed=seed,
+                               code=code)
+                for seed in seeds]
+        return self.store.serve(
+            keys, lambda missing: self._execute([seeds[i] for i in missing]),
+            task=task_name, seeds=seeds)
 
     def run_batches(self) -> List[BatchResult]:
         """The batched path: one :class:`BatchResult` per seed batch.
@@ -182,30 +168,19 @@ class Experiment:
             return []
         if self.store is None:
             return self._execute_batches(batches)
-        from repro.runtime.store import MISS, code_fingerprint
+        from repro.runtime.store import code_fingerprint
 
         code = code_fingerprint(self.trial)
         task_name = self._task_name()
         keys = [self.store.key(task_name, (self.instrument, batch),
                                seed=batch[0], code=code)
                 for batch in batches]
-        found = self.store.get_many(keys)
-        missing = [batch for key, batch in zip(keys, batches)
-                   if found[key] is MISS]
-        computed = iter(self._execute_batches(missing))
-        out: List[BatchResult] = []
-        staged: List[Dict[str, Any]] = []
-        for key, batch in zip(keys, batches):
-            result = found[key]
-            if result is MISS:
-                result = next(computed)
-                staged.append({"key": key, "value": result,
-                               "task": task_name, "seed": batch[0],
-                               "trials": len(batch)})
-            out.append(result)
-        if staged:
-            self.store.put_many(staged)
-        return out
+        return self.store.serve(
+            keys,
+            lambda missing: self._execute_batches(
+                [batches[i] for i in missing]),
+            task=task_name, seeds=[batch[0] for batch in batches],
+            trials=[len(batch) for batch in batches])
 
     def _task_name(self) -> str:
         return (f"{getattr(self.trial, '__module__', '?')}"
@@ -213,12 +188,16 @@ class Experiment:
 
     def _execute(self, seeds: Sequence[int]) -> List[TrialResult]:
         """Run ``seeds`` (a sub-sequence on store partial hits), in
-        order, through the serial loop or the pool."""
-        runner = functools.partial(_execute_trial, self.trial,
-                                   self.instrument)
+        order, through the serial loop or the pool, each through the
+        per-trial step batches use (:func:`~repro.runtime.kernel.
+        _run_trial`)."""
+        runner = functools.partial(_run_trial, self.trial, self.instrument)
         if (self.workers <= 1 or len(seeds) <= 1) and self.stream is None:
-            return [runner(seed) for seed in seeds]
-        return self._pooled_map(runner, list(seeds))
+            ran = [runner(seed) for seed in seeds]
+        else:
+            ran = self._pooled_map(runner, list(seeds))
+        return [TrialResult(seed=seed, metrics=metrics, telemetry=telemetry)
+                for seed, (metrics, telemetry) in zip(seeds, ran)]
 
     def _execute_batches(self, batches: Sequence[Sequence[int]]
                          ) -> List[BatchResult]:
@@ -269,32 +248,6 @@ class Experiment:
             results = (self.run_batches() if self.batch is not None
                        else self.run())
         return summarize(results)
-
-
-def _execute_trial(trial: Callable[[int], Dict[str, float]],
-                   instrument: bool, seed: int) -> TrialResult:
-    """Run one seed — shared by the serial loop and the pool workers,
-    so both paths are the same code and stay byte-identical.
-
-    A raising trial dumps the executing process's flight-recorder
-    window (reason ``trial-failure``) before the exception propagates,
-    so the last events leading up to the failure survive even when the
-    failing chunk's telemetry is discarded; see
-    :mod:`repro.observe.flightrec`.
-    """
-    from repro.observe import flightrec
-
-    try:
-        if instrument:
-            with observe.session() as tel:
-                metrics = trial(seed)
-            return TrialResult(seed=seed, metrics=metrics,
-                               telemetry=tel.summary())
-        return TrialResult(seed=seed, metrics=trial(seed))
-    except BaseException:
-        flightrec.note_failure("trial-failure", seed=seed,
-                               instrument=instrument)
-        raise
 
 
 def run_trials(trial: Callable[[int], Dict[str, float]],

@@ -16,8 +16,8 @@ Three gates:
 * **telemetry-drift** — the run's SLI section agrees with a baseline
   report (:func:`repro.observe.sli.diff_reports`), within a rate
   tolerance.  Skipped when no baseline is supplied.
-* **bench-regression** — the latest bench document (v1 flat or the v2
-  sectioned ``BENCH_harness.json``) recorded no failed claims and no
+* **bench-regression** — the latest sectioned ``BENCH_harness.json``
+  (``repro-bench-harness/v2``) recorded no failed claims and no
   store-identity drift.  Skipped when no bench document is supplied.
 
 Confidence is evidence-weighted, not asserted: a 10-request campaign
@@ -149,18 +149,27 @@ def drift_gate(report: Dict[str, Any],
 
 
 def bench_gate(bench: Optional[Dict[str, Any]]) -> GateResult:
-    """The bench-regression gate over a bench runner document.
+    """The bench-regression gate over a ``BENCH_harness.json`` document.
 
-    Accepts the flat ``repro-bench-harness/v1`` report and the
-    sectioned v2 layout (claims live in the ``suite`` section).  Fails
-    on any recorded claim failure, and on warm-run store drift
-    (``results_drift``) when the document carries it.
+    Reads the sectioned ``repro-bench-harness/v2`` layout (claims live
+    in the ``suite`` section).  Fails on any recorded claim failure, on
+    warm-run store drift (``results_drift``) when the document carries
+    it, and closed on any other schema (the flat v1 report included).
     """
+    from repro.runtime.bench import BENCH_HARNESS_SCHEMA
+
     if bench is None:
         return GateResult(gate="bench-regression", passed=None,
                           confidence=CONFIDENCE_LOW,
                           detail="skipped: no bench document supplied")
-    suite = bench.get("suite", bench)
+    schema = bench.get("schema")
+    if schema != BENCH_HARNESS_SCHEMA:
+        return GateResult(
+            gate="bench-regression", passed=False,
+            confidence=CONFIDENCE_LOW,
+            detail=f"unreadable bench document: unsupported schema "
+                   f"{schema!r}; expected {BENCH_HARNESS_SCHEMA!r}")
+    suite = bench.get("suite", {})
     failures = list(suite.get("failures", []))
     drift = list(suite.get("results_drift", []))
     benchmarks = list(suite.get("benchmarks", []))

@@ -16,7 +16,7 @@ The mapping from scenario name to the experiment it miniaturises:
 * ``checkpoint`` — C13 checkpoint-recovery over a faulty step sequence;
 * ``replicas`` — C7 process replicas under an attack mix;
 * ``rejuvenation`` — C4-style scheduled rejuvenation under aging load;
-* ``lint`` — the static analyser over repro's own source, so lint
+* ``lint`` — the static analyser over a fixed sample module, so lint
   runs surface in ``repro metrics`` like any other workload.
 """
 
@@ -228,9 +228,39 @@ def replicas_scenario(requests: int, seed: int) -> Dict[str, Any]:
             "detections": detections}
 
 
+#: The module the ``lint`` scenario analyses: fixed, so the scenario's
+#: row moves with the linter only, never with repro's own source.  It
+#: plants a near-clone pair (DIV001), an even voting set (PAT001), a
+#: global-RNG draw (DET001) and a pragma-allowed ``hash()`` (DET003).
+_LINT_SAMPLE = '''\
+import random
+
+from repro.techniques.nvp import NVersionProgramming
+
+
+def checksum(values, modulus=65521):
+    total = 0
+    for index, value in enumerate(values):
+        total = (total * 31 + abs(value) + index) % modulus
+    return total if values else None
+
+
+def checksum_again(items, modulus=65521):
+    acc = 0
+    for position, item in enumerate(items):
+        acc = (acc * 31 + abs(item) + position) % modulus
+    return acc if items else None
+
+
+def vote(a, b, c, d):
+    shard = hash(a) % 8  # lint: allow[DET003] a fixed-seed demo
+    return NVersionProgramming([a, b, c, d]), shard + random.random()
+'''
+
+
 @_scenario("lint")
 def lint_scenario(requests: int, seed: int) -> Dict[str, Any]:
-    """Self-lint: the static analyser over repro's own package.
+    """The static analyser over a fixed sample module.
 
     A lint run is already deterministic, so ``requests`` and ``seed``
     are accepted for the scenario contract but unused.  The engine
@@ -238,13 +268,15 @@ def lint_scenario(requests: int, seed: int) -> Dict[str, Any]:
     rule, suppressions, duration), making ``repro metrics lint`` the
     observability surface for static analysis.
     """
-    import os
+    import pathlib
+    import tempfile
 
-    import repro
     from repro.lint import run_paths
 
-    report, _ = run_paths(
-        [os.path.dirname(os.path.abspath(repro.__file__))])
+    with tempfile.TemporaryDirectory() as root:
+        path = pathlib.Path(root, "voting_service.py")
+        path.write_text(_LINT_SAMPLE, encoding="utf-8")
+        report, _ = run_paths([str(path)])
     severities = report.counts_by_severity()
     return {"files": report.files,
             "findings": len(report.findings),

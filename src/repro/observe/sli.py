@@ -41,7 +41,7 @@ from repro.observe.events import Event, EventBus
 from repro.taxonomy.tables import format_table
 
 __all__ = ["SliMonitor", "DEFAULT_WINDOW", "RECOVERY_TOPICS",
-           "STORE_TOPICS", "percentile", "SCHEMA", "SCHEMAS",
+           "STORE_TOPICS", "percentile", "SCHEMA",
            "parse_report", "diff_reports"]
 
 #: Default sliding-window size, in samples per series.
@@ -53,15 +53,6 @@ DEFAULT_WINDOW = 256
 #: wall-clock ``trials_per_sec`` / ``wall_span`` pair (populated only
 #: when the monitor was built with an injected ``wall_clock``).
 SCHEMA = "repro-sli-report/v2"
-
-#: Schemas :func:`parse_report` accepts, oldest first.
-SCHEMAS = ("repro-sli-report/v1", "repro-sli-report/v2")
-
-#: Per-row fields added by v2 (``None`` when upgrading a v1 document).
-_V2_ROW_FIELDS = ("window_span", "throughput")
-
-#: Top-level fields added by v2.
-_V2_TOP_FIELDS = ("outcomes_total", "trials_per_sec", "wall_span")
 
 #: Recovery event topics -> the payload field carrying the recovery's
 #: virtual-time cost.
@@ -373,30 +364,18 @@ class SliMonitor:
 
 
 def parse_report(document: Dict[str, Any]) -> Dict[str, Any]:
-    """Normalize a v1 or v2 SLI report document to the v2 shape.
+    """Check that ``document`` is a current SLI report and return it.
 
-    The backward-compat read: a ``repro-sli-report/v1`` document (from
-    a pre-streaming run or an archived CI artifact) comes back as v2
-    with every added field present and ``None``; a v2 document is
-    returned as a (shallow-per-row) copy.  Unknown schemas raise
-    :class:`ValueError`.
+    Only :data:`SCHEMA` is read.  Any other schema, including the
+    ``repro-sli-report/v1`` layout older runs wrote, raises
+    :class:`ValueError` naming it: an old document is never upgraded.
     """
     schema = document.get("schema")
-    if schema not in SCHEMAS:
-        raise ValueError(f"unknown SLI report schema {schema!r}; "
-                         f"expected one of {SCHEMAS}")
-    upgraded = dict(document)
-    upgraded["schema"] = SCHEMA
-    for field in _V2_TOP_FIELDS:
-        upgraded.setdefault(field, None)
-    rows = []
-    for row in document.get("techniques", []):
-        row = dict(row)
-        for field in _V2_ROW_FIELDS:
-            row.setdefault(field, None)
-        rows.append(row)
-    upgraded["techniques"] = rows
-    return upgraded
+    if schema != SCHEMA:
+        raise ValueError(f"unsupported SLI report schema {schema!r}; "
+                         f"expected {SCHEMA!r} (older documents are "
+                         f"not upgraded)")
+    return document
 
 
 def diff_reports(current: Dict[str, Any], baseline: Dict[str, Any],
@@ -404,10 +383,10 @@ def diff_reports(current: Dict[str, Any], baseline: Dict[str, Any],
     """Field-level drift between two SLI reports (the telemetry-drift
     gate of :mod:`repro.harness.gates`).
 
-    Both documents are normalized through :func:`parse_report` first,
-    so a v1 baseline (an archived CI artifact) compares cleanly
-    against a v2 run.  Returns one human-readable line per drifting
-    field — an empty list means the reports agree:
+    Both documents are checked by :func:`parse_report` first, so a
+    baseline of an older schema raises :class:`ValueError` instead of
+    comparing.  Returns one human-readable line per drifting field —
+    an empty list means the reports agree:
 
     * techniques present in one report but not the other;
     * ``availability`` / ``failure_rate`` differing by more than

@@ -49,7 +49,7 @@ import queue as _queue
 import threading
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from repro.observe.sli import SCHEMAS as _SLI_SCHEMAS
+from repro.observe.sli import SCHEMA as _SLI_SCHEMA
 
 __all__ = ["DELTA_SCHEMA", "FRAME_SCHEMA", "make_delta", "validate_delta",
            "StreamCollector", "TelemetryStream", "LiveDashboard",
@@ -494,7 +494,7 @@ def validate_frame(document: Dict[str, Any]) -> None:
     if not isinstance(document["final"], bool):
         raise ValueError("frame final must be a boolean")
     sli = document["sli"]
-    if not isinstance(sli, dict) or sli.get("schema") not in _SLI_SCHEMAS:
+    if not isinstance(sli, dict) or sli.get("schema") != _SLI_SCHEMA:
         raise ValueError("frame sli must be an SLI report document")
     if document["final"] and "report" not in document:
         raise ValueError("final frame must embed the campaign report")

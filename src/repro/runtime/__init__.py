@@ -6,19 +6,17 @@ single output byte.  Five cooperating pieces:
 
 * :mod:`~repro.runtime.pmap` — :class:`ParallelMap`, an ordered,
   chunked scatter/gather over pure tasks with serial / thread / process
-  backends, per-chunk timeouts and a retry-once-serial fallback;
+  backends, per-chunk timeouts and a retry-once-serial fallback, all
+  running chunks through one chunk runner;
 * :mod:`~repro.runtime.pool` — :class:`WorkerPool`, the warm-executor
   registry ``ParallelMap`` borrows from, so repeated maps amortise
   worker spawn cost (one long-lived executor per ``(backend, workers)``
   signature, fork-safety guarded, explicit shutdown);
-* :mod:`~repro.runtime.cache` — :class:`MemoCache`, an opt-in LRU memo
-  for deterministic fault-free fast paths, with hit/miss counters
-  mirrored into the telemetry metrics;
 * :mod:`~repro.runtime.store` — :class:`ResultStore`, a disk-backed,
-  content-addressed second tier behind ``MemoCache``: pure-trial
-  results keyed on (task, args digest, seed, code version) survive
-  process exit, making campaigns and ``repro bench --incremental``
-  skip unchanged work;
+  content-addressed store whose index also keeps decoded values:
+  pure-trial results keyed on (task, args digest, seed, code version)
+  survive process exit, making campaigns and ``repro bench
+  --incremental`` skip unchanged work;
 * :mod:`~repro.runtime.kernel` — the batched trial kernel:
   :func:`run_batch` executes whole seed batches as single pure calls
   returning struct-of-arrays :class:`BatchResult` records (~B× less
@@ -35,7 +33,6 @@ RNG) is documented in ``docs/PERFORMANCE.md``, alongside the pool
 lifecycle and the store's key schema and invalidation contract.
 """
 
-from repro.runtime.cache import MemoCache
 from repro.runtime.kernel import (
     BatchResult,
     MetricAccumulator,
@@ -63,7 +60,6 @@ __all__ = [
     "BACKENDS",
     "BatchResult",
     "MISS",
-    "MemoCache",
     "MetricAccumulator",
     "ParallelMap",
     "PoolStats",

@@ -71,10 +71,8 @@ QUICK_BENCHMARKS = (
 #: Schema of the sectioned ``BENCH_harness.json`` layout: top-level
 #: ``schema``/``host`` plus named sections (``suite`` for the runner's
 #: own report, ``shard_resume`` for H6, ...), each updated atomically
-#: under an exclusive ``flock``.  The flat v1 report — still what
-#: :func:`run_suite` *returns* — used to be the whole file, which made
-#: the top-level ``generated_unix`` churn on every regeneration; in v2
-#: each section carries its own stamp and the top level is stable.
+#: under an exclusive ``flock``.  Each section carries its own stamp,
+#: so the top level is stable across regenerations.
 BENCH_HARNESS_SCHEMA = "repro-bench-harness/v2"
 
 #: The flat report schema :func:`run_suite` returns (one run's suite
@@ -337,10 +335,11 @@ def update_harness_json(path: pathlib.Path, section: str,
     The whole cycle runs under an exclusive ``flock`` (the result-store
     append discipline), so the suite runner and a benchmark landing its
     own section (H6's ``shard_resume``) never clobber each other.
-    Upgrade path: a flat ``repro-bench-harness/v1`` document found at
-    ``path`` is folded into the v2 layout as its ``suite`` section
-    before the update; corrupt or unknown documents are replaced.
-    Returns the document as written.
+    A JSON object of any other schema at ``path`` (such as the flat
+    ``repro-bench-harness/v1`` file older runners wrote) raises
+    :class:`ValueError` naming it and is left untouched: it is never
+    upgraded.  A file that is not a JSON object is replaced.  Returns
+    the document as written.
     """
     import fcntl
 
@@ -357,12 +356,12 @@ def update_harness_json(path: pathlib.Path, section: str,
                 loaded = None
             if isinstance(loaded, dict):
                 schema = loaded.get("schema")
-                if schema == BENCH_HARNESS_SCHEMA:
-                    document = loaded
-                elif schema == BENCH_SUITE_SCHEMA:
-                    document = {"suite": {
-                        key: value for key, value in loaded.items()
-                        if key not in ("schema", "host")}}
+                if schema != BENCH_HARNESS_SCHEMA:
+                    raise ValueError(
+                        f"{path}: unsupported bench document schema "
+                        f"{schema!r}; expected {BENCH_HARNESS_SCHEMA!r} "
+                        f"(older documents are not upgraded)")
+                document = loaded
         document["schema"] = BENCH_HARNESS_SCHEMA
         document["host"] = _host_facts()
         document[section] = payload

@@ -45,6 +45,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 from repro import observe
 from repro._util import stable_int
+from repro.observe import flightrec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.harness.experiment import TrialResult
@@ -189,17 +190,38 @@ class BatchResult:
                 for index, seed in enumerate(self.seeds)]
 
 
+def _run_trial(trial: Callable[[int], Dict[str, float]], instrument: bool,
+               seed: int) -> Tuple[Dict[str, float],
+                                   Optional[Dict[str, Any]]]:
+    """Run one seed: ``(metrics, telemetry digest or None)``.
+
+    The per-trial step of the scalar path (its pool task) and of
+    :func:`run_batch`: under ``instrument`` the trial runs in a fresh
+    telemetry session whose summary is the digest.  A raising trial dumps the executing
+    process's flight-recorder window (reason ``trial-failure``) before
+    the exception propagates; see :mod:`repro.observe.flightrec`.
+    """
+    try:
+        if not instrument:
+            return trial(seed), None
+        with observe.session() as tel:
+            metrics = trial(seed)
+        return metrics, tel.summary()
+    except BaseException:
+        flightrec.note_failure("trial-failure", seed=seed,
+                               instrument=instrument)
+        raise
+
+
 def run_batch(trial: Callable[[int], Dict[str, float]], instrument: bool,
               seeds: Sequence[int]) -> BatchResult:
     """Execute one batch of seeds as a single pure function call.
 
-    The kernel of the batched path: runs ``trial(seed)`` for every seed
-    in order and folds the returned metrics into struct-of-arrays
-    columns.  Module-level (and driven through ``functools.partial``)
-    so process pools can pickle it, mirroring ``_execute_trial`` on the
-    scalar path.  Under ``instrument`` each trial runs inside a fresh
-    telemetry session exactly as the scalar path does, so per-trial
-    digests are byte-identical.
+    The kernel of the batched path: runs every seed in order through
+    the scalar path's per-trial step, :func:`_run_trial` (so digests
+    and failure dumps are the scalar path's), and folds the returned
+    metrics into struct-of-arrays columns.  Module-level (and driven
+    through ``functools.partial``) so process pools can pickle it.
     """
     seeds = tuple(seeds)
     columns: Dict[str, array] = {}
@@ -208,12 +230,8 @@ def run_batch(trial: Callable[[int], Dict[str, float]], instrument: bool,
     key_orders: Dict[int, Tuple[str, ...]] = {}
     digests: List[Dict[str, Any]] = []
     for index, seed in enumerate(seeds):
-        if instrument:
-            with observe.session() as tel:
-                metrics = trial(seed)
-            digests.append(tel.summary())
-        else:
-            metrics = trial(seed)
+        metrics, digest = _run_trial(trial, instrument, seed)
+        digests.append(digest)
         last_position = -1
         ordered = True
         for key, value in metrics.items():

@@ -43,8 +43,10 @@ the chunk's local session keeps what the parent keeps.
 **Delta streaming.**  Pass a :class:`~repro.observe.stream.
 TelemetryStream` as ``stream=`` and captured chunks ship their
 telemetry home *incrementally* — a ``repro-delta/v1`` document every
-``stream.every`` items — instead of once at the end.  The parent folds
-each chunk's deltas in emission order at gather time, which is
+``stream.every`` items — instead of once at the end.  One chunk runner
+serves both: a captured chunk is a streamed chunk with no sink, which
+hands its one delta back with its results.  The parent folds each
+chunk's deltas in emission order at gather time, which is
 byte-identical to the merge-at-end protocol, while an optional live
 view folds them in arrival order for the ``repro top`` dashboard.  A
 timed-out or failed chunk additionally dumps the process flight
@@ -59,7 +61,8 @@ import concurrent.futures
 import dataclasses
 import os
 import pickle
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import (Any, Callable, Iterable, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from repro.observe import current as _telemetry
 from repro.observe import flightrec as _flightrec
@@ -110,60 +113,40 @@ class PoolStats:
     flight_dumps: int = 0
 
 
-def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
-    """Run one contiguous slice of items — in a worker or the parent."""
-    return [fn(item) for item in chunk]
+#: A chunk's capture: ``(events_only, sink, origin, every)`` or None.
+_Capture = Optional[Tuple[bool, Any, Any, Optional[int]]]
 
 
-def _run_chunk_captured(fn: Callable[[T], R], chunk: Sequence[T],
-                        events_only: bool):
-    """Run one chunk inside a worker-local telemetry session.
+def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
+               capture: _Capture = None) -> Tuple[List[R], List[Any], int]:
+    """Run one contiguous slice of items — in a worker or the parent.
 
-    Returns ``(results, snapshot)`` — the chunk's outputs plus the
-    frozen telemetry the chunk produced, for the parent to merge in
-    submission order.  The local session keeps events only when
-    ``events_only`` is set (the parent's session does).  Module-level
-    so the process backend can pickle it.
-    """
-    with _local_session(events_only=events_only) as telemetry:
-        results = [fn(item) for item in chunk]
-        return results, telemetry.snapshot()
-
-
-def _run_chunk_streamed(fn: Callable[[T], R], chunk: Sequence[T],
-                        sink: Any, origin: Any, every: int,
-                        events_only: bool):
-    """Run one chunk, streaming incremental telemetry deltas.
-
-    Like :func:`_run_chunk_captured`, but instead of shipping one
-    whole-chunk snapshot at the end, the worker emits a
-    ``repro-delta/v1`` document into ``sink`` every ``every`` items —
-    each covering exactly the telemetry since the previous emission,
-    thanks to :meth:`~repro.observe.telemetry.Telemetry.reset` — and
-    always one final delta for the tail.  Returns ``(results,
-    emitted)``; the parent takes exactly ``emitted`` deltas for
-    ``origin`` from the stream collector and folds them in emission
-    order, which is byte-identical to merging the whole-chunk snapshot.
-    ``events_only`` is as for :func:`_run_chunk_captured`.
+    With no ``capture`` the items run in the caller's session.  With
+    one they run in a local session (keeping events only when
+    ``events_only`` is set) that emits a ``repro-delta/v1`` document
+    every ``every`` items and a final one for the tail, each covering
+    the telemetry since the previous one: into ``sink`` (a streamed
+    chunk), or, with no sink and no ``every``, handed back (a captured
+    chunk).  Returns ``(results, held deltas, deltas emitted)``.
     Module-level so the process backend can pickle it.
     """
+    if capture is None:
+        return [fn(item) for item in chunk], [], 0
+    events_only, sink, origin, every = capture
+    held: List[Any] = []
+    emit = held.append if sink is None else sink.put
+    results: List[R] = []
+    emitted = 0
     with _local_session(events_only=events_only) as telemetry:
-        results: List[R] = []
-        emitted = 0
-        since_emit = 0
         for item in chunk:
             results.append(fn(item))
-            since_emit += 1
-            if since_emit >= every:
-                sink.put(make_delta(origin, emitted,
-                                    telemetry.snapshot()))
+            if every and len(results) % every == 0:
+                emit(make_delta(origin, emitted, telemetry.snapshot()))
                 telemetry.reset()
                 emitted += 1
-                since_emit = 0
-        sink.put(make_delta(origin, emitted, telemetry.snapshot(),
-                            final=True))
-        emitted += 1
-        return results, emitted
+        emit(make_delta(origin, emitted, telemetry.snapshot(),
+                        final=True))
+    return results, held, emitted + 1
 
 
 def _picklable(*objects: Any) -> bool:
@@ -306,15 +289,14 @@ class ParallelMap:
         self.stats = PoolStats(backend=backend, workers=self.workers,
                                tasks=len(tasks))
         self.flight_records = []
-        if backend == "serial" or not tasks:
-            if tasks and self.stream is not None and _telemetry().enabled:
-                results = self._map_serial_streamed(fn, tasks)
-            else:
-                results = _run_chunk(fn, tasks)
-            self.stats.chunks = 1 if tasks else 0
+        if not tasks:
             self._report()
-            if tasks:
-                yield results
+            return
+        if backend == "serial":
+            results = self._run_serial(fn, tasks)
+            self.stats.chunks = 1
+            self._report()
+            yield results
             return
 
         size = (chunk_size or self.chunk_size
@@ -341,23 +323,10 @@ class ParallelMap:
                     # session installed mid-campaign captures (and
                     # streams) whatever chunks are submitted from then
                     # on, keeping what that session keeps.
-                    tel = _telemetry()
-                    captured = tel.enabled
-                    streamed = captured and sink is not None
+                    capture = self._capture(sink, (epoch, submitted))
                     try:
-                        if streamed:
-                            future = pool.submit(
-                                _run_chunk_streamed, fn,
-                                chunks[submitted], sink,
-                                (epoch, submitted), stream.every,
-                                tel.events_only)
-                        elif captured:
-                            future = pool.submit(_run_chunk_captured,
-                                                 fn, chunks[submitted],
-                                                 tel.events_only)
-                        else:
-                            future = pool.submit(_run_chunk, fn,
-                                                 chunks[submitted])
+                        future = pool.submit(_run_chunk, fn,
+                                             chunks[submitted], capture)
                     except Exception as exc:
                         # A broken shared executor rejects at submit
                         # time; a pre-failed future keeps the gather
@@ -365,50 +334,30 @@ class ParallelMap:
                         # ordinary retry-once-serial path below.
                         future = concurrent.futures.Future()
                         future.set_exception(exc)
-                    pending.append((submitted, captured, streamed,
-                                    future))
+                    pending.append((submitted, capture, future))
                     submitted += 1
-                    if captured:
-                        self.stats.captured_chunks += 1
-                    if streamed:
-                        self.stats.streamed_chunks += 1
                 # Gather strictly in submission order: chunk i's results
                 # land before chunk i+1's even when i+1 finished first.
-                index, captured, streamed, future = pending.popleft()
+                index, capture, future = pending.popleft()
                 try:
-                    payload = future.result(timeout=self.timeout)
+                    chunk_results, held, emitted = future.result(
+                        timeout=self.timeout)
                 except concurrent.futures.TimeoutError:
                     future.cancel()
                     self.stats.timeouts += 1
-                    if captured:
-                        # The chunk's snapshot will never be merged; the
-                        # parent-side rerun below writes straight into
-                        # the installed session instead.
-                        self.stats.dropped_snapshots += 1
                     chunk_results = self._retry_serial(
-                        fn, chunks, index, "chunk-timeout", streamed,
-                        epoch)
+                        fn, chunks[index], index, "chunk-timeout",
+                        capture)
                 except Exception:
                     # Worker death, pickling failure, or the task's own
                     # exception: re-run serially once in the parent.  A
                     # deterministic task error re-raises here with a
                     # clean parent-side traceback.
-                    if captured:
-                        self.stats.dropped_snapshots += 1
                     chunk_results = self._retry_serial(
-                        fn, chunks, index, "chunk-serial-retry",
-                        streamed, epoch)
+                        fn, chunks[index], index, "chunk-serial-retry",
+                        capture)
                 else:
-                    if streamed:
-                        chunk_results, emitted = payload
-                        self._fold_deltas((epoch, index), emitted)
-                    elif captured:
-                        chunk_results, snapshot = payload
-                        tel = _telemetry()
-                        if tel.enabled:
-                            tel.merge(snapshot)
-                    else:
-                        chunk_results = payload
+                    self._fold(capture, held, emitted)
                 yield chunk_results
             self._report()
         finally:
@@ -423,65 +372,80 @@ class ParallelMap:
                 # drop it so the next call respawns cleanly.
                 _retire_pool(warm)
 
-    # -- streaming ---------------------------------------------------------
+    # -- capture and fold --------------------------------------------------
 
-    def _map_serial_streamed(self, fn: Callable[[T], R],
-                             tasks: Sequence[T]) -> List[R]:
-        """The serial backend with streaming: one chunk, direct sink.
+    def _capture(self, sink: Any, origin: Any) -> _Capture:
+        """Count and return a chunk's capture, read from the installed
+        session at submission: streamed into ``sink`` when there is
+        one, captured when there is none, ``None`` with no session."""
+        tel = _telemetry()
+        if not tel.enabled:
+            return None
+        self.stats.captured_chunks += 1
+        if sink is None:
+            return tel.events_only, None, None, None
+        self.stats.streamed_chunks += 1
+        return tel.events_only, sink, origin, self.stream.every
 
-        The whole task list runs as a single streamed chunk whose
-        deltas go straight to the collector (no queue, no thread), so
-        live dashboards update mid-run even without a pool, and the
-        final folded state stays byte-identical to the plain serial
-        run's.
-        """
-        stream = self.stream
-        epoch, sink = stream.activate("serial")
+    def _run_serial(self, fn: Callable[[T], R],
+                    tasks: Sequence[T]) -> List[R]:
+        """The serial backend: the whole task list as one chunk, run in
+        the parent's session, or streamed straight to the collector
+        when there is a stream and a session (live views update
+        without a pool)."""
+        if self.stream is None or not _telemetry().enabled:
+            return _run_chunk(fn, tasks)[0]
+        epoch, sink = self.stream.activate("serial")
         try:
-            origin = (epoch, 0)
-            results, emitted = _run_chunk_streamed(
-                fn, tasks, sink, origin, stream.every,
-                _telemetry().events_only)
-            self.stats.captured_chunks += 1
-            self.stats.streamed_chunks += 1
-            self._fold_deltas(origin, emitted)
+            capture = self._capture(sink, (epoch, 0))
+            results, held, emitted = _run_chunk(fn, tasks, capture)
+            self._fold(capture, held, emitted)
         finally:
-            stream.deactivate()
+            self.stream.deactivate()
         return results
 
-    def _fold_deltas(self, origin: Any, emitted: int) -> None:
-        """Take one finished chunk's deltas and fold them in order."""
-        deltas = self.stream.collector.take(origin, emitted)
+    def _fold(self, capture: _Capture, held: List[Any],
+              emitted: int) -> None:
+        """Merge one finished chunk's deltas into the installed session
+        in emission order: those it handed back or, streamed, the
+        ``emitted`` ones the collector took."""
+        if capture is None:
+            return
+        streamed = capture[1] is not None
+        deltas = (self.stream.collector.take(capture[2], emitted)
+                  if streamed else held)
         tel = _telemetry()
         if tel.enabled:
             for delta in deltas:
                 tel.merge(delta["snapshot"])
-            self.stats.deltas_merged += len(deltas)
-        else:
+            if streamed:
+                self.stats.deltas_merged += len(deltas)
+        elif streamed:
             # Session uninstalled mid-gather: nowhere canonical to
             # fold into (the live view already saw them on arrival).
             self.stats.deltas_dropped += len(deltas)
 
-    def _retry_serial(self, fn: Callable[[T], R], chunks: Sequence,
-                      index: int, reason: str, streamed: bool,
-                      epoch: Optional[int]) -> List[R]:
+    def _retry_serial(self, fn: Callable[[T], R], chunk: Sequence[T],
+                      index: int, reason: str, capture: _Capture
+                      ) -> List[R]:
         """Parent-side rerun of a timed-out or failed chunk.
 
-        Discards the chunk's streamed deltas first (the rerun writes
-        straight into the installed session; folding both would double
-        count) and dumps the flight recorder's window — the most recent
-        telemetry leading up to the failure — into
-        :attr:`flight_records`.
+        The chunk's own telemetry is dropped, streamed deltas included
+        (the rerun writes straight into the installed session; folding
+        both would double count), and the flight recorder's window is
+        dumped into :attr:`flight_records`.
         """
         self.stats.serial_retries += 1
-        if streamed:
-            self.stats.deltas_dropped += \
-                self.stream.collector.discard((epoch, index))
+        if capture is not None:
+            self.stats.dropped_snapshots += 1
+            if capture[1] is not None:
+                self.stats.deltas_dropped += \
+                    self.stream.collector.discard(capture[2])
         self.flight_records.append(_flightrec.dump(
             reason, chunk=index, backend=self.stats.backend,
-            tasks=len(chunks[index])))
+            tasks=len(chunk)))
         self.stats.flight_dumps += 1
-        return _run_chunk(fn, chunks[index])
+        return _run_chunk(fn, chunk)[0]
 
     # -- executors ---------------------------------------------------------
 

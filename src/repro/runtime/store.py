@@ -14,19 +14,19 @@ content**: a ``PYTHONHASHSEED``-stable fingerprint of
 * a *code version* (a digest of the task's source), so edited code
   invalidates every result it produced.
 
-:class:`ResultStore` is a two-tier cache behind that key:
-
-* **memory tier** — a :class:`~repro.runtime.cache.MemoCache` LRU, so
-  repeated lookups within a process never touch disk;
-* **disk tier** — an append-only JSONL log replayed into a plain dict
-  from key to its parsed record, so a lookup costs one dict probe.
-  Appends are single ``O_APPEND`` writes under an advisory ``flock``,
-  so concurrent writers from pool workers or parallel CI jobs
-  interleave whole records, never bytes; readers pick up foreign
-  appends on :meth:`refresh` (called automatically on a miss when the
-  log grew).  A record whose payload does not decode (not hex, or not
-  a whole pickle) counts as a corrupt line and gives way to the key's
-  next record in the log, or to a miss, so the caller recomputes it.
+:class:`ResultStore` keeps an append-only JSONL log on disk, replayed
+into a plain dict **index** from key to its parsed record, so a lookup
+costs one dict probe.  The index also keeps the decoded value of every
+key the store served or wrote, so a repeated lookup in one process is a
+``tier="memory"`` hit with no second decode.  Appends are single
+``O_APPEND`` writes under an advisory ``flock``, so concurrent writers
+from pool workers or parallel CI jobs interleave whole records, never
+bytes; readers pick up foreign appends on :meth:`refresh` (called
+automatically on a miss when the log grew).  A record whose payload
+does not decode (not hex, or not a whole pickle) counts as a corrupt
+line and gives way to the key's next record in the log, or to a miss,
+so the caller recomputes it.  :meth:`ResultStore.serve` is the
+harness's one path through the store.
 
 Caching is **opt-in everywhere** (the ``store=`` knobs on
 :class:`~repro.harness.experiment.Experiment`,
@@ -53,7 +53,6 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 
 from repro._util import stable_int
 from repro.observe import current as _telemetry
-from repro.runtime.cache import MemoCache
 
 __all__ = ["MISS", "ResultStore", "args_digest", "code_fingerprint",
            "fingerprint"]
@@ -133,14 +132,13 @@ def fingerprint(task_name: str, digest: str, seed: Optional[int],
 
 
 class ResultStore:
-    """A two-tier (memory LRU + disk JSONL) content-addressed store.
+    """A content-addressed store: a JSONL log on disk, indexed in memory.
 
     Args:
         path: The append-only JSONL log file (created on first write;
             parent directories are created eagerly).
         name: Label on the ``repro_runtime_store_*`` metrics and
             ``store.*`` events this store emits.
-        memory_entries: LRU capacity of the in-memory front tier.
         quiet: Suppress the store's telemetry (``repro_runtime_store_*``
             counters and ``store.*`` events).  Python-side counters and
             :meth:`stats` still accumulate.  The shard checkpoint store
@@ -158,16 +156,16 @@ class ResultStore:
     """
 
     def __init__(self, path: Union[str, os.PathLike], name: str = "results",
-                 memory_entries: Optional[int] = 1024,
                  quiet: bool = False) -> None:
         self.path = os.fspath(path)
         self.name = name
         self.quiet = quiet
-        self.memory = MemoCache(name=f"{name}-mem",
-                                max_entries=memory_entries, quiet=quiet)
         #: ``key -> parsed record`` for every key in the log consumed so
         #: far; the first record for a key wins.
         self._rows: Dict[str, Dict[str, Any]] = {}
+        #: ``key -> decoded value`` for every key this store served or
+        #: wrote: the memory tier, so a key is decoded at most once.
+        self._values: Dict[str, Any] = {}
         #: ``key -> its later records``, in log order, for keys the log
         #: holds more than once (two writers computed the same key):
         #: what is served when the indexed record's payload is damaged.
@@ -226,60 +224,75 @@ class ResultStore:
             code = code or ""
         return fingerprint(name, args_digest(args), seed, code)
 
-    # -- the two-tier lookup ----------------------------------------------
+    # -- lookups ------------------------------------------------------------
 
     def get(self, key: str) -> Any:
-        """The stored value for ``key``, or :data:`MISS`.
-
-        Memory tier first; then the log index, refreshed from the log
-        when another writer has appended since the last read.  A disk
-        hit is promoted into the memory tier.
-        """
-        value = self.memory.get(key, default=MISS)
-        if value is not MISS:
-            self._record_hit(key, tier="memory")
-            return value
-        row = self._rows.get(key)
-        if row is None and self._log_grew():
-            self.refresh()
-            row = self._rows.get(key)
-        value = MISS if row is None else self._load_row(key, row)
-        if value is MISS:
-            self._record_miss()
-        return value
+        """The stored value for ``key``, or :data:`MISS` (see
+        :meth:`get_many`)."""
+        return self.get_many((key,))[key]
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Any]:
         """``{key: value-or-MISS}`` for every key.
 
-        The batched counterpart of :meth:`get`: the memory tier is
-        consulted per key, then every remaining key is looked up in the
-        log index with **at most one** log refresh for the whole list,
-        not one per key.  Hit/miss accounting and
+        Decoded values are served from memory; every other key is
+        looked up in the log index, refreshed from the log **at most
+        once** for the whole list when another writer has appended
+        since the last read, and decoded.  Hit/miss accounting and
         ``store.hit``/``store.miss`` events are identical to
         ``{k: self.get(k) for k in keys}``.
         """
         out: Dict[str, Any] = {}
         wanted: Dict[str, None] = {}  # insertion-ordered key set
+        values = self._values
         for key in keys:
             if key in out or key in wanted:
                 continue
-            value = self.memory.get(key, default=MISS)
+            value = values.get(key, MISS)
             if value is not MISS:
                 self._record_hit(key, tier="memory")
                 out[key] = value
             else:
                 wanted[key] = None
         if wanted:
-            rows = self._lookup_many(wanted)
-            if len(rows) < len(wanted) and self._log_grew():
+            rows = self._rows
+            if any(key not in rows for key in wanted):
+                # Another writer may have appended them; a no-op when
+                # the log has not grown.
                 self.refresh()
-                rows = self._lookup_many(wanted)
             for key in wanted:
-                row = rows.get(key)
-                value = MISS if row is None else self._load_row(key, row)
+                value = self._decode(key)
                 if value is MISS:
                     self._record_miss()
                 out[key] = value
+        return out
+
+    def serve(self, keys: Sequence[str],
+              compute: Callable[[List[int]], Sequence[Any]],
+              task: str, seeds: Sequence[Optional[int]],
+              trials: Optional[Sequence[int]] = None) -> List[Any]:
+        """The value of every key, in key order, computing the misses.
+
+        Hits are served through :meth:`get_many`.  ``compute(missing)``
+        is called once, with the positions in ``keys`` of every miss in
+        key order, and returns their values in that order; those are
+        appended through **one** :meth:`put_many`, each under ``task``
+        and its position's entry of ``seeds`` and ``trials`` (the
+        :meth:`put` fields; ``trials`` defaults to 1 per record).
+        Nothing is computed or written when every key hits.
+        """
+        found = self.get_many(keys)
+        out = [found[key] for key in keys]
+        missing = [index for index, value in enumerate(out)
+                   if value is MISS]
+        if missing:
+            staged: List[Dict[str, Any]] = []
+            for index, value in zip(missing, compute(missing)):
+                out[index] = value
+                staged.append({
+                    "key": keys[index], "value": value, "task": task,
+                    "seed": seeds[index],
+                    "trials": 1 if trials is None else trials[index]})
+            self.put_many(staged)
         return out
 
     def _record_miss(self) -> None:
@@ -301,8 +314,8 @@ class ResultStore:
             payload["trials"] = trials
         self._publish("store.hit", **payload)
 
-    def _load_row(self, key: str, row: Optional[Dict[str, Any]]) -> Any:
-        """Decode a disk row, promote it into memory, account the hit.
+    def _decode(self, key: str) -> Any:
+        """Decode ``key``'s indexed record into memory, account the hit.
 
         A row whose payload is not hex, or not a whole pickle, counts
         as a corrupt line and leaves the index; the key's next record
@@ -310,6 +323,7 @@ class ResultStore:
         left the result is :data:`MISS` (not yet accounted), so the
         caller recomputes the value and appends it afresh.
         """
+        row = self._rows.get(key)
         while row is not None:
             try:
                 payload = bytes.fromhex(row["payload"])
@@ -318,8 +332,8 @@ class ResultStore:
                 self.corrupt_lines += 1
                 row = self._next_record(key)
                 continue
+            self._values[key] = value
             self.bytes_read += len(payload)
-            self.memory.put(key, value)
             self._count("bytes_read", len(payload))
             self._record_hit(key, tier="disk", bytes_read=len(payload))
             return value
@@ -342,7 +356,7 @@ class ResultStore:
 
     def put(self, key: str, value: Any, task: str = "?",
             seed: Optional[int] = None, trials: int = 1) -> None:
-        """Persist ``value`` under ``key`` (append + index + memory).
+        """Persist ``value`` under ``key`` (append, index, memory).
 
         ``trials`` labels batch records with the number of trials the
         one record carries (1 for scalar records); it is persisted in
@@ -398,8 +412,8 @@ class ResultStore:
 
     def _account_write(self, key: str, value: Any, trials: int,
                        line: bytes) -> None:
-        """Memory promotion + counters + events for one written record."""
-        self.memory.put(key, value)
+        """Memory tier + counters + events for one written record."""
+        self._values[key] = value
         self.writes += 1
         self.bytes_written += len(line)
         self.trials_stored += trials
@@ -420,13 +434,10 @@ class ResultStore:
                        args, seed=seed,
                        code=code if code is not None
                        else code_fingerprint(fn))
-        value = self.get(key)
-        if value is MISS:
-            value = fn(*args)
-            self.put(key, value,
-                     task=task_name or getattr(fn, "__qualname__",
-                                               repr(fn)),
-                     seed=seed)
+        [value] = self.serve(
+            [key], lambda missing: [fn(*args)],
+            task=task_name or getattr(fn, "__qualname__", repr(fn)),
+            seeds=[seed])
         return value
 
     # -- disk log ----------------------------------------------------------
@@ -476,12 +487,6 @@ class ResultStore:
             added += 1
         return added
 
-    def _log_grew(self) -> bool:
-        try:
-            return os.path.getsize(self.path) > self._offset
-        except OSError:
-            return False
-
     def _append(self, line: bytes) -> None:
         fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
                      0o644)
@@ -494,13 +499,6 @@ class ResultStore:
             os.write(fd, line)
         finally:
             os.close(fd)
-
-    def _lookup_many(self, keys: Dict[str, None]) -> Dict[str, Any]:
-        """``key -> row`` for every indexed key of ``keys``: one dict
-        lookup per key (the index already keeps the first record of
-        each key)."""
-        rows = self._rows
-        return {key: rows[key] for key in keys if key in rows}
 
     # -- accounting --------------------------------------------------------
 
@@ -519,8 +517,7 @@ class ResultStore:
                 "trials_stored": self.trials_stored,
                 "puts_batched": self.puts_batched,
                 "corrupt_lines": self.corrupt_lines,
-                "hit_rate": round(self.hit_rate, 4),
-                "memory": self.memory.stats()}
+                "hit_rate": round(self.hit_rate, 4)}
 
     def _count(self, which: str, amount: float = 1.0) -> None:
         if self.quiet:

@@ -95,8 +95,11 @@ class TestFullSessionCommands:
         "079021f5094e39c552c593002fc5316351b547a592cda440118c92a0a2d15ef4"
     METRICS = \
         "ad876c47d93da8bcdceed1867a03b49b5b95465c1649f8dcef20ec0100abdb7d"
+    #: Re-made once, when the ``lint`` scenario moved from repro's own
+    #: source to a fixed sample module; the old and new documents
+    #: differ only inside the ``lint`` row.
     REPORT = \
-        "8559c4c28a9f95a251a5cb77d44a51314d91a6495f4915989309d888bf67b658"
+        "1775e33eae400f99179a14518c6902df5939ae41b384fc244fe4dabeea145650"
 
     def test_trace(self, capsys):
         assert sha256(run(capsys, ["trace", "nvp", "--requests", "20",

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.runtime import bench as bench_mod
 
@@ -176,22 +178,19 @@ class TestHarnessReport:
         assert document["shard_resume"] == {"resume_ratio": 0.4}
         assert document["suite"]["failures"] == []
 
-    def test_v1_document_upgrades_to_v2(self, tmp_path):
-        # A flat v1 report left by an older runner becomes the "suite"
-        # section on the first sectioned update.
+    def test_v1_document_is_rejected(self, tmp_path):
+        # A flat v1 report left by an older runner fails loudly, naming
+        # its schema, and stays on disk as it was: it is never upgraded.
         report_path = tmp_path / "BENCH_harness.json"
         legacy = {"schema": "repro-bench-harness/v1",
                   "host": {"cpu_count": 4},
                   "workers": 3, "failures": [], "benchmarks": []}
-        report_path.write_text(json.dumps(legacy), encoding="utf-8")
-        document = bench_mod.update_harness_json(
-            report_path, "shard_resume", {"resume_ratio": 0.4})
-        assert document["schema"] == "repro-bench-harness/v2"
-        assert document["suite"]["workers"] == 3
-        assert "schema" not in document["suite"]
-        assert document["shard_resume"] == {"resume_ratio": 0.4}
-        on_disk = json.loads(report_path.read_text(encoding="utf-8"))
-        assert on_disk == json.loads(json.dumps(document))
+        text = json.dumps(legacy)
+        report_path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="'repro-bench-harness/v1'"):
+            bench_mod.update_harness_json(
+                report_path, "shard_resume", {"resume_ratio": 0.4})
+        assert report_path.read_text(encoding="utf-8") == text
 
     def test_corrupt_document_is_replaced(self, tmp_path):
         report_path = tmp_path / "BENCH_harness.json"

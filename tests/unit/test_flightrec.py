@@ -6,6 +6,7 @@ triggers (``chunk-timeout``, ``chunk-serial-retry``, ``trial-failure``
 ``repro-events-jsonl/v1`` round trip shared with the event exporter.
 """
 
+import os
 import time
 
 import pytest
@@ -152,6 +153,27 @@ class TestPoolDumpTriggers:
         recent = flightrec.recent_dumps()
         assert recent and recent[-1]["reason"] == "trial-failure"
         assert recent[-1]["context"]["seed"] == 0
+
+    def test_batched_trial_failure_dumps_like_a_scalar_one(
+            self, monkeypatch):
+        from repro.harness.experiment import Experiment
+
+        def bad_trial(seed):
+            if seed == 3:
+                raise RuntimeError("induced trial failure")
+            return {"value": float(seed)}
+
+        dumps = {}
+        for batch in (None, 2):
+            monkeypatch.setattr(flightrec, "_recorder", FlightRecorder())
+            monkeypatch.setattr(flightrec, "_recorder_pid", os.getpid())
+            with pytest.raises(RuntimeError, match="induced trial failure"):
+                Experiment(name="flight", trial=bad_trial,
+                           seeds=tuple(range(5)), batch=batch).run()
+            dumps[batch] = [(dump["reason"], dump["context"])
+                            for dump in flightrec.recent_dumps()]
+        assert dumps[None] == dumps[2] == \
+            [("trial-failure", {"seed": 3, "instrument": False})]
 
     def test_worker_death_recovers_with_flight_dump(self):
         # A worker killed mid-chunk (os._exit, no exception, no

@@ -111,24 +111,29 @@ class TestBenchGate:
     def test_skipped_without_document(self):
         assert bench_gate(None).passed is None
 
-    def test_accepts_clean_v1_and_v2_layouts(self):
-        flat = {"schema": "repro-bench-harness/v1",
-                "benchmarks": [{"name": f"b{i}"} for i in range(6)],
-                "failures": [], "results_drift": []}
-        assert bench_gate(flat).passed is True
-        assert bench_gate(flat).confidence == CONFIDENCE_HIGH
-        sectioned = {"schema": "repro-bench-harness/v2",
-                     "suite": dict(flat)}
+    def test_accepts_clean_v2_and_rejects_v1_layout(self):
+        suite = {"benchmarks": [{"name": f"b{i}"} for i in range(6)],
+                 "failures": [], "results_drift": []}
+        sectioned = {"schema": "repro-bench-harness/v2", "suite": suite}
         assert bench_gate(sectioned).passed is True
+        assert bench_gate(sectioned).confidence == CONFIDENCE_HIGH
+        # The flat v1 report is not read as a suite: the gate fails
+        # closed and names the schema.
+        flat = dict(suite, schema="repro-bench-harness/v1")
+        result = bench_gate(flat)
+        assert result.passed is False
+        assert "'repro-bench-harness/v1'" in result.detail
 
     def test_fails_on_failures_or_drift(self):
-        doc = {"benchmarks": [{"name": "b"}], "failures": ["b"],
-               "results_drift": []}
+        doc = {"schema": "repro-bench-harness/v2",
+               "suite": {"benchmarks": [{"name": "b"}],
+                         "failures": ["b"], "results_drift": []}}
         result = bench_gate(doc)
         assert result.passed is False
         assert "failed claim: b" in result.detail
-        drifted = {"benchmarks": [{"name": "b"}, {"name": "c"}],
-                   "failures": [], "results_drift": ["T1.txt"]}
+        drifted = {"schema": "repro-bench-harness/v2",
+                   "suite": {"benchmarks": [{"name": "b"}, {"name": "c"}],
+                             "failures": [], "results_drift": ["T1.txt"]}}
         assert bench_gate(drifted).passed is False
 
 
@@ -181,14 +186,15 @@ class TestDiffReports:
     def test_identical_reports_have_no_drift(self):
         assert diff_reports(self._sli(), self._sli()) == []
 
-    def test_v1_baseline_upgrades_cleanly(self):
+    def test_v1_baseline_is_rejected(self):
         legacy = self._sli()
         legacy["schema"] = "repro-sli-report/v1"
-        for row in legacy["techniques"]:
-            row.pop("recoveries_seen", None)
-        current = self._sli()
-        current["techniques"][0]["recoveries_seen"] = None
-        assert diff_reports(current, legacy) == []
+        with pytest.raises(ValueError, match="'repro-sli-report/v1'"):
+            diff_reports(self._sli(), legacy)
+        # The drift gate fails closed on it, naming the schema.
+        result = drift_gate(_report(), {"sli": legacy})
+        assert result.passed is False
+        assert "'repro-sli-report/v1'" in result.detail
 
     def test_technique_set_changes_are_reported(self):
         other = self._sli()

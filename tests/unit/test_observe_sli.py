@@ -122,7 +122,7 @@ class TestSliMonitor:
         assert doc["wall_span"] is None
         json.dumps(doc)
 
-    def test_parse_report_upgrades_v1_documents(self):
+    def test_parse_report_rejects_v1_documents(self):
         from repro.observe.sli import parse_report
 
         bus = EventBus()
@@ -136,13 +136,10 @@ class TestSliMonitor:
                        if key not in ("window_span", "throughput")}
                       for row in doc["techniques"]],
                   "stores": doc["stores"]}
-        upgraded = parse_report(legacy)
-        assert upgraded["schema"] == "repro-sli-report/v2"
-        assert upgraded["trials_per_sec"] is None
-        assert upgraded["wall_span"] is None
-        for row in upgraded["techniques"]:
-            assert row["window_span"] is None
-            assert row["throughput"] is None
+        # An old document fails loudly, naming its schema; it is never
+        # upgraded.
+        with pytest.raises(ValueError, match="'repro-sli-report/v1'"):
+            parse_report(legacy)
         # A current document passes through unchanged.
         assert parse_report(doc) == doc
 

@@ -255,6 +255,84 @@ class TestTwoTierStore:
         assert topics.count("store.hit") == 1
 
 
+class TestMemoryTier:
+    """The index keeps the decoded value of every key the store served
+    or wrote: a key is unpickled at most once per store, however many
+    keys it holds."""
+
+    @staticmethod
+    def _counting_loads(monkeypatch):
+        loads = []
+        real_loads = pickle.loads
+
+        def counting(data, *args, **kwargs):
+            loads.append(data)
+            return real_loads(data, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", counting)
+        return loads
+
+    @staticmethod
+    def _hit_tiers(tel):
+        return [(event.payload["tier"], "bytes" in event.payload)
+                for event in tel.bus.history if event.topic == "store.hit"]
+
+    def test_disk_hit_then_memory_hits(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        writer = ResultStore(path)
+        keys = [writer.key("task", (i,), seed=0, code="v1")
+                for i in range(3)]
+        writer.put_many([{"key": key, "value": {"i": i}}
+                         for i, key in enumerate(keys)])
+        loads = self._counting_loads(monkeypatch)
+        with observe.session() as tel:
+            store = ResultStore(path, name="tiers")
+            assert store.get(keys[0]) == {"i": 0}
+            read = store.bytes_read
+            assert read > 0
+            assert store.get(keys[0]) == {"i": 0}
+            assert store.bytes_read == read
+            first = store.get_many(keys[:2])
+            again = store.get_many(keys[:2])
+        assert first == again == {keys[0]: {"i": 0}, keys[1]: {"i": 1}}
+        assert len(loads) == 2
+        assert self._hit_tiers(tel) == [
+            ("disk", True), ("memory", False),
+            ("memory", False), ("disk", True),
+            ("memory", False), ("memory", False)]
+        assert store.stats()["hits"] == 6
+        assert "memory" not in store.stats()
+
+    def test_written_value_is_served_from_memory(self, tmp_path,
+                                                 monkeypatch):
+        store = ResultStore(tmp_path / "s.jsonl")
+        key = store.key("task", (1,), seed=0, code="v1")
+        loads = self._counting_loads(monkeypatch)
+        with observe.session() as tel:
+            store.put(key, {"v": 1}, task="task")
+            assert store.get(key) == {"v": 1}
+            assert store.get_many([key]) == {key: {"v": 1}}
+        assert loads == []
+        assert store.stats()["bytes_read"] == 0
+        assert self._hit_tiers(tel) == [("memory", False)] * 2
+
+    def test_no_bound_on_the_memory_tier(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        writer = ResultStore(path)
+        keys = [writer.key("task", (i,), seed=0, code="v1")
+                for i in range(1100)]
+        writer.put_many([{"key": key, "value": i}
+                         for i, key in enumerate(keys)])
+        store = ResultStore(path)
+        loads = self._counting_loads(monkeypatch)
+        store.get_many(keys)
+        read = store.bytes_read
+        served = store.get_many(keys)
+        assert [served[key] for key in keys] == list(range(1100))
+        assert len(loads) == 1100
+        assert store.bytes_read == read
+
+
 def damage(path, key, payload):
     """Rewrite the first record of ``key`` in the log at ``path`` with
     ``payload`` (a function of the old payload)."""
@@ -473,3 +551,37 @@ class TestHarnessWiring:
         # "unprotected" baseline cells were served.
         assert store.stats()["writes"] > writes
         assert store.stats()["hits"] > 0
+
+
+class TestPinnedLogBytes:
+    """sha256 of the log an ``Experiment(store=)`` run leaves behind.
+
+    Each run fills a cold store, then re-runs over more seeds, so the
+    log holds the first run's records followed by the second run's miss
+    tail.  The digests pin keys, payloads and record order for the
+    scalar and the batched path alike.
+    """
+
+    SCALAR = \
+        "525fdf0e51dbb31c08c5c1c5463045430798a07254aae06c43741b476c4c51b0"
+    BATCHED = \
+        "97c593835a1ed36ac8ea9d44479f467d628fad8a65a0fb14d66ec0021acbf8e2"
+
+    @staticmethod
+    def _log_digest(path, **knobs):
+        import hashlib
+
+        from repro.harness.experiment import Experiment
+
+        store = ResultStore(path)
+        for seeds in (range(4), range(7)):
+            Experiment(name="pin", trial=seeded_trial, seeds=tuple(seeds),
+                       store=store, **knobs).run()
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_scalar_log(self, tmp_path):
+        assert self._log_digest(tmp_path / "s.jsonl") == self.SCALAR
+
+    def test_batched_log(self, tmp_path):
+        assert self._log_digest(tmp_path / "b.jsonl", batch=2,
+                                instrument=True) == self.BATCHED
