@@ -168,10 +168,9 @@ def _cmd_recommend(args) -> int:
 def _build_campaign(args, stream=None):
     """The demo injection matrix shared by ``campaign`` and ``top``.
 
-    Returns ``(campaign, store)``; the protectors are closures, so the
-    pool's ``auto`` backend degrades to threads — which is exactly what
-    the live dashboard wants (a SimpleQueue delta transport in the same
-    process).
+    Returns ``(campaign, store)``.  The protectors are closures, which
+    cannot be pickled, so neither command offers the process backend
+    and the pool's ``auto`` backend degrades to threads.
     """
     from repro.adjudicators import PredicateAcceptanceTest
     from repro.components.library import diverse_versions
@@ -319,8 +318,7 @@ def _render_frame_text(frame) -> str:
     if stream is not None:
         lines.append(f"stream: {stream['received']} deltas received, "
                      f"{stream['folded_live']} folded live, "
-                     f"{stream['pending']} pending, "
-                     f"{stream['dropped']} dropped")
+                     f"{stream['invalid']} invalid")
     pools = frame["pool"] or []
     for pool in pools:
         lines.append(f"pool: {pool['backend']}x{pool['workers']} "
@@ -371,8 +369,8 @@ def _run_live_campaign(args) -> int:
     thread renders a frame every ``--interval`` seconds from the
     *live view* (deltas folded in arrival order), then emits a final
     frame whose embedded report comes from the *canonical* session
-    (deltas folded in submission order at gather time — byte-identical
-    to a non-streaming run).
+    (each chunk's deltas folded in submission order when it is
+    gathered — byte-identical to a non-streaming run).
     """
     import threading
     import time
@@ -896,8 +894,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         campaign.add_argument("--workers", type=int, default=1,
                               help="fan cells out over a worker pool "
                                    "(byte-identical to serial)")
-        campaign.add_argument("--backend", choices=("auto", "serial",
-                                                    "thread", "process"),
+        campaign.add_argument("--backend",
+                              choices=("auto", "serial", "thread"),
                               default="auto")
         campaign.add_argument("--batch", type=int, default=None, metavar="B",
                               help="cells per pool task: coarser units, "
@@ -952,8 +950,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         top.add_argument("--seed", type=int, default=7)
         top.add_argument("--workers", type=int, default=2,
                          help="pool workers for the campaign under watch")
-        top.add_argument("--backend", choices=("auto", "serial", "thread",
-                                               "process"),
+        top.add_argument("--backend", choices=("auto", "serial", "thread"),
                          default="auto")
         top.add_argument("--format", choices=("text", "json"),
                          default="text",

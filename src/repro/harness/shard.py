@@ -4,9 +4,9 @@
 tree and keeps every cell resident; a crash at cell 900/1000 throws the
 lot away.  This module partitions the campaign's (protector, fault)
 pair list into deterministic shards, runs each shard as **one** work
-unit through :class:`~repro.runtime.pmap.ParallelMap`, and streams each
-completed shard's cells plus its merged telemetry snapshot through the
-``repro-delta/v1`` fold — peak memory is O(shard), not O(grid), and
+unit through :class:`~repro.runtime.pmap.ParallelMap`, and hands each
+completed shard's cells plus its telemetry snapshot to the parent as
+the shard lands — peak memory is O(shard), not O(grid), and
 every completed shard is checkpointed into a
 :class:`~repro.runtime.store.ResultStore` under a
 ``repro-campaign-shard/v1`` key so an interrupted campaign resumes from
@@ -45,7 +45,7 @@ from repro._util import stable_int
 from repro.harness.campaign import CampaignCell, FaultCampaign
 from repro.observe import current as _telemetry
 from repro.observe import local_session as _local_session
-from repro.observe.stream import make_delta, validate_delta
+from repro.observe.stream import make_delta
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.runtime.store import ResultStore
@@ -331,22 +331,18 @@ class ShardedCampaign:
 
     def _fold(self, index: int, snapshot: Optional[Dict[str, Any]],
               telemetry: Any) -> None:
-        """Fold one shard's snapshot into the parent session through
-        the ``repro-delta/v1`` envelope — via the live stream's
-        collector when one is attached (so ``--live`` dashboards see
-        served shards too), else merged directly.  Always in plan
-        order, which is what makes resumed and uninterrupted telemetry
-        byte-identical."""
+        """Merge one shard's snapshot into the parent session, first
+        offering it as a ``repro-delta/v1`` document to the live view
+        of an attached stream (so ``--live`` dashboards see served
+        shards too).  Always in plan order, which is what makes resumed
+        and uninterrupted telemetry byte-identical."""
         if snapshot is None or not telemetry.enabled:
             return
-        origin = ("shard", index)
-        delta = make_delta(origin, 0, snapshot, final=True)
-        validate_delta(delta)
         stream = self.campaign.stream
         if stream is not None:
-            stream.collector.offer(delta)
-            [delta] = stream.collector.take(origin, 1)
-        telemetry.merge(delta["snapshot"])
+            stream.collector.offer(
+                make_delta(("shard", index), 0, snapshot, final=True))
+        telemetry.merge(snapshot)
         self.stats.deltas_folded += 1
 
     def run_shards(self) -> Iterator[ShardOutcome]:

@@ -1,12 +1,12 @@
 """Delta-snapshot telemetry streaming (``repro-delta/v1``).
 
-The snapshot/merge protocol of PR 4 ships a worker chunk's telemetry
-home **once, at the end of the chunk** — correct, byte-identical, and
-completely blind while the chunk runs.  This module makes the same
-telemetry *stream*: a worker emits **incremental snapshots** (deltas)
-every few items, each delta covering exactly the telemetry produced
-since the previous one, and the parent folds them with the very same
-commutative merge algebra.
+The snapshot/merge protocol ships a worker chunk's telemetry home
+**once, at the end of the chunk** — correct, byte-identical, and
+completely blind while the chunk runs.  This module lets the same
+telemetry also *stream*: a worker makes **incremental snapshots**
+(deltas) every few items, each delta covering exactly the telemetry
+produced since the previous one, and every receiver folds them with
+the very same commutative merge algebra.
 
 The trick that keeps byte-identity is *partitioning*: after each
 emission the worker session is :meth:`~repro.observe.telemetry.
@@ -18,26 +18,31 @@ cumulatively, folding the deltas **in emission order** into any
 receiver produces byte-for-byte the state that merging one
 whole-chunk snapshot would have — the property
 ``tests/unit/test_stream.py`` pins across all three pool backends.
-(The one PR 4 caveat carries over: a ``set()``-style gauge merges as a
-net delta; no framework series uses one.)
+(The snapshot/merge caveat carries over: a ``set()``-style gauge
+merges as a net delta; no framework series uses one.)
 
-Two consumers fold the same stream:
+There is one canonical fold and one tap:
 
-* the **canonical session** — :class:`~repro.runtime.pmap.ParallelMap`
-  takes each chunk's deltas at gather time and folds them in
-  submission order, replacing the merge-at-end snapshot 1:1;
-* an optional **live view** — a second Telemetry folded in *arrival*
-  order by the collector's drain thread, feeding the ``repro top``
+* the **canonical session** — every chunk hands all its deltas back
+  with its results, and :class:`~repro.runtime.pmap.ParallelMap` folds
+  them in emission order, chunk by chunk in submission order, exactly
+  as it folds a chunk captured without a stream.  A chunk that fails
+  or times out hands nothing back, so it adds nothing; its serial
+  rerun writes straight into the session;
+* the **live view** — a stream's :class:`StreamCollector` is also
+  offered every delta as it is made, and folds it into an optional
+  second Telemetry in *arrival* order, feeding the ``repro top``
   dashboard while chunks are still in flight.  The live view is
-  advisory (arrival order is nondeterministic; a dropped chunk's
-  deltas may already be in it); the canonical session is the one whose
-  byte-identity is proven, so final dashboards report from it.
+  advisory: arrival order is nondeterministic, and a failed chunk's
+  interim deltas stay in it.  Final dashboards report from the
+  canonical session.
 
-Transport is queue-shaped and backend-matched: a
-``multiprocessing.Manager().Queue()`` proxy for the process backend
-(picklable through executor submission, unlike a raw
-``multiprocessing.Queue``), a plain ``queue.SimpleQueue`` for threads,
-and a direct function call for serial runs.
+Transport to the collector is backend-matched: serial and thread
+chunks call :meth:`StreamCollector.offer` themselves (it is
+thread-safe); process chunks put into a ``multiprocessing.Manager().
+Queue()`` proxy (picklable through executor submission, unlike a raw
+``multiprocessing.Queue``) that a parent thread drains into the
+collector.
 """
 
 from __future__ import annotations
@@ -45,9 +50,8 @@ from __future__ import annotations
 import atexit
 import contextlib
 import os
-import queue as _queue
 import threading
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.observe.sli import SCHEMA as _SLI_SCHEMA
 
@@ -63,13 +67,6 @@ FRAME_SCHEMA = "repro-top-frame/v1"
 
 #: Default items per delta emission.
 DEFAULT_EVERY = 8
-
-#: How long (real seconds) a gather may wait for in-transit deltas of a
-#: successfully completed chunk before declaring the stream wedged.
-#: The worker finished *after* its last ``put`` returned, so the
-#: deltas are in the channel; this bounds a lost drain thread, not a
-#: slow chunk.
-TAKE_TIMEOUT = 60.0
 
 #: Keys every delta document must carry.
 _DELTA_KEYS = frozenset(("schema", "origin", "seq", "final", "snapshot"))
@@ -112,45 +109,27 @@ def validate_delta(document: Dict[str, Any]) -> None:
         raise ValueError("delta seq must be a non-negative integer")
 
 
-class _DirectSink:
-    """Serial-run transport: ``put`` offers straight to the collector."""
-
-    def __init__(self, collector: "StreamCollector") -> None:
-        self._collector = collector
-
-    def put(self, delta: Dict[str, Any]) -> None:
-        self._collector.offer(delta)
-
-
 class StreamCollector:
-    """Parent-side intake: buffers deltas per origin, folds a live view.
+    """Parent-side intake of a stream: validates deltas, folds a live
+    view.
 
-    Thread-safe.  :meth:`offer` is called by the drain thread (or
-    inline on serial runs) for every arriving delta: the delta is
-    validated, folded into the optional live view in arrival order,
-    and buffered under its origin in ``seq`` order.  The runtime then
-    either :meth:`take`\\ s an origin's buffer (successful chunk — the
-    deltas join the canonical session in submission order) or
-    :meth:`discard`\\ s it (timeout / failure — the chunk re-runs
-    serially and its deltas must not double-count).
+    Thread-safe.  :meth:`offer` is called for every delta as it is
+    made — by the chunk itself on the serial and thread backends, by
+    the drain thread on the process backend: the delta is validated
+    and folded into the optional live view in arrival order.  The
+    canonical session never reads the collector; it folds the deltas
+    each chunk hands back with its results.
     """
 
-    def __init__(self, live: Optional[Any] = None,
-                 on_delta: Optional[Callable[[Dict[str, Any]], None]]
-                 = None) -> None:
+    def __init__(self, live: Optional[Any] = None) -> None:
         #: Optional live-view Telemetry, folded in arrival order.
         self.live = live
-        self._on_delta = on_delta
         # Reentrant: dashboards snapshot frames under locked() while
         # the frame builder calls stats() on the same collector.
         self._lock = threading.RLock()
-        self._ready = threading.Condition(self._lock)
-        self._buffers: Dict[Any, List[Dict[str, Any]]] = {}
-        self._abandoned: set = set()
         #: Tallies (all-time for this collector).
         self.received = 0
         self.folded_live = 0
-        self.dropped = 0
         self.invalid = 0
 
     @contextlib.contextmanager
@@ -160,85 +139,25 @@ class StreamCollector:
             yield
 
     def offer(self, delta: Dict[str, Any]) -> None:
-        """Fold one arriving delta into the live view and buffer it."""
+        """Count one arriving delta and fold it into the live view."""
         try:
             validate_delta(delta)
         except ValueError:
             with self._lock:
                 self.invalid += 1
             return
-        with self._ready:
+        with self._lock:
             self.received += 1
             if self.live is not None:
                 self.live.merge(delta["snapshot"])
                 self.folded_live += 1
-            origin = _origin_key(delta["origin"])
-            if origin in self._abandoned:
-                self.dropped += 1
-            else:
-                self._buffers.setdefault(origin, []).append(delta)
-                self._ready.notify_all()
-        if self._on_delta is not None:
-            self._on_delta(delta)
-
-    def take(self, origin: Any, count: int,
-             timeout: float = TAKE_TIMEOUT) -> List[Dict[str, Any]]:
-        """All ``count`` deltas of ``origin``, in emission order.
-
-        Blocks until the drain thread has received them (the emitting
-        chunk completed only after its last ``put`` returned, so they
-        are in transit at worst).  Raises :class:`RuntimeError` if the
-        stream fails to deliver within ``timeout`` — losing deltas
-        silently would break the byte-identity contract.
-        """
-        key = _origin_key(origin)
-        with self._ready:
-            ok = self._ready.wait_for(
-                lambda: len(self._buffers.get(key, ())) >= count,
-                timeout=timeout)
-            if not ok:
-                have = len(self._buffers.get(key, ()))
-                raise RuntimeError(
-                    f"telemetry stream wedged: origin {origin!r} "
-                    f"delivered {have}/{count} deltas "
-                    f"within {timeout}s")
-            deltas = self._buffers.pop(key)
-        deltas.sort(key=lambda d: d["seq"])
-        return deltas
-
-    def discard(self, origin: Any) -> int:
-        """Drop an origin's buffered deltas (failed/timed-out chunk).
-
-        Late arrivals for the origin are dropped on :meth:`offer`.
-        Returns how many buffered deltas were discarded now.
-        """
-        key = _origin_key(origin)
-        with self._lock:
-            dropped = len(self._buffers.pop(key, ()))
-            self.dropped += dropped
-            self._abandoned.add(key)
-        return dropped
-
-    def pending(self) -> int:
-        """Buffered deltas not yet taken."""
-        with self._lock:
-            return sum(len(buffer) for buffer in self._buffers.values())
 
     def stats(self) -> Dict[str, int]:
         """JSON-friendly tallies for dashboards and tests."""
         with self._lock:
             return {"received": self.received,
                     "folded_live": self.folded_live,
-                    "dropped": self.dropped,
-                    "invalid": self.invalid,
-                    "pending": sum(len(buffer)
-                                   for buffer in self._buffers.values())}
-
-
-def _origin_key(origin: Any) -> Any:
-    """Origins arrive through pickling transports: normalize lists
-    (JSON round-trips, Manager proxies) back to hashable tuples."""
-    return tuple(origin) if isinstance(origin, list) else origin
+                    "invalid": self.invalid}
 
 
 # -- the shared multiprocessing manager ----------------------------------
@@ -285,10 +204,6 @@ def shutdown_stream_manager() -> bool:
 atexit.register(shutdown_stream_manager)
 
 
-#: Drain-queue poll granularity (seconds); bounds deactivate latency
-#: when a sentinel and a straggler race.
-_DRAIN_POLL = 0.25
-
 #: Sentinel telling the drain thread to exit.
 _STOP = None
 
@@ -298,7 +213,7 @@ class TelemetryStream:
 
     Pass one to :class:`~repro.runtime.pmap.ParallelMap` (or through
     ``Experiment``/``FaultCampaign`` ``stream=``) to stream worker
-    telemetry while a map call runs::
+    telemetry into a live view while a map call runs::
 
         live = observe.Telemetry()
         stream = TelemetryStream(every=4, live=live)
@@ -311,84 +226,71 @@ class TelemetryStream:
         live: Optional live-view :class:`~repro.observe.telemetry.
             Telemetry`, folded in arrival order (see the module
             docstring for its advisory nature).
-        on_delta: Optional callback invoked with every arriving delta
-            (after the live fold) — dashboards and tests.
 
-    The stream is reusable across map calls (each activation is an
-    epoch; origins are ``(epoch, chunk_index)``, so stragglers of an
-    abandoned epoch can never be mistaken for current deltas).
+    The stream is reusable across map calls, one at a time: each
+    activation is an epoch, and a delta's origin is ``(epoch,
+    chunk_index)``.
     """
 
     def __init__(self, every: int = DEFAULT_EVERY,
-                 live: Optional[Any] = None,
-                 on_delta: Optional[Callable[[Dict[str, Any]], None]]
-                 = None) -> None:
+                 live: Optional[Any] = None) -> None:
         if every <= 0:
             raise ValueError("every must be positive")
         self.every = every
-        self.collector = StreamCollector(live=live, on_delta=on_delta)
+        self.collector = StreamCollector(live=live)
         self._epoch = 0
+        self._active = False
         self._queue: Optional[Any] = None
         self._drainer: Optional[threading.Thread] = None
         self._lock = threading.Lock()
 
-    @property
-    def live(self) -> Optional[Any]:
-        """The live-view Telemetry (or ``None``)."""
-        return self.collector.live
-
     # -- lifecycle (driven by ParallelMap.map) ---------------------------
 
-    def activate(self, backend: str) -> Tuple[int, Any]:
+    def activate(self, backend: str
+                 ) -> Tuple[int, Callable[[Dict[str, Any]], None]]:
         """Open the transport for one map call.
 
-        Returns ``(epoch, sink)``: the epoch tags this call's origins;
-        the sink is what workers ``put`` deltas into — a manager-queue
-        proxy (process), a ``queue.SimpleQueue`` (thread), or a direct
-        collector sink (serial).  Queue-backed transports get a drain
-        thread feeding :meth:`StreamCollector.offer`.
+        Returns ``(epoch, put)``: the epoch tags this call's origins,
+        and a chunk hands each delta it makes to ``put`` — the
+        collector's own :meth:`~StreamCollector.offer` on the serial
+        and thread backends, or a manager-queue proxy's ``put`` on the
+        process backend, whose queue a drain thread feeds to the
+        collector.  Raises :class:`RuntimeError` while the stream is
+        already active.
         """
         with self._lock:
-            if self._drainer is not None:
+            if self._active:
                 raise RuntimeError("stream already active; one map call "
                                    "at a time per TelemetryStream")
-            self._epoch += 1
-            epoch = self._epoch
-            if backend == "serial":
-                return epoch, _DirectSink(self.collector)
             if backend == "process":
                 self._queue = _get_manager().Queue()
-            else:
-                self._queue = _queue.SimpleQueue()
-            self._drainer = threading.Thread(
-                target=self._drain, args=(self._queue,),
-                name="repro-stream-drain", daemon=True)
-            self._drainer.start()
-            return epoch, self._queue
+                self._drainer = threading.Thread(
+                    target=self._drain, args=(self._queue,),
+                    name="repro-stream-drain", daemon=True)
+                self._drainer.start()
+            self._active = True
+            self._epoch += 1
+            put = (self.collector.offer if self._queue is None
+                   else self._queue.put)
+            return self._epoch, put
 
     def deactivate(self) -> None:
         """Close the transport: stop the drain thread, drop the queue."""
         with self._lock:
+            self._active = False
             drainer, self._drainer = self._drainer, None
             channel, self._queue = self._queue, None
-        if drainer is None:
-            return
-        channel.put(_STOP)
-        drainer.join()
+        if drainer is not None:
+            channel.put(_STOP)
+            drainer.join()
 
     def _drain(self, channel: Any) -> None:
         """Drain-thread body: queue → collector until the sentinel."""
-        while True:
-            try:
-                delta = channel.get(timeout=_DRAIN_POLL)
-            except _queue.Empty:
-                continue
-            except (EOFError, OSError, ConnectionError):
-                # pragma: no cover - manager torn down under us
-                return
-            if delta is _STOP:
-                return
-            self.collector.offer(delta)
+        try:
+            for delta in iter(channel.get, _STOP):
+                self.collector.offer(delta)
+        except (EOFError, OSError, ConnectionError):  # pragma: no cover
+            pass  # the manager was torn down under us
 
 
 class LiveDashboard:

@@ -41,16 +41,18 @@ chunks.  The same read takes the session's ``events_only`` flag, and
 the chunk's local session keeps what the parent keeps.
 
 **Delta streaming.**  Pass a :class:`~repro.observe.stream.
-TelemetryStream` as ``stream=`` and captured chunks ship their
-telemetry home *incrementally* — a ``repro-delta/v1`` document every
-``stream.every`` items — instead of once at the end.  One chunk runner
-serves both: a captured chunk is a streamed chunk with no sink, which
-hands its one delta back with its results.  The parent folds each
-chunk's deltas in emission order at gather time, which is
-byte-identical to the merge-at-end protocol, while an optional live
-view folds them in arrival order for the ``repro top`` dashboard.  A
-timed-out or failed chunk additionally dumps the process flight
-recorder's window (:mod:`repro.observe.flightrec`) into
+TelemetryStream` as ``stream=`` and captured chunks also tap their
+telemetry out *incrementally*: a ``repro-delta/v1`` document every
+``stream.every`` items, each put into the stream's sink as it is made,
+which an optional live view folds in arrival order for the ``repro
+top`` dashboard.  One chunk runner serves both: a captured chunk is a
+streamed chunk with no sink and no interim deltas.  Either way every
+chunk hands all its deltas back with its results, and the parent folds
+them in emission order, which is byte-identical to the merge-at-end
+protocol.  A chunk that times out or fails hands nothing back, so only
+its serial rerun, which writes straight into the session, is counted;
+the rerun also dumps the process flight recorder's window
+(:mod:`repro.observe.flightrec`) into
 :attr:`ParallelMap.flight_records`.
 """
 
@@ -102,51 +104,51 @@ class PoolStats:
     #: Chunks that ran with delta streaming (a subset of
     #: ``captured_chunks``).
     streamed_chunks: int = 0
-    #: Deltas folded into the installed session at gather time.
+    #: Streamed chunks' deltas folded into the installed session.
     deltas_merged: int = 0
-    #: Deltas discarded because their chunk timed out or failed (the
-    #: serial rerun writes straight into the installed session; only
-    #: the advisory live view keeps the partial fold).
-    deltas_dropped: int = 0
     #: Flight-recorder dumps attached to this call (see
     #: :attr:`ParallelMap.flight_records`).
     flight_dumps: int = 0
 
 
-#: A chunk's capture: ``(events_only, sink, origin, every)`` or None.
+#: A chunk's capture: ``(events_only, put, origin, every)`` or None.
 _Capture = Optional[Tuple[bool, Any, Any, Optional[int]]]
 
 
 def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
-               capture: _Capture = None) -> Tuple[List[R], List[Any], int]:
+               capture: _Capture = None) -> Tuple[List[R], List[Any]]:
     """Run one contiguous slice of items — in a worker or the parent.
 
     With no ``capture`` the items run in the caller's session.  With
     one they run in a local session (keeping events only when
-    ``events_only`` is set) that emits a ``repro-delta/v1`` document
+    ``events_only`` is set) that makes a ``repro-delta/v1`` document
     every ``every`` items and a final one for the tail, each covering
-    the telemetry since the previous one: into ``sink`` (a streamed
-    chunk), or, with no sink and no ``every``, handed back (a captured
-    chunk).  Returns ``(results, held deltas, deltas emitted)``.
-    Module-level so the process backend can pickle it.
+    the telemetry since the previous one.  A streamed chunk also hands
+    each delta to ``put`` as it is made (the live view's tap).
+    Returns ``(results, deltas)``.  Module-level so the process
+    backend can pickle it.
     """
     if capture is None:
-        return [fn(item) for item in chunk], [], 0
-    events_only, sink, origin, every = capture
-    held: List[Any] = []
-    emit = held.append if sink is None else sink.put
+        return [fn(item) for item in chunk], []
+    events_only, put, origin, every = capture
     results: List[R] = []
-    emitted = 0
+    deltas: List[Any] = []
+
+    def emit(final: bool) -> None:
+        delta = make_delta(origin, len(deltas), telemetry.snapshot(),
+                           final=final)
+        deltas.append(delta)
+        if put is not None:
+            put(delta)
+
     with _local_session(events_only=events_only) as telemetry:
         for item in chunk:
             results.append(fn(item))
             if every and len(results) % every == 0:
-                emit(make_delta(origin, emitted, telemetry.snapshot()))
+                emit(False)
                 telemetry.reset()
-                emitted += 1
-        emit(make_delta(origin, emitted, telemetry.snapshot(),
-                        final=True))
-    return results, held, emitted + 1
+        emit(True)
+    return results, deltas
 
 
 def _picklable(*objects: Any) -> bool:
@@ -187,15 +189,11 @@ class ParallelMap:
             is joined before :meth:`map` returns.  Results and merged
             telemetry are byte-identical either way.
         stream: Optional :class:`~repro.observe.stream.TelemetryStream`.
-            When set and telemetry is enabled, captured chunks stream
-            incremental ``repro-delta/v1`` snapshots home while they
-            run (live dashboards fold them in arrival order); at gather
-            time the parent folds each chunk's deltas in emission
-            order, which is byte-identical to the merge-at-end
-            protocol.  A timed-out or failed chunk's deltas are
-            discarded (the serial rerun writes straight into the
-            installed session) and a flight-recorder window is dumped
-            into :attr:`flight_records`.
+            When set and telemetry is enabled, captured chunks put
+            incremental ``repro-delta/v1`` snapshots into the stream
+            while they run (live dashboards fold them in arrival
+            order).  The session folds the deltas each chunk hands
+            back, as it does without a stream.
     """
 
     def __init__(self, workers: Optional[int] = None, backend: str = "auto",
@@ -307,13 +305,12 @@ class ParallelMap:
         pool, warm = self._executor(backend, len(chunks))
         stream = self.stream
         epoch: Optional[int] = None
-        sink: Any = None
+        put: Any = None
         try:
             if stream is not None:
                 # Activation is per map call (an epoch); origins are
-                # (epoch, chunk_index), so a straggler delta from an
-                # earlier call can never be mistaken for this one's.
-                epoch, sink = stream.activate(backend)
+                # (epoch, chunk_index).
+                epoch, put = stream.activate(backend)
             pending: collections.deque = collections.deque()
             submitted = 0
             while submitted < len(chunks) or pending:
@@ -323,7 +320,7 @@ class ParallelMap:
                     # session installed mid-campaign captures (and
                     # streams) whatever chunks are submitted from then
                     # on, keeping what that session keeps.
-                    capture = self._capture(sink, (epoch, submitted))
+                    capture = self._capture(put, (epoch, submitted))
                     try:
                         future = pool.submit(_run_chunk, fn,
                                              chunks[submitted], capture)
@@ -340,7 +337,7 @@ class ParallelMap:
                 # land before chunk i+1's even when i+1 finished first.
                 index, capture, future = pending.popleft()
                 try:
-                    chunk_results, held, emitted = future.result(
+                    chunk_results, deltas = future.result(
                         timeout=self.timeout)
                 except concurrent.futures.TimeoutError:
                     future.cancel()
@@ -357,11 +354,11 @@ class ParallelMap:
                         fn, chunks[index], index, "chunk-serial-retry",
                         capture)
                 else:
-                    self._fold(capture, held, emitted)
+                    self._fold(capture, deltas)
                 yield chunk_results
             self._report()
         finally:
-            if stream is not None and sink is not None:
+            if put is not None:
                 stream.deactivate()
             if warm is None:
                 # Per-call executor: join it, exactly like the previous
@@ -374,73 +371,59 @@ class ParallelMap:
 
     # -- capture and fold --------------------------------------------------
 
-    def _capture(self, sink: Any, origin: Any) -> _Capture:
+    def _capture(self, put: Any, origin: Any) -> _Capture:
         """Count and return a chunk's capture, read from the installed
-        session at submission: streamed into ``sink`` when there is
-        one, captured when there is none, ``None`` with no session."""
+        session at submission: streamed into ``put`` when there is a
+        stream, captured when there is none, ``None`` with no
+        session."""
         tel = _telemetry()
         if not tel.enabled:
             return None
         self.stats.captured_chunks += 1
-        if sink is None:
+        if put is None:
             return tel.events_only, None, None, None
         self.stats.streamed_chunks += 1
-        return tel.events_only, sink, origin, self.stream.every
+        return tel.events_only, put, origin, self.stream.every
 
     def _run_serial(self, fn: Callable[[T], R],
                     tasks: Sequence[T]) -> List[R]:
         """The serial backend: the whole task list as one chunk, run in
-        the parent's session, or streamed straight to the collector
-        when there is a stream and a session (live views update
-        without a pool)."""
+        the parent's session, or streamed when there is a stream and a
+        session (live views update without a pool)."""
         if self.stream is None or not _telemetry().enabled:
             return _run_chunk(fn, tasks)[0]
-        epoch, sink = self.stream.activate("serial")
+        epoch, put = self.stream.activate("serial")
         try:
-            capture = self._capture(sink, (epoch, 0))
-            results, held, emitted = _run_chunk(fn, tasks, capture)
-            self._fold(capture, held, emitted)
+            capture = self._capture(put, (epoch, 0))
+            results, deltas = _run_chunk(fn, tasks, capture)
+            self._fold(capture, deltas)
         finally:
             self.stream.deactivate()
         return results
 
-    def _fold(self, capture: _Capture, held: List[Any],
-              emitted: int) -> None:
-        """Merge one finished chunk's deltas into the installed session
-        in emission order: those it handed back or, streamed, the
-        ``emitted`` ones the collector took."""
-        if capture is None:
-            return
-        streamed = capture[1] is not None
-        deltas = (self.stream.collector.take(capture[2], emitted)
-                  if streamed else held)
+    def _fold(self, capture: _Capture, deltas: List[Any]) -> None:
+        """Merge the deltas one finished chunk handed back into the
+        installed session, in emission order."""
         tel = _telemetry()
-        if tel.enabled:
-            for delta in deltas:
-                tel.merge(delta["snapshot"])
-            if streamed:
-                self.stats.deltas_merged += len(deltas)
-        elif streamed:
-            # Session uninstalled mid-gather: nowhere canonical to
-            # fold into (the live view already saw them on arrival).
-            self.stats.deltas_dropped += len(deltas)
+        if capture is None or not tel.enabled:
+            return
+        for delta in deltas:
+            tel.merge(delta["snapshot"])
+        if capture[1] is not None:
+            self.stats.deltas_merged += len(deltas)
 
     def _retry_serial(self, fn: Callable[[T], R], chunk: Sequence[T],
                       index: int, reason: str, capture: _Capture
                       ) -> List[R]:
         """Parent-side rerun of a timed-out or failed chunk.
 
-        The chunk's own telemetry is dropped, streamed deltas included
-        (the rerun writes straight into the installed session; folding
-        both would double count), and the flight recorder's window is
-        dumped into :attr:`flight_records`.
+        The chunk handed no deltas back, so none are folded (the rerun
+        writes straight into the installed session), and the flight
+        recorder's window is dumped into :attr:`flight_records`.
         """
         self.stats.serial_retries += 1
         if capture is not None:
             self.stats.dropped_snapshots += 1
-            if capture[1] is not None:
-                self.stats.deltas_dropped += \
-                    self.stream.collector.discard(capture[2])
         self.flight_records.append(_flightrec.dump(
             reason, chunk=index, backend=self.stats.backend,
             tasks=len(chunk)))
@@ -525,9 +508,6 @@ class ParallelMap:
         if stats.deltas_merged:
             tel.metrics.inc("repro_runtime_deltas_merged_total",
                             stats.deltas_merged, backend=stats.backend)
-        if stats.deltas_dropped:
-            tel.metrics.inc("repro_runtime_deltas_dropped_total",
-                            stats.deltas_dropped, backend=stats.backend)
         if stats.flight_dumps:
             tel.metrics.inc("repro_runtime_flight_dumps_total",
                             stats.flight_dumps, backend=stats.backend)

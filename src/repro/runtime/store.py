@@ -273,27 +273,31 @@ class ResultStore:
         """The value of every key, in key order, computing the misses.
 
         Hits are served through :meth:`get_many`.  ``compute(missing)``
-        is called once, with the positions in ``keys`` of every miss in
-        key order, and returns their values in that order; those are
-        appended through **one** :meth:`put_many`, each under ``task``
-        and its position's entry of ``seeds`` and ``trials`` (the
-        :meth:`put` fields; ``trials`` defaults to 1 per record).
-        Nothing is computed or written when every key hits.
+        is called once, with the first position in ``keys`` of every
+        distinct missing key, in key order, and returns their values in
+        that order; a repeated key takes its first position's value.
+        Those values are appended through **one** :meth:`put_many`, one
+        record per key, each under ``task`` and its position's entry of
+        ``seeds`` and ``trials`` (the :meth:`put` fields; ``trials``
+        defaults to 1 per record).  Nothing is computed or written when
+        every key hits.
         """
         found = self.get_many(keys)
-        out = [found[key] for key in keys]
-        missing = [index for index, value in enumerate(out)
-                   if value is MISS]
-        if missing:
+        first: Dict[str, int] = {}
+        for index, key in enumerate(keys):
+            if found[key] is MISS:
+                first.setdefault(key, index)
+        if first:
+            missing = list(first.values())
             staged: List[Dict[str, Any]] = []
             for index, value in zip(missing, compute(missing)):
-                out[index] = value
+                found[keys[index]] = value
                 staged.append({
                     "key": keys[index], "value": value, "task": task,
                     "seed": seeds[index],
                     "trials": 1 if trials is None else trials[index]})
             self.put_many(staged)
-        return out
+        return [found[key] for key in keys]
 
     def _record_miss(self) -> None:
         self.misses += 1

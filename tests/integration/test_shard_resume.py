@@ -43,8 +43,8 @@ def _run(requests, extra, hash_seed):
 
 
 def _kill_group(proc):
-    """SIGKILL the run and its pool workers (its own process group), so
-    a killed process-backend run leaves no orphaned workers behind."""
+    """SIGKILL the run's whole process group, so nothing it started
+    outlives the kill."""
     try:
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -89,8 +89,7 @@ def _shard_counts(stderr):
 
 @pytest.mark.parametrize("extra", [
     pytest.param([], id="serial"),
-    pytest.param(["--workers", "3", "--backend", "process"],
-                 id="process"),
+    pytest.param(["--workers", "3"], id="thread"),
 ])
 def test_sigkilled_campaign_resumes_byte_identical(tmp_path, extra):
     store = tmp_path / "checkpoints.jsonl"

@@ -235,6 +235,15 @@ class TestCampaignCommand:
               "--workers", "3"])
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("command", ["campaign", "top"])
+    def test_process_backend_is_not_offered(self, command, capsys):
+        # The demo matrix is built from closures, which never pickle:
+        # a process pool would rerun every chunk serially in the parent.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--backend", "process"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
+
     def test_campaign_json_format(self, capsys):
         import json
 
@@ -309,6 +318,15 @@ class TestShardedCampaignCLI:
 
 class TestLiveDashboardCommands:
     LIVE = ["--interval", "0.05", "--frames", "2", "--format", "json"]
+    SHARDED = ["--requests", "10", "--seed", "3", "--workers", "2",
+               "--shards", "4"]
+
+    @staticmethod
+    def _report_text(frame):
+        import json
+
+        return json.dumps(frame["report"], sort_keys=True, indent=2,
+                          default=str) + "\n"
 
     def _frames(self, out):
         import json
@@ -334,8 +352,6 @@ class TestLiveDashboardCommands:
         assert final["report"]["schema"] == "repro-campaign-report/v1"
 
     def test_live_final_report_matches_plain_campaign_json(self, capsys):
-        import json
-
         base = ["--requests", "10", "--seed", "3", "--workers", "2"]
         assert main(["campaign", *base, "--format", "json"]) == 0
         plain = capsys.readouterr().out
@@ -343,8 +359,32 @@ class TestLiveDashboardCommands:
         final = self._frames(capsys.readouterr().out)[-1]
         # The streamed run's canonical report is byte-identical to the
         # non-streaming path's output.
-        assert json.dumps(final["report"], sort_keys=True, indent=2,
-                          default=str) + "\n" == plain
+        assert self._report_text(final) == plain
+
+    def test_live_sharded_final_report_matches_plain(self, capsys):
+        assert main(["campaign", *self.SHARDED, "--format", "json"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["campaign", *self.SHARDED, "--live", *self.LIVE]) == 0
+        final = self._frames(capsys.readouterr().out)[-1]
+        assert self._report_text(final) == plain
+        # One delta per shard, offered to the live view as it folds.
+        assert final["stream"]["received"] == 4
+
+    def test_live_resume_matches_plain(self, tmp_path, capsys):
+        store = str(tmp_path / "checkpoints.jsonl")
+        assert main(["campaign", *self.SHARDED, "--format", "json"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["campaign", *self.SHARDED, "--format", "json",
+                     "--store", store, "--max-shards", "2"]) == 0
+        capsys.readouterr()
+        assert main(["campaign", *self.SHARDED, "--store", store,
+                     "--resume", "--live", *self.LIVE]) == 0
+        captured = capsys.readouterr()
+        assert "served=2 executed=2" in captured.err
+        final = self._frames(captured.out)[-1]
+        assert self._report_text(final) == plain
+        # Served and executed shards alike reach the live view.
+        assert final["stream"]["received"] == 4
 
     def test_flight_out_writes_validating_jsonl(self, tmp_path, capsys):
         from repro.observe.export.jsonl import validate_event_log

@@ -507,6 +507,30 @@ class TestHarnessWiring:
         assert store.stats()["writes"] == 6  # only seeds 4 and 5 ran
         assert [r.seed for r in extended] == list(range(6))
 
+    def test_repeated_seeds_compute_and_write_each_key_once(self,
+                                                             tmp_path):
+        from repro.harness.experiment import Experiment
+
+        calls = []
+
+        def counting_trial(seed):
+            calls.append(seed)
+            return seeded_trial(seed)
+
+        seeds = (1, 1, 2, 2)
+        plain = Experiment(name="dup", trial=counting_trial,
+                           seeds=seeds).run()
+        assert calls == [1, 1, 2, 2]
+        del calls[:]
+        store = ResultStore(tmp_path / "t.jsonl")
+        served = Experiment(name="dup", trial=counting_trial, seeds=seeds,
+                            store=store).run()
+        assert calls == [1, 2]
+        assert store.stats()["writes"] == 2
+        assert len(pathlib.Path(store.path).read_text(
+            encoding="utf-8").splitlines()) == 2
+        assert repr(served) == repr(plain)
+
     def test_campaign_store_round_trip_and_fanout(self, tmp_path):
         from tests.unit.test_parallel_harness import CAMPAIGN_KWARGS
         from repro.harness.campaign import FaultCampaign

@@ -1,12 +1,15 @@
 """Delta-snapshot streaming: schemas, the collector, and byte-identity.
 
 The contract under test (see docs/OBSERVABILITY.md): a streamed map
-call's canonical session — each chunk's ``repro-delta/v1`` documents
-folded in emission order at gather time — is byte-identical to the
-plain captured run, on every backend.  Workload costs are dyadic and
-every trial binds the session to its environment's virtual clock, the
-same discipline as ``test_parallel_telemetry``.
+call's canonical session — the ``repro-delta/v1`` documents each chunk
+hands back, folded in emission order — is byte-identical to the plain
+captured run, on every backend, and a chunk that fails in its worker
+adds nothing to it.  Workload costs are dyadic and every trial binds
+the session to its environment's virtual clock, the same discipline as
+``test_parallel_telemetry``.
 """
+
+import threading
 
 import pytest
 
@@ -39,6 +42,15 @@ def stream_trial(seed):
     return seed * 2
 
 
+def flaky_trial(seed):
+    """``stream_trial``, except that seed 4 fails off the main thread
+    (in a pool worker, not in the parent's serial rerun)."""
+    if seed == 4 and threading.current_thread() is not \
+            threading.main_thread():
+        raise RuntimeError("worker-only failure")
+    return stream_trial(seed)
+
+
 def _fingerprint(tel):
     """The three byte-identity surfaces of one session."""
     return (
@@ -58,11 +70,13 @@ def _run(backend, stream=None, workers=3, seeds=range(9)):
     return tel, pool
 
 
-def _snapshot(*counters):
+def _snapshot(*counters, topic=None):
     """A minimal real snapshot document for schema/collector tests."""
     tel = observe.Telemetry()
     for name in counters:
         tel.count(name)
+    if topic is not None:
+        tel.publish(topic)
     return tel.snapshot()
 
 
@@ -97,51 +111,24 @@ class TestDeltaSchema:
 
 
 class TestStreamCollector:
-    def test_take_returns_emission_order(self):
-        collector = StreamCollector()
-        second = make_delta((1, 0), 1, _snapshot("b_total"), final=True)
-        first = make_delta((1, 0), 0, _snapshot("a_total"))
-        collector.offer(second)  # arrival order != emission order
-        collector.offer(first)
-        deltas = collector.take((1, 0), 2, timeout=1.0)
-        assert [d["seq"] for d in deltas] == [0, 1]
-        assert collector.pending() == 0
-
-    def test_take_times_out_on_missing_deltas(self):
-        collector = StreamCollector()
-        collector.offer(make_delta((1, 0), 0, _snapshot()))
-        with pytest.raises(RuntimeError, match="wedged"):
-            collector.take((1, 0), 2, timeout=0.05)
-
-    def test_discard_drops_buffered_and_late_deltas(self):
-        collector = StreamCollector()
-        collector.offer(make_delta((1, 0), 0, _snapshot()))
-        assert collector.discard((1, 0)) == 1
-        # A straggler for the abandoned origin is dropped on arrival.
-        collector.offer(make_delta((1, 0), 1, _snapshot(), final=True))
-        stats = collector.stats()
-        assert stats["dropped"] == 2
-        assert stats["pending"] == 0
-
     def test_invalid_deltas_are_counted_not_raised(self):
         collector = StreamCollector()
         collector.offer({"schema": "garbage"})
-        assert collector.stats()["invalid"] == 1
-        assert collector.pending() == 0
-
-    def test_list_origins_from_pickling_transports_match_tuples(self):
-        collector = StreamCollector()
-        delta = make_delta([2, 1], 0, _snapshot(), final=True)
-        collector.offer(delta)  # origin arrived as a JSON-style list
-        assert len(collector.take((2, 1), 1, timeout=1.0)) == 1
+        assert collector.stats() == {"received": 0, "folded_live": 0,
+                                     "invalid": 1}
 
     def test_live_view_folds_in_arrival_order(self):
         live = observe.Telemetry()
         collector = StreamCollector(live=live)
-        collector.offer(make_delta((1, 0), 0, _snapshot("live_total")))
-        collector.offer(make_delta((1, 0), 1, _snapshot("live_total"),
+        # Arrival order != emission order: the live view keeps arrival.
+        collector.offer(make_delta((1, 0), 1,
+                                   _snapshot("live_total", topic="second"),
                                    final=True))
+        collector.offer(make_delta((1, 0), 0,
+                                   _snapshot("live_total", topic="first")))
         assert live.metrics.value("live_total") == 2
+        assert [event.topic for event in live.bus.history] == \
+            ["second", "first"]
         assert collector.stats()["folded_live"] == 2
 
 
@@ -157,8 +144,9 @@ class TestStreamedByteIdentity:
             assert _fingerprint(tel) == expected, backend
             assert pool.stats.streamed_chunks == pool.stats.chunks
             assert pool.stats.deltas_merged >= pool.stats.chunks
-            assert pool.stats.deltas_dropped == 0
-            assert pool.stream.collector.pending() == 0
+            # The tap saw every delta the session folded.
+            assert pool.stream.collector.received == \
+                pool.stats.deltas_merged
 
     def test_serial_streamed_path_counts_one_chunk(self):
         stream = TelemetryStream(every=2)
@@ -171,18 +159,21 @@ class TestStreamedByteIdentity:
 
     def test_stream_is_reusable_across_map_calls(self):
         stream = TelemetryStream(every=2)
-        first, _ = _run("thread", stream=stream)
+        first, pool = _run("thread", stream=stream)
         second, _ = _run("thread", stream=stream)
         assert _fingerprint(first) == _fingerprint(second)
-        assert stream.collector.pending() == 0
+        assert stream.collector.received == 2 * pool.stats.deltas_merged
 
     def test_activate_twice_raises(self):
-        stream = TelemetryStream()
-        stream.activate("thread")
-        try:
-            with pytest.raises(RuntimeError, match="already active"):
-                stream.activate("thread")
-        finally:
+        for backend in ("serial", "thread", "process"):
+            stream = TelemetryStream()
+            stream.activate(backend)
+            try:
+                with pytest.raises(RuntimeError, match="already active"):
+                    stream.activate(backend)
+            finally:
+                stream.deactivate()
+            stream.activate(backend)  # reusable once deactivated
             stream.deactivate()
 
     def test_every_must_be_positive(self):
@@ -198,6 +189,25 @@ class TestStreamedByteIdentity:
         assert live.metrics.value("stream_trials_total") == \
             tel.metrics.value("stream_trials_total")
         assert live.bus.counts == tel.bus.counts
+
+    def test_chunk_failing_in_its_worker_adds_nothing(self):
+        plain, _ = _run("serial")
+        live = observe.Telemetry()
+        pool = ParallelMap(workers=3, backend="thread", chunk_size=3,
+                           stream=TelemetryStream(every=1, live=live))
+        with observe.session() as tel:
+            results = pool.map(flaky_trial, list(range(9)))
+        assert results == [seed * 2 for seed in range(9)]
+        # Chunk [3, 4, 5] failed at seed 4 and reran in the parent.
+        assert pool.stats.serial_retries == 1
+        assert pool.stats.dropped_snapshots == 1
+        assert _fingerprint(tel) == _fingerprint(plain)
+        # The live view kept the failed attempt's interim delta (seed
+        # 3's); the two good chunks sent 3 interim + 1 final each.
+        assert pool.stats.deltas_merged == 8
+        assert pool.stream.collector.received == 9
+        assert live.bus.counts["stream.tick"] == 7
+        assert tel.bus.counts["stream.tick"] == 9
 
     def test_disabled_session_streams_nothing(self):
         pool = ParallelMap(workers=2, backend="thread", chunk_size=3,
