@@ -168,42 +168,17 @@ def _cmd_recommend(args) -> int:
 def _build_campaign(args, stream=None):
     """The demo injection matrix shared by ``campaign`` and ``top``.
 
-    Returns ``(campaign, store)``.  The protectors are closures, which
-    cannot be pickled, so neither command offers the process backend
-    and the pool's ``auto`` backend degrades to threads.
+    Returns ``(campaign, store)``.  The factories are module-level
+    callables (:data:`~repro.harness.campaign.DEMO_PROTECTORS`,
+    :data:`~repro.harness.campaign.DEMO_FAULTS` and the default
+    ``x + 1`` oracle), so the campaign pickles and ``--workers N``
+    under the ``auto`` backend runs its cells on the warm process pool.
     """
-    from repro.adjudicators import PredicateAcceptanceTest
-    from repro.components.library import diverse_versions
-    from repro.components.version import Version
-    from repro.faults.development import Bohrbug, Heisenbug, InputRegion
-    from repro.faults.environmental import LoadBug, OverflowBug
-    from repro.harness.campaign import FaultCampaign
-    from repro.techniques import (
-        EnvironmentPerturbation,
-        NVersionProgramming,
-        RecoveryBlocks,
+    from repro.harness.campaign import (
+        DEMO_FAULTS,
+        DEMO_PROTECTORS,
+        FaultCampaign,
     )
-
-    def oracle(x):
-        return x + 1
-
-    def nvp_protector(faulty, env):
-        healthy = diverse_versions(oracle, 2, 0.0, seed=1)
-        injected = Version("injected", impl=lambda x: faulty(x, env=env))
-        nvp = NVersionProgramming([injected, *healthy])
-        return lambda x: nvp.execute(x, env=env)
-
-    def rb_protector(faulty, env):
-        rb = RecoveryBlocks(
-            [Version("primary", impl=lambda x: faulty(x, env=env)),
-             Version("alternate", impl=oracle)],
-            PredicateAcceptanceTest(lambda a, v: v == oracle(a[0])))
-        return lambda x: rb.execute(x)
-
-    def rx_protector(faulty, env):
-        rx = EnvironmentPerturbation(
-            lambda x, env=None: faulty(x, env=env), env)
-        return rx.execute
 
     store = None
     if getattr(args, "store", None) and not getattr(args, "shards", None):
@@ -214,16 +189,8 @@ def _build_campaign(args, stream=None):
 
         store = ResultStore(args.store, name="campaign")
     campaign = FaultCampaign(
-        protectors={"N-version (3)": nvp_protector,
-                    "recovery blocks": rb_protector,
-                    "RX perturbation": rx_protector},
-        faults={"Bohrbug": lambda: Bohrbug("b",
-                                           region=InputRegion(0, 10 ** 9)),
-                "Heisenbug": lambda: Heisenbug("h", probability=0.5),
-                "overflow": lambda: OverflowBug("o", overflow_cells=4,
-                                                trigger_modulo=1),
-                "load": lambda: LoadBug("l", probability=0.9)},
-        oracle=oracle, requests=args.requests, seed=args.seed,
+        protectors=DEMO_PROTECTORS, faults=DEMO_FAULTS,
+        requests=args.requests, seed=args.seed,
         workers=args.workers, backend=getattr(args, "backend", "auto"),
         batch=getattr(args, "batch", None), store=store, stream=stream)
     return campaign, store
@@ -892,8 +859,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         campaign.add_argument("--requests", type=int, default=120)
         campaign.add_argument("--seed", type=int, default=7)
         campaign.add_argument("--workers", type=int, default=1,
-                              help="fan cells out over a worker pool "
-                                   "(byte-identical to serial)")
+                              help="fan cells out over a worker pool (worker "
+                                   "processes under --backend auto): cells "
+                                   "byte-identical to serial at any N, the "
+                                   "whole report byte-identical across "
+                                   "backends at one N")
         campaign.add_argument("--backend",
                               choices=("auto", "serial", "thread"),
                               default="auto")

@@ -15,12 +15,22 @@ import dataclasses
 import zlib
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
+from repro.adjudicators import PredicateAcceptanceTest
+from repro.components.library import diverse_versions
+from repro.components.version import Version
 from repro.environment import SimEnvironment
 from repro.exceptions import RedundancyError, SimulatedFailure
 from repro.faults.base import Fault
+from repro.faults.development import Bohrbug, Heisenbug, InputRegion
+from repro.faults.environmental import LoadBug, OverflowBug
 from repro.faults.injector import FaultyFunction
 from repro.harness.report import render_table
 from repro.observe import current as _telemetry
+from repro.techniques import (
+    EnvironmentPerturbation,
+    NVersionProgramming,
+    RecoveryBlocks,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.runtime.store import ResultStore, SourceMemo
@@ -47,6 +57,75 @@ def _unprotected(faulty: FaultyFunction, env: SimEnvironment
     def call(x: Any) -> Any:
         return faulty(x, env=env)
     return call
+
+
+# -- the demo injection matrix (``repro campaign`` / ``repro top``) --------
+#
+# Module-level for the same reason as the two above: a campaign built on
+# them pickles by reference, so ``backend="auto"`` fans its cells out
+# over worker processes instead of GIL-bound threads.
+
+def _nvp_protector(faulty: FaultyFunction, env: SimEnvironment
+                   ) -> Callable[[Any], Any]:
+    """N-version programming (parallel evaluation): the injected
+    version outvoted by two healthy diverse ones."""
+    healthy = diverse_versions(_default_oracle, 2, 0.0, seed=1)
+    injected = Version("injected", impl=lambda x: faulty(x, env=env))
+    nvp = NVersionProgramming([injected, *healthy])
+    return lambda x: nvp.execute(x, env=env)
+
+
+def _rb_protector(faulty: FaultyFunction, env: SimEnvironment
+                  ) -> Callable[[Any], Any]:
+    """Recovery blocks (sequential alternatives): the injected primary,
+    then the oracle as the alternate, behind an acceptance test."""
+    rb = RecoveryBlocks(
+        [Version("primary", impl=lambda x: faulty(x, env=env)),
+         Version("alternate", impl=_default_oracle)],
+        PredicateAcceptanceTest(lambda a, v: v == _default_oracle(a[0])))
+    return lambda x: rb.execute(x)
+
+
+def _rx_protector(faulty: FaultyFunction, env: SimEnvironment
+                  ) -> Callable[[Any], Any]:
+    """RX: re-execute the injected function in a perturbed
+    environment."""
+    rx = EnvironmentPerturbation(
+        lambda x, env=None: faulty(x, env=env), env)
+    return rx.execute
+
+
+def _bohrbug() -> Fault:
+    return Bohrbug("b", region=InputRegion(0, 10 ** 9))
+
+
+def _heisenbug() -> Fault:
+    return Heisenbug("h", probability=0.5)
+
+
+def _overflow() -> Fault:
+    return OverflowBug("o", overflow_cells=4, trigger_modulo=1)
+
+
+def _load() -> Fault:
+    return LoadBug("l", probability=0.9)
+
+
+#: The demo matrix's protectors, in row order (``unprotected`` is added
+#: last by :class:`FaultCampaign`).
+DEMO_PROTECTORS: Dict[str, ProtectorFactory] = {
+    "N-version (3)": _nvp_protector,
+    "recovery blocks": _rb_protector,
+    "RX perturbation": _rx_protector,
+}
+
+#: The demo matrix's faults, in column order.
+DEMO_FAULTS: Dict[str, FaultFactory] = {
+    "Bohrbug": _bohrbug,
+    "Heisenbug": _heisenbug,
+    "overflow": _overflow,
+    "load": _load,
+}
 
 
 def _cell_seed(base: int, protector_label: str, fault_label: str) -> int:

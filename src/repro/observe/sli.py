@@ -154,7 +154,15 @@ class SliMonitor:
     # -- bus wiring --------------------------------------------------------
 
     def attach(self, bus: EventBus) -> "SliMonitor":
-        """Subscribe to the outcome and recovery topics of ``bus``."""
+        """Subscribe to the outcome and recovery topics of ``bus``.
+
+        With a wall clock, the first attach also starts the wall span:
+        :meth:`trials_per_sec` counts from here, so outcomes handed
+        over in bursts (a live view's deltas) are not credited to the
+        span of the bursts alone.
+        """
+        if self._wall_clock is not None and self._wall_first is None:
+            self._wall_first = self._wall_clock()
         self._subscriptions.append(bus.subscribe("unit.outcome",
                                                  self.observe))
         for topic in RECOVERY_TOPICS:
@@ -291,10 +299,12 @@ class SliMonitor:
         return out
 
     def trials_per_sec(self) -> Optional[float]:
-        """All-time outcome rate against the injected wall clock.
+        """All-time outcome rate against the injected wall clock, over
+        the span from :meth:`attach` (or, unattached, the first
+        outcome) to the last outcome.
 
-        ``None`` without a ``wall_clock``, before the second outcome,
-        or on a frozen clock — so a report built without wall timing is
+        ``None`` without a ``wall_clock``, before any outcome, or on a
+        frozen clock — so a report built without wall timing is
         byte-reproducible run to run.
         """
         if self._wall_first is None or self._wall_last is None:

@@ -71,6 +71,7 @@ from repro.observe import flightrec as _flightrec
 from repro.observe import local_session as _local_session
 from repro.observe.stream import TelemetryStream, make_delta
 from repro.runtime.pool import get_pool as _get_pool
+from repro.runtime.pool import new_executor as _new_executor
 from repro.runtime.pool import retire_pool as _retire_pool
 
 T = TypeVar("T")
@@ -447,10 +448,7 @@ class ParallelMap:
             if reused:
                 self.stats.pool_reuses = 1
             return executor, warm
-        executor_cls = (concurrent.futures.ThreadPoolExecutor
-                        if backend == "thread"
-                        else concurrent.futures.ProcessPoolExecutor)
-        return executor_cls(max_workers=min(self.workers, nchunks)), None
+        return _new_executor(backend, min(self.workers, nchunks)), None
 
     def prewarm(self, fn: Optional[Callable] = None,
                 items: Sequence = ()) -> str:

@@ -37,11 +37,29 @@ import os
 import threading
 from typing import Dict, List, Optional, Tuple
 
+from repro.observe import disable as _telemetry_off
+
 __all__ = ["WorkerPool", "get_pool", "retire_pool", "shutdown_pools",
-           "pool_stats"]
+           "pool_stats", "new_executor"]
 
 #: Backends a warm pool can host (serial work never needs an executor).
 POOLED_BACKENDS = ("thread", "process")
+
+
+def new_executor(backend: str, workers: int
+                 ) -> concurrent.futures.Executor:
+    """A fresh executor of ``workers`` for a pooled ``backend``.
+
+    Process workers start by dropping the telemetry session they
+    inherited.  A forked worker holds a copy of whatever session its
+    parent had installed at the fork; without the reset, a later map
+    made with telemetry off would run its tasks in that copy, which
+    records and is never merged.
+    """
+    if backend == "thread":
+        return concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+    return concurrent.futures.ProcessPoolExecutor(
+        max_workers=workers, initializer=_telemetry_off)
 
 
 class WorkerPool:
@@ -99,10 +117,7 @@ class WorkerPool:
             if self.dead:
                 raise RuntimeError("worker pool has been shut down")
             if self._executor is None:
-                cls = (concurrent.futures.ThreadPoolExecutor
-                       if self.backend == "thread"
-                       else concurrent.futures.ProcessPoolExecutor)
-                self._executor = cls(max_workers=self.workers)
+                self._executor = new_executor(self.backend, self.workers)
                 self.owner_pid = os.getpid()
             elif self.owner_pid != os.getpid():
                 raise RuntimeError(

@@ -89,7 +89,10 @@ def _shard_counts(stderr):
 
 @pytest.mark.parametrize("extra", [
     pytest.param([], id="serial"),
-    pytest.param(["--workers", "3"], id="thread"),
+    pytest.param(["--workers", "3", "--backend", "thread"], id="thread"),
+    # ``auto`` runs the shards on worker processes, so the group kill
+    # lands while worker processes hold shards.
+    pytest.param(["--workers", "3"], id="process"),
 ])
 def test_sigkilled_campaign_resumes_byte_identical(tmp_path, extra):
     store = tmp_path / "checkpoints.jsonl"

@@ -237,8 +237,9 @@ class TestCampaignCommand:
 
     @pytest.mark.parametrize("command", ["campaign", "top"])
     def test_process_backend_is_not_offered(self, command, capsys):
-        # The demo matrix is built from closures, which never pickle:
-        # a process pool would rerun every chunk serially in the parent.
+        # Not needed: the demo matrix pickles, so the default ``auto``
+        # backend already runs ``--workers N`` on the process pool
+        # (TestPooledCampaignBackends); ``thread`` stays selectable.
         with pytest.raises(SystemExit) as exc:
             main([command, "--backend", "process"])
         assert exc.value.code == 2
@@ -254,6 +255,69 @@ class TestCampaignCommand:
         assert doc["sli"]["schema"] == "repro-sli-report/v2"
         assert {"protector", "fault", "survival_rate"} <= \
             doc["cells"][0].keys()
+
+
+class TestPooledCampaignBackends:
+    """The demo matrix's factories are module-level, so ``auto`` puts
+    ``--workers N`` on worker processes.  The whole report is
+    byte-identical across backends at one worker count, and the cells
+    are byte-identical to serial at any.  At ``--requests 20 --seed 7``
+    the pooled SLI ``window_span``/``throughput`` rows differ from
+    serial, so those fields are compared between pools only."""
+
+    SMALL = ["--requests", "20", "--seed", "7"]
+
+    @staticmethod
+    def _json(capsys, argv):
+        assert main(["campaign", "--format", "json", *argv]) == 0
+        return capsys.readouterr().out
+
+    def test_auto_runs_the_demo_matrix_on_processes(self):
+        from repro.harness.shard import ShardedCampaign
+
+        args = build_parser().parse_args(
+            ["campaign", "--requests", "4", "--workers", "2"])
+        campaign, _ = cli._build_campaign(args)
+        campaign.run()
+        assert campaign.pool_stats.backend == "process"
+        assert campaign.pool_stats.serial_retries == 0
+        ShardedCampaign(campaign, shards=4).run()
+        assert campaign.pool_stats.backend == "process"
+        assert campaign.pool_stats.serial_retries == 0
+
+    @pytest.mark.parametrize("argv", [
+        SMALL,
+        ["--requests", "120", "--seed", "5"],
+        ["--requests", "120", "--seed", "5", "--shards", "4"],
+    ], ids=["small", "plain", "sharded"])
+    def test_process_report_equals_thread_report(self, argv, capsys):
+        import json
+
+        process = self._json(capsys, [*argv, "--workers", "2"])
+        thread = self._json(capsys, [*argv, "--workers", "2",
+                                     "--backend", "thread"])
+        assert process == thread
+        serial = self._json(capsys, [*argv, "--workers", "1"])
+        assert json.loads(process)["cells"] == json.loads(serial)["cells"]
+
+    def test_process_report_is_hashseed_stable(self, capsys):
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        thread = self._json(capsys, [*self.SMALL, "--workers", "2",
+                                     "--backend", "thread"])
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "campaign", "--format",
+                 "json", *self.SMALL, "--workers", "2"],
+                capture_output=True, text=True, env=env, check=True,
+                timeout=120)
+            assert proc.stdout == thread
 
 
 class TestShardedCampaignCLI:

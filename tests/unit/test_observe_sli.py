@@ -122,6 +122,28 @@ class TestSliMonitor:
         assert doc["wall_span"] is None
         json.dumps(doc)
 
+    def test_trials_per_sec_counts_from_attach(self):
+        # A live view is handed outcomes in bursts, one per delta.  The
+        # rate must cover the wall time since the monitor attached, not
+        # just the span between a burst's first and last outcome.
+        now = [0.0]
+        bus = EventBus()
+        monitor = SliMonitor(bus, wall_clock=lambda: now[0])
+
+        def burst(start, outcomes):
+            for i in range(outcomes):
+                now[0] = start + i * 1e-5
+                bus.publish("unit.outcome", pattern="nvp", ok=True)
+
+        burst(0.49, 1000)
+        assert monitor.trials_per_sec() == pytest.approx(1000 / 0.5,
+                                                         rel=1e-3)
+        burst(0.99, 1000)
+        doc = monitor.as_dict()
+        assert doc["trials_per_sec"] == pytest.approx(2000 / 1.0,
+                                                      rel=1e-3)
+        assert doc["wall_span"] == pytest.approx(1.0, rel=1e-3)
+
     def test_parse_report_rejects_v1_documents(self):
         from repro.observe.sli import parse_report
 

@@ -45,6 +45,19 @@ def _noisy(x):
     return x + 1
 
 
+def _session_enabled(_):
+    """Whether the hosting process's current session records."""
+    return observe.current().enabled
+
+
+def _global_session_enabled(_):
+    """Whether the hosting process's *process-global* session records,
+    ignoring a chunk's thread-local capture session."""
+    from repro.observe import telemetry
+
+    return telemetry._current.enabled
+
+
 def _die_in_worker(x):
     """Kills the hosting *worker* process; harmless in the parent, so
     the retry-once-serial rerun completes the map."""
@@ -143,6 +156,30 @@ class TestForkSafety:
         assert os.WEXITSTATUS(status) == 0
         # The parent's pool is untouched by the child's fork guard.
         assert parent_pool.acquire() is not None
+
+
+class TestWorkerSessions:
+    """A process worker forks whatever session its parent had installed;
+    the executors' initializer drops it, so a worker's own session is
+    the disabled default whenever its parent's is."""
+
+    def test_warm_pool_forked_in_a_session_runs_later_maps_disabled(self):
+        pool = ParallelMap(workers=3, backend="process")
+        with observe.session():
+            pool.map(_square, range(6))  # forks the warm pool in here
+        assert pool.stats.pool_reuses == 0
+        assert observe.current().enabled is False
+        assert pool.map(_session_enabled, range(6)) == [False] * 6
+        assert pool.stats.pool_reuses == 1
+
+    def test_per_call_executor_workers_hold_no_global_session(self):
+        pool = ParallelMap(workers=3, backend="process", reuse=False)
+        with observe.session():
+            # Each chunk records into its own capture session; the
+            # worker's process-global session underneath stays off.
+            assert pool.map(_global_session_enabled, range(6)) \
+                == [False] * 6
+            assert pool.stats.captured_chunks == pool.stats.chunks
 
 
 class TestParallelMapReuse:
