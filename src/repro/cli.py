@@ -504,37 +504,17 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from repro.lint import (
-        Baseline,
-        LintEngine,
-        default_rules,
-        render_github,
-        render_json,
-        render_text,
-    )
-    from repro.lint.rules_diversity import NearCloneRule
+    from repro.lint import Baseline, render_github, render_json, render_text
+    from repro.lint.engine import _configured_engine
 
     select = ([rid.strip() for rid in args.select.split(",") if rid.strip()]
               if args.select else None)
     try:
-        registry = default_rules()
-        if args.diversity_threshold is not None:
-            if not 0.0 < args.diversity_threshold <= 1.0:
-                raise ValueError("--diversity-threshold must lie in (0, 1]")
-            for rule in registry.rules(["DIV001"]):
-                assert isinstance(rule, NearCloneRule)
-                rule.threshold = args.diversity_threshold
         if args.certificate and not args.deep:
             raise ValueError("--certificate requires --deep")
-        deep_cache = None
-        if args.deep and args.deep_cache:
-            from repro.runtime.store import ResultStore
-
-            deep_cache = ResultStore(args.deep_cache, name="lint-deep")
-        baseline = (Baseline.load(args.baseline)
-                    if args.baseline and not args.write_baseline else None)
-        engine = LintEngine(registry, select=select, baseline=baseline,
-                            deep=args.deep, deep_cache=deep_cache)
+        engine = _configured_engine(
+            select, None if args.write_baseline else args.baseline,
+            args.diversity_threshold, args.deep, args.deep_cache)
 
         if args.write_baseline:
             if not args.baseline:

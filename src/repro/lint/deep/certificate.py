@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import io
 import json
 import textwrap
+import tokenize
 import warnings
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
@@ -65,11 +67,23 @@ def function_fingerprint(source_segment: str) -> str:
 def callable_fingerprint(fn: Callable) -> Optional[str]:
     """:func:`function_fingerprint` of a live callable, or ``None``
     when its source is not retrievable (builtins, C extensions,
-    REPL defs)."""
+    REPL defs).
+
+    ``inspect.getsource`` keeps the comment lines indented under the
+    last statement, where the static segment ends, so the source is
+    cut after its last token of code (kept whole if it won't tokenize).
+    """
     try:
-        return function_fingerprint(inspect.getsource(fn))
+        source = inspect.getsource(fn)
     except (OSError, TypeError):
         return None
+    try:  # code tokens: not comments, not (blank) layout tokens
+        last = max((token.end[0] for token in tokenize.generate_tokens(
+            io.StringIO(source).readline) if token.string.strip()
+            and token.type != tokenize.COMMENT), default=None)
+    except (tokenize.TokenError, SyntaxError):
+        last = None
+    return function_fingerprint("\n".join(source.split("\n")[:last]))
 
 
 class Certificate:

@@ -25,6 +25,7 @@ itself is cheap and always recomputed.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.deep.graph import import_graph, module_name_for
@@ -82,33 +83,39 @@ class DeepAnalysis:
     # -- phase 1: summaries ------------------------------------------------
 
     def summarize(self, modules: Sequence[ModuleSource]) -> None:
-        for module in modules:
-            name, _ = module_name_for(module.path)
-            summary = self._cached_summary(module, name)
-            self.summaries[name] = summary
+        for summary in self._summaries(modules):
+            self.summaries[summary.module] = summary
             for qual, fn in summary.functions.items():
-                self.functions[f"{name}:{qual}"] = fn
+                self.functions[f"{summary.module}:{qual}"] = fn
 
-    def _cached_summary(self, module: ModuleSource,
-                        name: str) -> ModuleSummary:
+    def _summaries(self, modules: Sequence[ModuleSource]
+                   ) -> List[ModuleSummary]:
+        """Every module's summary; with a cache, one ``serve`` looks
+        them all up and appends every miss at once."""
         if self.cache is None:
-            return summarize_module(module, name)
-        from repro.runtime.store import MISS
+            return [summarize_module(module) for module in modules]
+        keys = [self.cache.key("repro.lint.deep.summary",
+                               (module_name_for(module.path)[0],
+                                module.source), code=SUMMARY_VERSION)
+                for module in modules]
+        fresh: Dict[int, ModuleSummary] = {}
 
-        key = self.cache.key("repro.lint.deep.summary",
-                             (name, module.source),
-                             code=SUMMARY_VERSION)
-        payload = self.cache.get(key)
-        if payload is not MISS:
-            self.cache_hits += 1
-            summary = ModuleSummary.from_dict(payload)
-            summary.path = module.path  # may have moved since caching
-            return summary
-        self.cache_misses += 1
-        summary = summarize_module(module, name)
-        self.cache.put(key, summary.as_dict(),
-                       task="repro.lint.deep.summary")
-        return summary
+        def compute(missing: List[int]) -> List[Dict[str, Any]]:
+            fresh.update((index, summarize_module(modules[index]))
+                         for index in missing)
+            return [fresh[index].as_dict() for index in missing]
+
+        payloads = self.cache.serve(keys, compute,
+                                    task="repro.lint.deep.summary",
+                                    seeds=[None] * len(keys))
+        self.cache_misses += len(fresh)
+        self.cache_hits += len(keys) - len(fresh)
+        # A served summary keeps the module's path: it may have moved
+        # since caching.
+        return [fresh.get(index) or dataclasses.replace(
+                    ModuleSummary.from_dict(payload), path=module.path)
+                for index, (module, payload)
+                in enumerate(zip(modules, payloads))]
 
     # -- phase 2: the fixpoint ---------------------------------------------
 

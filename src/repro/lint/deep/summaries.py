@@ -1,7 +1,8 @@
 """Per-module intraprocedural summaries for the deep pass.
 
-One pass over a parsed module extracts, for every function (methods and
-nested defs included, each under its qualified name):
+One hazard scan per module (:class:`_HazardScan`, which DET001, DET002
+and DET004 filter too) extracts, for every function (methods, nested
+defs and defs under ``if`` / ``try`` / ``with`` included):
 
 * **determinism hazards** — canonical calls that read a clock
   (``time.time`` and friends, ``datetime.now``), draw OS entropy
@@ -9,8 +10,7 @@ nested defs included, each under its qualified name):
   ``uuid.uuid4``, ``os.urandom``, ``secrets.*``), read the launching
   environment (``os.getenv``, ``os.environ``, ``os.getpid``, …), or
   observe hash order (iterating a set).  Import aliases are resolved
-  first — ``from time import time as _wall`` is still a clock read —
-  which is precisely the gap the local DET rules cannot see across.
+  first — ``from time import time as _wall`` is still a clock read.
   ``random.Random(seed)`` **with** a seed argument counts as clean:
   seeded-RNG-in-parameter is the sanctioned pattern;
 * **picklability hazards** — constructing locks / queues / open file
@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+import operator
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.deep.certificate import function_fingerprint
 from repro.lint.deep.graph import (
@@ -42,15 +43,24 @@ from repro.lint.deep.graph import (
     resolve_import_from,
 )
 from repro.lint.registry import ModuleSource
-from repro.lint.rules_determinism import UNSEEDED_RANDOM_FNS
 from repro.lint.rules_process_safety import POOL_API, POOL_MODULE
 
 __all__ = ["SUMMARY_VERSION", "FunctionSummary", "Hazard",
            "ModuleSummary", "summarize_module"]
 
 #: Version tag baked into every summary cache key: bump it whenever the
-#: extraction below changes, and every cached summary invalidates.
-SUMMARY_VERSION = "lint-deep-summary/v1"
+#: extraction below changes, and every cached summary invalidates.  v2:
+#: fingerprints index the parser's lines, not ``str.splitlines()``'s.
+SUMMARY_VERSION = "lint-deep-summary/v2"
+
+#: ``random`` module functions that drive the shared global RNG.
+UNSEEDED_RANDOM_FNS = frozenset((
+    "random", "randrange", "randint", "choice", "choices", "shuffle",
+    "sample", "uniform", "gauss", "normalvariate", "lognormvariate",
+    "expovariate", "betavariate", "gammavariate", "triangular",
+    "vonmisesvariate", "paretovariate", "weibullvariate",
+    "getrandbits", "randbytes", "binomialvariate",
+))
 
 #: Canonical dotted calls that read a wall clock (kind ``clock``).
 CLOCK_CALLS = frozenset((
@@ -225,6 +235,10 @@ class _Aliases:
                         self.members[alias.asname or alias.name] = \
                             f"{base}.{alias.name}"
 
+    def binds(self, name: str) -> bool:
+        """Whether an import binds ``name``."""
+        return name in self.modules or name in self.members
+
     def canonical(self, func: ast.AST) -> Optional[str]:
         """The canonical dotted name of a call target, or ``None``.
 
@@ -249,26 +263,192 @@ class _Aliases:
         return ".".join(parts)
 
 
-# -- extraction ------------------------------------------------------------
+# -- the hazard scan -------------------------------------------------------
 
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _IMPORTS = (ast.Import, ast.ImportFrom)
+_LOOPS = (ast.For, ast.AsyncFor)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
+#: The node types each scope is scanned for.
+_SCANNED = (ast.Call, *_LOOPS, *_COMPREHENSIONS, ast.Lambda, *_IMPORTS,
+            *_SCOPE_NODES, ast.ClassDef, ast.Assign, ast.AnnAssign,
+            ast.AugAssign, ast.Global)
 
 
-def _own_nodes(fn: ast.AST) -> List[ast.AST]:
-    """``fn``'s body nodes without descending into nested defs/classes
-    (they are separate functions with their own summaries)."""
-    out: List[ast.AST] = []
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, (*_SCOPE_NODES, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(out, key=lambda n: (getattr(n, "lineno", 0),
-                                      getattr(n, "col_offset", 0)))
+def _local_bindings(fn: ast.AST, own: Sequence[ast.AST]) -> set:
+    """Parameter and locally assigned names (they shadow globals);
+    ``own`` is ``fn``'s :attr:`_Scope.own`."""
+    bound = set()
+    args = fn.args
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        bound.add(arg.arg)
+    if args.vararg:
+        bound.add(args.vararg.arg)
+    if args.kwarg:
+        bound.add(args.kwarg.arg)
+    declared_global = set()
+    for node in own:
+        if isinstance(node, ast.Global):
+            declared_global.update(node.names)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            if isinstance(node.target, ast.Name):
+                bound.add(node.target.id)
+        elif isinstance(node, _LOOPS):
+            if isinstance(node.target, ast.Name):
+                bound.add(node.target.id)
+    return bound - declared_global
+
+
+@dataclasses.dataclass(frozen=True)
+class _Site:
+    """One hazard the scan found, with the node it anchors to."""
+
+    hazard: Hazard
+    #: The call, the iterated expression, the lambda or the import.
+    node: ast.AST
+    #: The call's canonical dotted target (``None`` for other sites).
+    name: Optional[str] = None
+    #: The site is an iterated expression.
+    iterated: bool = False
+
+
+@dataclasses.dataclass
+class _Scope:
+    """One scope of the module: the body, a class body or a function."""
+
+    node: ast.AST
+    #: ``""`` for the module body.
+    qualname: str
+    #: The class a function is defined directly in, for ``self.m``.
+    class_name: Optional[str]
+    #: Its own :data:`_SCANNED` nodes (no nested body), in source order.
+    own: List[ast.AST]
+    #: Parameter and local names (functions only).
+    bound: set
+    sites: List[_Site] = dataclasses.field(default_factory=list)
+
+
+class _HazardScan:
+    """Every scope of one module, each visited once, with its sites.
+
+    Build it as ``module.shared(_HazardScan)``: once per module, for
+    the DET rules and the summary alike.
+    """
+
+    def __init__(self, module: ModuleSource) -> None:
+        self.module_name, _ = module_name_for(module.path)
+        self.aliases = _Aliases(module.nodes(*_IMPORTS),
+                                self.module_name.rpartition(".")[0])
+        #: The module body first, then classes and functions pre-order.
+        self.scopes: List[_Scope] = []
+        self._visit(module, module.tree, "", None)
+
+    def sites(self) -> Iterator[_Site]:
+        for scope in self.scopes:
+            yield from scope.sites
+
+    def _visit(self, module: ModuleSource, node: ast.AST, qualname: str,
+               class_name: Optional[str]) -> None:
+        own = sorted(module.nodes(*_SCANNED, scope=node),
+                     key=operator.attrgetter("lineno", "col_offset"))
+        function = isinstance(node, _SCOPE_NODES)
+        scope = _Scope(node, qualname, class_name, own,
+                       _local_bindings(node, own) if function else set())
+        self.scopes.append(scope)
+        prefix = (f"{qualname}.<locals>." if function
+                  else f"{qualname}." if qualname else "")
+        for child in own:
+            if isinstance(child, ast.Call):
+                self._classify_call(child, scope)
+            elif isinstance(child, _LOOPS):
+                self._classify_iteration(child.iter, scope)
+            elif isinstance(child, _COMPREHENSIONS):
+                for generator in child.generators:
+                    self._classify_iteration(generator.iter, scope)
+            elif isinstance(child, ast.Lambda):
+                scope.sites.append(_Site(Hazard(
+                    "pickle", "lambda capturing the enclosing frame",
+                    child.lineno), child))
+            elif isinstance(child, _IMPORTS):
+                self._classify_import(child, scope)
+            elif isinstance(child, _SCOPE_NODES):
+                self._visit(module, child, prefix + child.name, (
+                    node.name if isinstance(node, ast.ClassDef) else None))
+            elif isinstance(child, ast.ClassDef):
+                self._visit(module, child, prefix + child.name, None)
+
+    def _classify_call(self, call: ast.Call, scope: _Scope) -> None:
+        canonical = self.aliases.canonical(call.func)
+        if canonical is None or self._shadowed(canonical, scope.bound):
+            return
+
+        def add(kind: str, detail: str) -> None:
+            scope.sites.append(_Site(Hazard(kind, detail, call.lineno),
+                                     call, canonical))
+
+        if canonical in CLOCK_CALLS:
+            add("clock", f"wall-clock read {canonical}()")
+        elif canonical in ENTROPY_CALLS:
+            add("rng", f"OS-entropy draw {canonical}()")
+        elif canonical in ENV_CALLS or canonical.startswith("os.environ."):
+            add("env", f"environment read {canonical}()")
+        elif (canonical.startswith("random.")
+                and canonical[len("random."):] in UNSEEDED_RANDOM_FNS):
+            add("rng", f"global-RNG draw {canonical}()")
+        elif canonical == "random.Random" and not (call.args
+                                                   or call.keywords):
+            add("rng", "seedless random.Random()")
+        elif canonical in UNPICKLABLE_CTORS:
+            add("pickle", f"unpicklable {canonical}() handle")
+        elif canonical == "open":
+            add("pickle", "open file handle")
+        tail = canonical.rpartition(".")[2]
+        if (tail in POOL_API
+                and (canonical == tail
+                     or canonical.startswith(POOL_MODULE + ".")
+                     or canonical.startswith("pool."))):
+            add("pickle", f"warm-pool API call {tail}()")
+
+    def _shadowed(self, canonical: str, bound: set) -> bool:
+        """A canonical match is void when its head is a local binding
+        (a parameter named ``time`` shadows the module)."""
+        head = canonical.split(".")[0]
+        return head in bound and not self.aliases.binds(head)
+
+    def _classify_iteration(self, target: ast.expr, scope: _Scope) -> None:
+        if isinstance(target, (ast.Set, ast.SetComp)):
+            kind, detail = "order", "iteration over a set (hash order)"
+        elif (isinstance(target, ast.Call)
+                and isinstance(target.func, ast.Name)
+                and target.func.id in ("set", "frozenset")):
+            kind, detail = ("order", f"iteration over {target.func.id}() "
+                                     f"(hash order)")
+        elif self.aliases.canonical(target) == "os.environ":
+            kind, detail = "env", "iteration over os.environ"
+        else:
+            return
+        scope.sites.append(_Site(Hazard(kind, detail, target.lineno),
+                                 target, iterated=True))
+
+    def _classify_import(self, node: ast.AST, scope: _Scope) -> None:
+        if isinstance(node, ast.ImportFrom):
+            details = ([f"from {POOL_MODULE} import ..."]
+                       if node.module == POOL_MODULE else [])
+        else:
+            details = [f"import {POOL_MODULE}" for alias in node.names
+                       if alias.name == POOL_MODULE]
+        for detail in details:
+            scope.sites.append(_Site(Hazard("pickle", detail,
+                                            node.lineno), node))
+
+
+# -- summaries -------------------------------------------------------------
 
 
 def _module_globals(tree: ast.Module) -> set:
@@ -289,46 +469,13 @@ def _module_globals(tree: ast.Module) -> set:
     return names
 
 
-def _local_bindings(fn: ast.AST, own: Sequence[ast.AST]) -> set:
-    """Parameter and locally assigned names (they shadow globals);
-    ``own`` is :func:`_own_nodes` of ``fn``."""
-    bound = set()
-    args = fn.args
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        bound.add(arg.arg)
-    if args.vararg:
-        bound.add(args.vararg.arg)
-    if args.kwarg:
-        bound.add(args.kwarg.arg)
-    declared_global = set()
-    for node in own:
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bound.add(target.id)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            if isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            if isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-    return bound - declared_global
-
-
-def _seeded(call: ast.Call) -> bool:
-    return bool(call.args or call.keywords)
-
-
 class _ModuleScanner:
-    """Extracts every function summary from one parsed module."""
+    """Builds every function summary from the module's hazard scan."""
 
-    def __init__(self, module: ModuleSource, module_name: str) -> None:
+    def __init__(self, module: ModuleSource, hazards: _HazardScan) -> None:
         self.module = module
-        self.name = module_name
-        self.package = module_name.rpartition(".")[0]
-        self.aliases = _Aliases(module.nodes(*_IMPORTS), self.package)
+        self.hazards = hazards
+        self.aliases = hazards.aliases
         self.globals = _module_globals(module.tree)
         self.functions: Dict[str, FunctionSummary] = {}
         #: top-level function/class names, for local call resolution.
@@ -338,7 +485,9 @@ class _ModuleScanner:
         self.task_names: set = set()
 
     def scan(self) -> Dict[str, FunctionSummary]:
-        self._walk(self.module.tree.body, prefix="", class_name=None)
+        for scope in self.hazards.scopes:
+            if isinstance(scope.node, _SCOPE_NODES):
+                self.functions[scope.qualname] = self._summarize(scope)
         self._collect_task_refs()
         for name in self.task_names:
             summary = self.functions.get(name)
@@ -346,131 +495,28 @@ class _ModuleScanner:
                 summary.is_task = True
         return self.functions
 
-    # -- function discovery ------------------------------------------------
-
-    def _walk(self, body: Sequence[ast.stmt], prefix: str,
-              class_name: Optional[str]) -> None:
-        for node in body:
-            if isinstance(node, _SCOPE_NODES):
-                qual = f"{prefix}{node.name}"
-                self.functions[qual] = self._summarize(node, qual,
-                                                       class_name)
-                self._walk(node.body, prefix=f"{qual}.<locals>.",
-                           class_name=None)
-            elif isinstance(node, ast.ClassDef):
-                qual = f"{prefix}{node.name}"
-                self._walk(node.body, prefix=f"{qual}.",
-                           class_name=node.name)
-
-    def _summarize(self, fn: ast.AST, qual: str,
-                   class_name: Optional[str]) -> FunctionSummary:
+    def _summarize(self, scope: _Scope) -> FunctionSummary:
+        fn = scope.node
         start = min([d.lineno for d in fn.decorator_list],
                     default=fn.lineno)
         segment = "\n".join(self.module.lines[start - 1:fn.end_lineno])
         summary = FunctionSummary(
-            qualname=qual, line=fn.lineno, col=fn.col_offset,
+            qualname=scope.qualname, line=fn.lineno, col=fn.col_offset,
             is_trial="trial" in fn.name.lower(),
             code=function_fingerprint(segment))
-        own = _own_nodes(fn)
-        locals_ = _local_bindings(fn, own)
-        for node in own:
+        for site in scope.sites:
+            (summary.pickle_hazards if site.hazard.kind == "pickle"
+             else summary.hazards).append(site.hazard)
+        for node in scope.own:
             if isinstance(node, ast.Call):
-                self._scan_call(node, summary, class_name, locals_)
-            elif isinstance(node, ast.Lambda):
-                summary.pickle_hazards.append(Hazard(
-                    kind="pickle",
-                    detail="lambda capturing the enclosing frame",
-                    line=node.lineno))
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._scan_iteration(node.iter, summary)
-            elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                   ast.DictComp, ast.GeneratorExp)):
-                for generator in node.generators:
-                    self._scan_iteration(generator.iter, summary)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                self._scan_import(node, summary)
-        self._scan_global_writes(fn, own, summary, locals_)
+                self._record_call_edge(node, summary, scope.class_name,
+                                       scope.bound)
+        self._scan_global_writes(scope.own, summary, scope.bound)
         return summary
 
-    # -- hazard scanners ---------------------------------------------------
+    # -- purity ------------------------------------------------------------
 
-    def _scan_call(self, call: ast.Call, summary: FunctionSummary,
-                   class_name: Optional[str], locals_: set) -> None:
-        canonical = self.aliases.canonical(call.func)
-        line = call.lineno
-        if canonical is not None and not self._shadowed(canonical,
-                                                        locals_):
-            if canonical in CLOCK_CALLS:
-                summary.hazards.append(Hazard(
-                    "clock", f"wall-clock read {canonical}()", line))
-            elif canonical in ENTROPY_CALLS:
-                summary.hazards.append(Hazard(
-                    "rng", f"OS-entropy draw {canonical}()", line))
-            elif canonical in ENV_CALLS or canonical.startswith(
-                    "os.environ."):
-                summary.hazards.append(Hazard(
-                    "env", f"environment read {canonical}()", line))
-            elif (canonical.startswith("random.")
-                    and canonical[len("random."):] in UNSEEDED_RANDOM_FNS):
-                summary.hazards.append(Hazard(
-                    "rng", f"global-RNG draw {canonical}()", line))
-            elif canonical == "random.Random" and not _seeded(call):
-                summary.hazards.append(Hazard(
-                    "rng", "seedless random.Random()", line))
-            elif canonical in UNPICKLABLE_CTORS:
-                summary.pickle_hazards.append(Hazard(
-                    "pickle", f"unpicklable {canonical}() handle", line))
-            elif canonical == "open":
-                summary.pickle_hazards.append(Hazard(
-                    "pickle", "open file handle", line))
-            tail = canonical.rpartition(".")[2]
-            if (tail in POOL_API
-                    and (canonical == tail
-                         or canonical.startswith(POOL_MODULE + ".")
-                         or canonical.startswith("pool."))):
-                summary.pickle_hazards.append(Hazard(
-                    "pickle", f"warm-pool API call {tail}()", line))
-        self._record_call_edge(call, summary, class_name, locals_)
-
-    def _shadowed(self, canonical: str, locals_: set) -> bool:
-        """A canonical match is void when its head is a local binding
-        (a parameter named ``time`` shadows the module)."""
-        head = canonical.split(".")[0]
-        return head in locals_ and head not in self.aliases.members \
-            and head not in self.aliases.modules
-
-    def _scan_iteration(self, target: ast.expr,
-                        summary: FunctionSummary) -> None:
-        if isinstance(target, (ast.Set, ast.SetComp)):
-            summary.hazards.append(Hazard(
-                "order", "iteration over a set (hash order)",
-                target.lineno))
-        elif (isinstance(target, ast.Call)
-                and isinstance(target.func, ast.Name)
-                and target.func.id in ("set", "frozenset")):
-            summary.hazards.append(Hazard(
-                "order", f"iteration over {target.func.id}() "
-                         f"(hash order)", target.lineno))
-        else:
-            canonical = self.aliases.canonical(target)
-            if canonical == "os.environ":
-                summary.hazards.append(Hazard(
-                    "env", "iteration over os.environ", target.lineno))
-
-    def _scan_import(self, node: ast.AST,
-                     summary: FunctionSummary) -> None:
-        if isinstance(node, ast.ImportFrom):
-            if node.module == POOL_MODULE:
-                summary.pickle_hazards.append(Hazard(
-                    "pickle", f"from {POOL_MODULE} import ...",
-                    node.lineno))
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == POOL_MODULE:
-                    summary.pickle_hazards.append(Hazard(
-                        "pickle", f"import {POOL_MODULE}", node.lineno))
-
-    def _scan_global_writes(self, fn: ast.AST, own: Sequence[ast.AST],
+    def _scan_global_writes(self, own: Sequence[ast.AST],
                             summary: FunctionSummary,
                             locals_: set) -> None:
         declared = set()
@@ -543,17 +589,12 @@ class _ModuleScanner:
             if canonical is None:
                 return
             head = canonical.split(".")[0]
-            if head in locals_ and not self._aliased(head):
-                return
-            if self._aliased(head):
+            if self.aliases.binds(head):
                 summary.calls.append(("ext", canonical, line))
-            elif head in self.top_level:
+            elif head in self.top_level and head not in locals_:
                 # Foo.bar() / CONFIG.build() on a module-level name:
                 # the dotted form matches a method qualname directly.
                 summary.calls.append(("local", canonical, line))
-
-    def _aliased(self, head: str) -> bool:
-        return head in self.aliases.modules or head in self.aliases.members
 
     # -- task references ---------------------------------------------------
 
@@ -576,15 +617,12 @@ class _ModuleScanner:
                 self.task_names.add(node.args[0].id)
 
 
-def summarize_module(module: ModuleSource,
-                     module_name: Optional[str] = None) -> ModuleSummary:
-    """Extract the :class:`ModuleSummary` of one parsed module."""
-    if module_name is None:
-        module_name, _ = module_name_for(module.path)
-    scanner = _ModuleScanner(module, module_name)
-    functions = scanner.scan()
-    package = module_name.rpartition(".")[0]
+def summarize_module(module: ModuleSource) -> ModuleSummary:
+    """Extract the :class:`ModuleSummary` of one parsed module, named
+    after its path (:func:`~repro.lint.deep.graph.module_name_for`)."""
+    hazards = module.shared(_HazardScan)
     return ModuleSummary(
-        path=module.path, module=module_name,
-        imports=imported_modules(module.nodes(*_IMPORTS), package),
-        functions=functions)
+        path=module.path, module=hazards.module_name,
+        imports=imported_modules(module.nodes(*_IMPORTS),
+                                 hazards.module_name.rpartition(".")[0]),
+        functions=_ModuleScanner(module, hazards).scan())

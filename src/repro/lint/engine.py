@@ -306,6 +306,30 @@ class LintEngine:
                                 + report.baseline_suppressed))
 
 
+def _configured_engine(select: Optional[Sequence[str]],
+                       baseline_path: Optional[str],
+                       diversity_threshold: Optional[float], deep: bool,
+                       deep_cache_path: Optional[str]) -> LintEngine:
+    """The engine :func:`run_paths` and ``repro lint`` run: every
+    built-in rule (DIV001 at ``diversity_threshold``), the baseline
+    loaded from ``baseline_path``, and with ``deep``, the summary cache
+    at ``deep_cache_path``."""
+    registry = default_rules()
+    if diversity_threshold is not None:
+        if not 0.0 < diversity_threshold <= 1.0:
+            raise ValueError("--diversity-threshold must lie in (0, 1]")
+        for rule in registry.rules(["DIV001"]):
+            rule.threshold = diversity_threshold
+    baseline = Baseline.load(baseline_path) if baseline_path else None
+    deep_cache = None
+    if deep and deep_cache_path:
+        from repro.runtime.store import ResultStore
+
+        deep_cache = ResultStore(deep_cache_path, name="lint-deep")
+    return LintEngine(registry, select=select, baseline=baseline,
+                      deep=deep, deep_cache=deep_cache)
+
+
 def run_paths(paths: Sequence[str],
               select: Optional[Sequence[str]] = None,
               baseline_path: Optional[str] = None,
@@ -313,27 +337,11 @@ def run_paths(paths: Sequence[str],
               deep: bool = False,
               deep_cache_path: Optional[str] = None
               ) -> Tuple[LintReport, LintEngine]:
-    """One-shot convenience wrapper used by the CLI and the scenario.
+    """One-shot convenience wrapper used by the scenario.
 
     Returns the report *and* the engine, so callers needing the deep
     analysis (certificate export) can reach ``engine.analysis``.
     """
-    registry = default_rules()
-    if diversity_threshold is not None:
-        from repro.lint.rules_diversity import NearCloneRule
-
-        if not 0.0 < diversity_threshold <= 1.0:
-            raise ValueError("diversity threshold must lie in (0, 1]")
-        rule = registry.rules(["DIV001"])[0]
-        assert isinstance(rule, NearCloneRule)
-        rule.threshold = diversity_threshold
-    baseline = (Baseline.load(baseline_path)
-                if baseline_path is not None else None)
-    deep_cache = None
-    if deep and deep_cache_path is not None:
-        from repro.runtime.store import ResultStore
-
-        deep_cache = ResultStore(deep_cache_path, name="lint-deep")
-    engine = LintEngine(registry, select=select, baseline=baseline,
-                        deep=deep, deep_cache=deep_cache)
+    engine = _configured_engine(select, baseline_path, diversity_threshold,
+                                deep, deep_cache_path)
     return engine.run(paths), engine

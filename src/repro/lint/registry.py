@@ -18,13 +18,31 @@ from repro.lint.findings import Finding, severity_rank
 
 T = TypeVar("T")
 
+#: Node types whose nodes form a scope of their own.
+_SCOPES = frozenset((ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+                     ast.ClassDef))
+
+
+def parser_lines(source: str) -> List[str]:
+    """``source`` split into lines the way the parser counts them, line
+    ends stripped: on ``\\r\\n``, ``\\r`` and ``\\n`` only.
+
+    ``str.splitlines`` also splits on ``\\v``, ``\\f``,
+    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``, so its
+    line numbers drift from the AST's.
+    """
+    lines = source.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
 
 @dataclasses.dataclass
 class ModuleSource:
     """One parsed source file handed to every rule.
 
     A lint pass does each module's shared work once: :meth:`nodes`
-    answers "every node of these types" from a single ``ast.walk`` of
+    answers "every node of these types" from a single walk of
     ``tree``, and :meth:`shared` computes an analysis several rules
     read (e.g. the process-safety call sites) once per module.  Both
     live and die with this object — never with the process — so a
@@ -38,41 +56,64 @@ class ModuleSource:
             so findings and baselines are machine-independent).
         source: Raw text.
         tree: Parsed ``ast.Module``.
-        lines: ``source.splitlines()`` — shared so rules and the
-            suppression pass don't each re-split.
+        lines: :func:`parser_lines` of ``source`` — the lines the AST
+            counts, shared so rules, pragmas, baseline fingerprints and
+            function fingerprints index the same text.
     """
 
     path: str
     source: str
     tree: ast.Module
     lines: List[str]
-    #: :meth:`nodes` results by type tuple (``()``: the whole walk) and
-    #: :meth:`shared` results by build function.
+    #: :meth:`nodes` results by types and scope (``()``: the whole walk)
+    #: and :meth:`shared` results by build function.
     _memo: Dict[Any, Any] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: The walk's nodes by the scope that owns them.
+    _owned: Dict[ast.AST, List[ast.AST]] = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleSource":
         return cls(path=path, source=source,
                    tree=ast.parse(source, filename=path),
-                   lines=source.splitlines())
+                   lines=parser_lines(source))
 
-    def nodes(self, *types: type) -> List[ast.AST]:
+    def nodes(self, *types: type,
+              scope: Optional[ast.AST] = None) -> List[ast.AST]:
         """Every node of exactly one of ``types``, in ``ast.walk`` order.
 
         One walk of ``tree`` on first use; each distinct query filters
         it once.  Walk order holds across types too, so findings of
         one rule at one ``(line, col)`` keep their order.  For parser
         output, matching the exact type is the same as ``isinstance``.
+        With ``scope`` (``tree``, a class or a function), only the nodes
+        it owns: down to, not into, each nested def or class.
         """
         walked = self._memo.get(())
         if walked is None:
-            walked = self._memo[()] = list(ast.walk(self.tree))
-        found = self._memo.get(types)
+            walked = self._memo[()] = self._walk()
+        found = self._memo.get((types, scope))
         if found is None:
-            found = self._memo[types] = [node for node in walked
-                                         if type(node) in types]
+            wanted = frozenset(types)
+            found = self._memo[types, scope] = [
+                node for node in (walked if scope is None
+                                  else self._owned[scope])
+                if type(node) in wanted]
         return found
+
+    def _walk(self) -> List[ast.AST]:
+        """``ast.walk(tree)`` as a list; files each node in
+        :attr:`_owned` under its scope on the way."""
+        walked, owners = [self.tree], [[]]  # owners[i]: walked[i]'s scope
+        for node, owned in zip(walked, owners):
+            if type(node) in _SCOPES:
+                owned = self._owned[node] = []
+            for child in ast.iter_child_nodes(node):
+                walked.append(child)
+                owners.append(owned)
+                owned.append(child)
+        return walked
 
     def shared(self, build: Callable[["ModuleSource"], T]) -> T:
         """``build(self)``, computed on first use and kept with the

@@ -24,6 +24,10 @@ the whole class at review time:
   being byte-identical.  A warning normally; an **error** in modules
   that pass ``batch=`` anywhere (they are explicitly on the batched
   path).
+
+DET001, DET002 and DET004 filter the deep pass's per-module hazard
+scan (:class:`repro.lint.deep.summaries._HazardScan`), whose import
+bindings DET006 reads.
 """
 
 from __future__ import annotations
@@ -31,48 +35,11 @@ from __future__ import annotations
 import ast
 import collections
 import pathlib
-from typing import Dict, Iterable, Iterator, Set, Type
+from typing import Iterable, Iterator, Type
 
+from repro.lint.deep.summaries import _HazardScan
 from repro.lint.findings import Finding
 from repro.lint.registry import ModuleSource, Rule, dotted_name
-
-#: ``random`` module functions that drive the shared global RNG.
-UNSEEDED_RANDOM_FNS = frozenset((
-    "random", "randrange", "randint", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "lognormvariate",
-    "expovariate", "betavariate", "gammavariate", "triangular",
-    "vonmisesvariate", "paretovariate", "weibullvariate",
-    "getrandbits", "randbytes", "binomialvariate",
-))
-
-#: Dotted call targets that read the wall clock.
-WALL_CLOCK_CALLS = frozenset((
-    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
-    "time.ctime", "datetime.now", "datetime.utcnow", "datetime.today",
-    "date.today", "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-))
-
-
-def _random_aliases(module: ModuleSource) -> Set[str]:
-    """Names the ``random`` module is bound to in this file."""
-    aliases = set()
-    for node in module.nodes(ast.Import):
-        for alias in node.names:
-            if alias.name == "random":
-                aliases.add(alias.asname or "random")
-    return aliases
-
-
-def _from_random_imports(module: ModuleSource) -> Set[str]:
-    """Local names bound by ``from random import ...``."""
-    names = set()
-    for node in module.nodes(ast.ImportFrom):
-        if node.module == "random":
-            for alias in node.names:
-                if alias.name in UNSEEDED_RANDOM_FNS:
-                    names.add(alias.asname or alias.name)
-    return names
 
 
 class UnseededRandomRule(Rule):
@@ -82,32 +49,22 @@ class UnseededRandomRule(Rule):
                "shared global RNG breaks seeded reproducibility")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = _random_aliases(module)
-        from_imports = _from_random_imports(module)
-        for node in module.nodes(ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in aliases):
-                if func.attr in UNSEEDED_RANDOM_FNS:
-                    yield self.finding(
-                        module, node,
-                        f"{func.value.id}.{func.attr}() draws from the "
-                        f"shared, unseeded global RNG; construct "
-                        f"random.Random(seed) and thread it explicitly")
-                elif func.attr == "Random" and not node.args \
-                        and not node.keywords:
-                    yield self.finding(
-                        module, node,
-                        f"{func.value.id}.Random() without a seed is "
-                        f"OS-entropy seeded; pass an explicit seed")
-            elif (isinstance(func, ast.Name)
-                    and func.id in from_imports):
-                yield self.finding(
-                    module, node,
-                    f"{func.id}() (from random import) draws from the "
-                    f"shared, unseeded global RNG; construct "
-                    f"random.Random(seed) and thread it explicitly")
+        for site in module.shared(_HazardScan).sites():
+            if site.hazard.kind != "rng" \
+                    or not site.name.startswith("random."):
+                continue
+            func = site.node.func
+            called = f"{dotted_name(func)}()" + (
+                " (from random import)" if isinstance(func, ast.Name)
+                else "")
+            if site.name == "random.Random":
+                message = (f"{called} without a seed is OS-entropy "
+                           f"seeded; pass an explicit seed")
+            else:
+                message = (f"{called} draws from the shared, unseeded "
+                           f"global RNG; construct random.Random(seed) "
+                           f"and thread it explicitly")
+            yield self.finding(module, site.node, message)
 
 
 class WallClockRule(Rule):
@@ -117,14 +74,14 @@ class WallClockRule(Rule):
                "depend on when the run happens, not on seeds")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in module.nodes(ast.Call):
-            name = dotted_name(node.func)
-            if name in WALL_CLOCK_CALLS:
+        for site in module.shared(_HazardScan).sites():
+            if site.hazard.kind == "clock":
                 yield self.finding(
-                    module, node,
-                    f"{name}() reads the wall clock; use the virtual "
-                    f"clock (environment.clock) for simulated time or "
-                    f"time.perf_counter() for interval measurement")
+                    module, site.node,
+                    f"{dotted_name(site.node.func)}() reads the wall "
+                    f"clock; use the virtual clock (environment.clock) "
+                    f"for simulated time or time.perf_counter() for "
+                    f"interval measurement")
 
 
 class BuiltinHashRule(Rule):
@@ -145,21 +102,6 @@ class BuiltinHashRule(Rule):
                     "stable_fraction or zlib.crc32 for stable values")
 
 
-_LOOPS = (ast.For, ast.AsyncFor)
-_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
-                   ast.GeneratorExp)
-
-
-def _iter_targets(module: ModuleSource) -> Iterator[ast.expr]:
-    """Every expression whose iteration order the program observes."""
-    for node in module.nodes(*_LOOPS, *_COMPREHENSIONS):
-        if isinstance(node, _LOOPS):
-            yield node.iter
-        else:
-            for generator in node.generators:
-                yield generator.iter
-
-
 class EnvIterationRule(Rule):
     id = "DET004"
     severity = "warning"
@@ -167,26 +109,22 @@ class EnvIterationRule(Rule):
                "environment-dependent; wrap in sorted()")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for target in _iter_targets(module):
-            if isinstance(target, (ast.Set, ast.SetComp)):
-                yield self.finding(
-                    module, target,
-                    "iterating a set: order varies with PYTHONHASHSEED; "
-                    "wrap in sorted() or use a list/dict (insertion "
-                    "ordered)")
-            elif (isinstance(target, ast.Call)
-                    and isinstance(target.func, ast.Name)
-                    and target.func.id in ("set", "frozenset")):
-                yield self.finding(
-                    module, target,
-                    f"iterating {target.func.id}(...): order varies with "
-                    f"PYTHONHASHSEED; wrap in sorted()")
-            elif dotted_name(target) == "os.environ":
-                yield self.finding(
-                    module, target,
-                    "iterating os.environ: contents and order depend on "
-                    "the launching environment; wrap in sorted() and "
-                    "pin the variables you read")
+        for site in module.shared(_HazardScan).sites():
+            if not site.iterated:
+                continue
+            target = site.node
+            if site.hazard.kind == "env":
+                message = ("iterating os.environ: contents and order "
+                           "depend on the launching environment; wrap in "
+                           "sorted() and pin the variables you read")
+            elif isinstance(target, ast.Call):
+                message = (f"iterating {target.func.id}(...): order "
+                           f"varies with PYTHONHASHSEED; wrap in sorted()")
+            else:
+                message = ("iterating a set: order varies with "
+                           "PYTHONHASHSEED; wrap in sorted() or use a "
+                           "list/dict (insertion ordered)")
+            yield self.finding(module, target, message)
 
 
 #: ``time``-module attributes that read a process clock.  DET002 flags
@@ -219,18 +157,6 @@ class ObserveClockRule(Rule):
                 f"{dotted}() inside repro.observe bypasses the injected "
                 f"clock; take timestamps from the telemetry session's "
                 f"bound clock so traces and dumps stay byte-stable")
-
-
-def _seed_imports(module: ModuleSource) -> Dict[str, str]:
-    """``local name -> original name`` bound by ``from random import
-    seed / Random``."""
-    names: Dict[str, str] = {}
-    for node in module.nodes(ast.ImportFrom):
-        if node.module == "random":
-            for alias in node.names:
-                if alias.name in ("seed", "Random"):
-                    names[alias.asname or alias.name] = alias.name
-    return names
 
 
 def _uses_batch_keyword(module: ModuleSource) -> bool:
@@ -271,8 +197,14 @@ class TrialReseedRule(Rule):
                "identity; use repro.runtime.kernel.trial_stream")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = _random_aliases(module)
-        from_imports = _seed_imports(module)
+        bound = module.shared(_HazardScan).aliases
+        aliases = {name for name, target in bound.modules.items()
+                   if target == "random"}
+        # ``local name -> original name`` bound by ``from random import
+        # seed / Random``.
+        from_imports = {name: target[len("random."):]
+                        for name, target in bound.members.items()
+                        if target in ("random.seed", "random.Random")}
         severity = "error" if _uses_batch_keyword(module) else None
         for function in module.nodes(*_FUNCTIONS):
             if not _is_trial(function):

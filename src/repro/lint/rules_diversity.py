@@ -12,7 +12,6 @@ score so reviewers can judge how much diversity actually exists.
 from __future__ import annotations
 
 import ast
-import io
 from typing import Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.lint.diversity import (
@@ -32,21 +31,9 @@ MIN_TOKENS = 45
 DEFAULT_THRESHOLD = 0.9
 
 
-def parser_lines(source: str) -> List[str]:
-    """``source`` split into lines the way the parser counts them, line
-    ends kept: on ``\\r\\n``, ``\\r`` and ``\\n`` only.
-
-    ``str.splitlines`` also splits on ``\\v``, ``\\f``,
-    ``\\x1c``-``\\x1e``, ``\\x85``, ``\\u2028`` and ``\\u2029``, so its
-    line numbers drift from the AST's; universal-newline reading
-    without translation does not.
-    """
-    return io.StringIO(source, newline="").readlines()
-
-
 def source_segment(lines: List[str], node: ast.AST) -> Optional[str]:
     """``ast.get_source_segment(source, node)`` over the source's
-    :func:`parser_lines`.
+    :func:`~repro.lint.registry.parser_lines`, with ``\\n`` line ends.
 
     The standard function re-splits the whole source on every call (a
     per-character loop), so one call per function is quadratic in
@@ -60,9 +47,9 @@ def source_segment(lines: List[str], node: ast.AST) -> Optional[str]:
     if first == last:
         return lines[first].encode()[
             node.col_offset:node.end_col_offset].decode()
-    return "".join([lines[first].encode()[node.col_offset:].decode(),
-                    *lines[first + 1:last],
-                    lines[last].encode()[:node.end_col_offset].decode()])
+    return "\n".join([lines[first].encode()[node.col_offset:].decode(),
+                      *lines[first + 1:last],
+                      lines[last].encode()[:node.end_col_offset].decode()])
 
 
 def module_functions(module: ModuleSource) -> List[
@@ -70,10 +57,9 @@ def module_functions(module: ModuleSource) -> List[
     """``(qualified_name, node, source_segment)`` for every top-level
     function and method in the module."""
     out = []
-    lines = parser_lines(module.source)
 
     def add(node: ast.AST, qualname: str) -> None:
-        segment = source_segment(lines, node)
+        segment = source_segment(module.lines, node)
         if segment:
             out.append((qualname, node, segment))
 

@@ -9,10 +9,10 @@ stand-in for the pytest-benchmark fixture), and reports:
 * **drift detection** — after the run, every ``benchmarks/results/*.txt``
   is compared against its pre-run content; any change means the code no
   longer reproduces the committed tables, and the runner exits non-zero;
-* ``BENCH_harness.json`` — per-benchmark timings, the estimated serial
-  time (sum of per-benchmark wall-clocks), measured wall time, the
-  speedup ratio, worker count and host info, so the perf trajectory of
-  the harness itself is tracked run over run.
+* ``BENCH_harness.json`` — per-benchmark timings, their sums
+  (``serial_seconds``, ``serial_cpu_seconds``), the measured wall time,
+  worker count and host info, so the perf trajectory of the harness
+  itself is tracked run over run.
 
 Running a file in-process (instead of one ``pytest`` subprocess per
 file) lets forked pool workers share the parent's warm imports, which
@@ -309,11 +309,6 @@ def run_suite(benchmarks_dir: pathlib.Path,
         "serial_seconds": round(serial_seconds, 4),
         "serial_cpu_seconds": round(serial_cpu_seconds, 4),
         "wall_seconds": round(wall_seconds, 4),
-        "speedup_vs_serial": round(serial_seconds / wall_seconds, 3)
-        if wall_seconds > 0 else 0.0,
-        "speedup_vs_serial_cpu": round(serial_cpu_seconds
-                                       / wall_seconds, 3)
-        if wall_seconds > 0 else 0.0,
         "results_drift": drift,
         "failures": failures,
     }
@@ -386,10 +381,8 @@ def render_report(report: Dict[str, Any]) -> str:
     lines.append(f"serial estimate  {report['serial_seconds']:.3f}s wall "
                  f"/ {report['serial_cpu_seconds']:.3f}s cpu "
                  f"(per-benchmark sums)")
-    lines.append(f"wall time        {report['wall_seconds']:.3f}s")
-    lines.append(f"speedup          {report['speedup_vs_serial']:.2f}x "
-                 f"wall-based, {report['speedup_vs_serial_cpu']:.2f}x "
-                 f"cpu-based, on {report['host']['cpu_count']} CPU(s)")
+    lines.append(f"wall time        {report['wall_seconds']:.3f}s "
+                 f"on {report['host']['cpu_count']} CPU(s)")
     if report.get("store"):
         store = report["store"]
         lines.append(f"result store     {store['served']}/"

@@ -1,10 +1,10 @@
 """Helper layer for the deep-analysis fixtures (leaf + mid levels).
 
 Every *leaf* here carries exactly one hazard that the per-module lint
-rules cannot see from the entry points in
-:mod:`tests.fixtures.deep_planted` — either because the hazard is
-syntactically invisible to them (the ``_wall`` import alias), or
-because no local rule covers it at all (``uuid4``, ``os.getenv`` as a
+rules cannot pin on the entry points in
+:mod:`tests.fixtures.deep_planted`: DET002 reports the aliased clock
+read in ``stamp`` itself (the ``_wall`` alias is resolved), and no
+local rule covers the others at all (``uuid4``, ``os.getenv`` as a
 call, lock construction outside a map call-site, module-global
 mutation).  Each *mid*-level wrapper adds one call hop, so the entry
 points sit two hops from the hazard and only the whole-program pass
@@ -13,7 +13,7 @@ connects them.
 Do not "fix" these: tests pin the exact findings.
 """
 
-from time import time as _wall  # alias hides the clock from DET002
+from time import time as _wall  # DET002 resolves the alias
 
 import os
 import threading

@@ -3,8 +3,8 @@
 The planted fixtures (tests/fixtures/deep_helpers.py +
 deep_planted.py) hide five hazards two call hops away from their entry
 points, across a module boundary.  These tests pin the exact findings
-the deep pass produces for them — and prove the per-module rules miss
-every one.
+the deep pass produces for them — and that the per-module rules see
+only the aliased clock read, at the helper that makes it.
 """
 
 import json
@@ -45,11 +45,13 @@ def _deep_report(**kwargs):
 class TestLocalRulesMissThePlants:
     def test_no_local_rule_fires_on_any_plant(self):
         report = LintEngine().run([HELPERS, PLANTED])
-        # The only locally visible finding is DET006 on clean_trial's
-        # seeded RNG, and it is pragma'd in the fixture.  Every planted
-        # hazard — aliased clock, uuid4, os.getenv, Lock(), global
-        # mutation — escapes the per-module rules entirely.
-        assert report.findings == []
+        # DET002 resolves the ``_wall`` alias, so it reports the clock
+        # read where stamp() makes it, not at clock_trial; DET006 on
+        # clean_trial's seeded RNG is pragma'd in the fixture.  The
+        # other four plants — uuid4, os.getenv, Lock(), global mutation
+        # — escape the per-module rules entirely.
+        assert [(f.rule, f.path, f.line, f.col)
+                for f in report.findings] == [("DET002", HELPERS, 28, 11)]
         assert report.pragma_suppressed == 1
 
     def test_deep_engine_finds_all_five(self):
@@ -151,7 +153,10 @@ class TestSuppression:
             "def my_trial(seed):  # lint: allow[XDET001]\n"
             "    return mid()\n")
         report = LintEngine(deep=True).run([str(tmp_path)])
-        assert [f.rule for f in report.findings] == []
+        # The pragma silences the entry's XDET001; DET002 reports the
+        # aliased read where leaf.py makes it.
+        assert [(f.rule, os.path.basename(f.path), f.line)
+                for f in report.findings] == [("DET002", "leaf.py", 5)]
         assert report.pragma_suppressed == 1
 
     def test_baseline_roundtrip_and_prune(self, tmp_path):
@@ -193,10 +198,14 @@ class TestSummaryCache:
         cold.run(_sources())
         assert cold.cache_misses == 2 and cold.cache_hits == 0
 
+        # Every miss lands in one append: one serve, one put_many.
+        assert cold.cache.puts_batched == cold.cache.writes == 2
+
         warm = DeepAnalysis(cache=ResultStore(store_path,
                                               name="lint-deep"))
         warm_findings = warm.run(_sources())
         assert warm.cache_hits == 2 and warm.cache_misses == 0
+        assert warm.cache.writes == 0
         assert warm.stats()["summary_cache"]["hit_rate"] == 1.0
         assert [f.as_dict() for f in warm_findings] == \
             [f.as_dict() for f in cold.findings()]

@@ -144,9 +144,10 @@ TWO_RULES = ("import random\n"
              "def f():\n"
              "    return random.random() + time.time(){pragma}\n")
 
-#: A clock hazard reachable only transitively (the alias hides it from
-#: DET002), behind a decorated trial entry point — for pinning *where*
-#: a pragma must sit to silence a deep finding.
+#: A clock hazard reachable from a decorated trial entry point only
+#: transitively — for pinning *where* a pragma must sit to silence a
+#: deep finding (DET002 reports the aliased read in ``leaf`` itself,
+#: at line 9).
 DECORATED = ("from time import time as _w\n\n\n"
              "def deco(fn):\n"
              "    return fn\n\n\n"
@@ -191,7 +192,8 @@ class TestPragmaEdgeCases:
         report = LintEngine(deep=True).run([str(target)])
         # Deep findings anchor on the entry's ``def`` line, not on its
         # decorators — a decorator-line pragma misses.
-        assert [f.rule for f in report.findings] == ["XDET001"]
+        assert [(f.rule, f.line) for f in report.findings] == \
+            [("DET002", 9), ("XDET001", 13)]
         assert report.pragma_suppressed == 0
 
     def test_deep_pragma_on_def_line_suppresses(self, tmp_path):
@@ -200,7 +202,8 @@ class TestPragmaEdgeCases:
             decorator_pragma="",
             def_pragma="  # lint: allow[XDET001]"))
         report = LintEngine(deep=True).run([str(target)])
-        assert report.findings == []
+        assert [(f.rule, f.line) for f in report.findings] == \
+            [("DET002", 9)]
         assert report.pragma_suppressed == 1
 
     def test_pragma_wins_before_baseline_is_consulted(self, tmp_path):

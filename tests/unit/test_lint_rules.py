@@ -83,6 +83,18 @@ class TestWallClock:
         """
         assert rule_ids(src) == ["DET002"]
 
+    def test_aliased_clock_and_strftime_are_flagged(self):
+        src = """
+            import time as _time
+            from time import strftime
+
+            def stamp():
+                return _time.time(), strftime("%H")
+        """
+        assert [(f.line, f.col, f.message.split(" reads")[0])
+                for f in findings(src)] == [(6, 11, "_time.time()"),
+                                            (6, 25, "strftime()")]
+
     def test_interval_clocks_are_clean(self):
         src = """
             import time

@@ -3,7 +3,14 @@ DIV001, one process-safety scan per module.
 
 The digests below were computed before that work landed, from the same
 inputs, so they prove the refactor changed no finding, no certificate
-byte and no cached deep summary:
+byte and no cached deep summary.  They were re-made once since, when
+the DET rules moved onto the deep pass's hazard scan and every line
+index onto the parser's lines: the edge package then gained one DET001
+(``R()`` after ``from random import Random as R``), the pragma'd
+``random.choice`` after the U+2028 in ``ff_mod`` became suppressed and
+the fingerprints of ``ff_mod``'s functions changed; the fixtures gained
+one DET002 (the aliased clock in ``deep_helpers.stamp``); and
+``SUMMARY_VERSION`` became v2.  Nothing else moved.  The digests cover:
 
 * the JSON report of ``LintEngine(deep=True)`` (less the wall-clock
   ``duration_seconds``) and its determinism certificate, on
@@ -12,7 +19,7 @@ byte and no cached deep summary:
   from their raw text (so CRLF and lone-CR line ends reach the parser:
   the engine reads files with universal newlines);
 * every fixture module's ``ModuleSummary.as_dict()``, which a summary
-  cache keyed on the unchanged ``SUMMARY_VERSION`` serves as-is.
+  cache keyed on the same ``SUMMARY_VERSION`` serves as-is.
 
 The edge modules hold no nested trial functions: DET006 attributes a
 nested trial's calls to the innermost trial, which is pinned by
@@ -24,6 +31,7 @@ import collections
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -34,8 +42,8 @@ from repro.lint.deep import (
     DeepAnalysis,
     summarize_module,
 )
-from repro.lint.registry import ModuleSource
-from repro.lint.rules_diversity import parser_lines, source_segment
+from repro.lint.registry import ModuleSource, parser_lines
+from repro.lint.rules_diversity import source_segment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.normpath(os.path.join(HERE, "..", ".."))
@@ -315,36 +323,36 @@ EDGE_SOURCES = {
     ),
 }
 
-#: Computed before the single-walk refactor (see the module docstring).
+#: See the module docstring for when these were computed.
 PINS = {
     "fixtures.report":
-        "de4058664a9bd8de7fbec38a4946e84bf27d6c92f3c960c953a50db6bb82ec22",
+        "16272491c7f34545f326e08e5c5f3ef2e5634bd19360ce867eb8c36e1b9b7f64",
     "fixtures.certificate":
-        "7ec79d7ed9296cf6fba276192f71ac6f381692f177bd4f1c7f44f0d3139ce852",
+        "4cb3fdd5f17036a7357834f696792d9473f7f5f6f3f56fe2efb4fa8b0ba0c0ef",
     "edge.report":
-        "ed80bbe2f5ab250d17e344c6f0d5f1895bf945276d68b7ea9ad4945da6d91856",
+        "de850663a6b970c60c8acfa55000afab964ccd6c1e5b80492927ecaf6fd4a2f9",
     "edge.certificate":
-        "3d4beea1d88c0926d2b53fce81ee49bd7de8a8f454a403a2af1c7c541e6cd89a",
+        "0960958044f67934695e40e1fb234f9b34f155d2e77a8c55da0875a928a4e777",
     "edge.raw_findings":
-        "2a52dd43756466716120fb9bf4713270b30722cbbd47c212bd7903563a07836b",
+        "af59079d9dcd1eabdda41d6e00ddc4581315c29df7d85c43e96327502f027f76",
     "edge.raw_summaries":
-        "58125cc8c8857ffddaef8170a3c59d1ff7152dcd921c0d66171613d48b389970",
-    # The summaries' fingerprints join str.splitlines() lines, so CRLF
-    # and LF sources certify alike.
+        "e114f39a409fe81497d6f4d64d60b79a9ed4d801ea9b8148ae60b96fb84c22e2",
+    # The summaries' fingerprints join the parser's lines with "\n",
+    # so CRLF and LF sources certify alike.
     "edge.raw_certificate":
-        "3d4beea1d88c0926d2b53fce81ee49bd7de8a8f454a403a2af1c7c541e6cd89a",
+        "0960958044f67934695e40e1fb234f9b34f155d2e77a8c55da0875a928a4e777",
 }
 
 #: ``ModuleSummary.as_dict()`` digest of every fixture module.
 SUMMARY_PINS = {
     "tests/fixtures/__init__.py":
-        "dee59f9887041a5f702a8354bfceb6c94c069f06660e1490757256171b743a55",
+        "dd879059753a299492096eaff3d5f2ee889757a41871e092418f0cbf6d28f9b4",
     "tests/fixtures/deep_helpers.py":
-        "4280e5ee28a07dda6c9381b2a0947ed478c97a95dfea4f0ec2b64e02fc5dffb9",
+        "2ee8f27455aac25e4be79696b7ce929ecb8017cd551ea76db8c9975936d9a80e",
     "tests/fixtures/deep_planted.py":
-        "ac7690741fed3aa65ed65cca1b0e95e87a73e6b1432c4e979a508dae9268f5d6",
+        "56cd761e814d1ddf59034a3f910c2e6c6eafc25ee23633624f05f117590f763a",
     "tests/fixtures/lint_planted.py":
-        "457662fa320d80b383c582a02d3e974853fcc8574a69807076e46424ff7f24e5",
+        "b2117a6e50041a3b919ce42ab0abb33247bfdbea5361302d75f9c892f1a00378",
 }
 
 
@@ -419,7 +427,7 @@ class TestPinnedOutput:
 
     def test_fixture_summaries_serve_from_an_unchanged_cache(
             self, in_repo):
-        assert SUMMARY_VERSION == "lint-deep-summary/v1"
+        assert SUMMARY_VERSION == "lint-deep-summary/v2"
         got = {}
         for path in sorted(SUMMARY_PINS):
             with open(path, "r", encoding="utf-8") as handle:
@@ -444,14 +452,15 @@ def _src_files():
 
 class TestSegmentHelper:
     """``source_segment`` over ``parser_lines`` is
-    ``ast.get_source_segment`` without the per-call re-split."""
+    ``ast.get_source_segment`` without the per-call re-split, with
+    ``\\n`` line ends."""
 
     def _check(self, source):
         lines = parser_lines(source)
         nodes = _defs_and_classes(ast.parse(source))
         for node in nodes:
-            assert source_segment(lines, node) == \
-                ast.get_source_segment(source, node)
+            assert source_segment(lines, node) == re.sub(
+                r"\r\n?", "\n", ast.get_source_segment(source, node))
         return len(nodes)
 
     def test_every_def_and_class_of_src(self):
@@ -468,9 +477,10 @@ class TestSegmentHelper:
     def test_split_matches_the_parser_not_splitlines(self):
         text = "a\r\nb\rc\nd\x0ce\x0bf\x1cg\x85h\u2028i\u2029j"
         assert parser_lines(text) == \
-            ["a\r\n", "b\r", "c\n", "d\x0ce\x0bf\x1cg\x85h\u2028i\u2029j"]
+            ["a", "b", "c", "d\x0ce\x0bf\x1cg\x85h\u2028i\u2029j"]
         assert parser_lines("") == []
-        assert parser_lines("x\n") == ["x\n"]
+        assert parser_lines("x\n") == ["x"]
+        assert parser_lines("x\n\n") == ["x", ""]
 
 
 class TestNodeIndex:
@@ -491,6 +501,23 @@ class TestNodeIndex:
                     node for node in ast.walk(module.tree)
                     if isinstance(node, types)]
 
+    def test_scope_queries_stop_at_nested_defs_and_classes(self):
+        scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        for path in _src_files():
+            with open(path, "r", encoding="utf-8") as handle:
+                module = ModuleSource.parse(path, handle.read())
+            for scope in (module.tree, *module.nodes(*scopes)):
+                owned = []
+                todo = collections.deque(ast.iter_child_nodes(scope))
+                while todo:
+                    node = todo.popleft()
+                    owned.append(node)
+                    if not isinstance(node, scopes):
+                        todo.extend(ast.iter_child_nodes(node))
+                for types in self.QUERIES:
+                    assert module.nodes(*types, scope=scope) == [
+                        node for node in owned if isinstance(node, types)]
+
     def test_results_are_shared_and_built_once(self):
         module = ModuleSource.parse("m.py", "f(g(x))\n")
         assert module.nodes(ast.Call) is module.nodes(ast.Call)
@@ -507,13 +534,19 @@ class TestNodeIndex:
 class TestOneWalkPerModule:
     def test_a_deep_run_walks_each_module_tree_once(self, edge_root,
                                                     monkeypatch):
-        walk = ast.walk
+        # A module's one walk is ModuleSource's own, which files every
+        # node by scope on the way; an ast.walk of a module counts too.
+        walk, module_walk = ast.walk, ModuleSource._walk
         roots = []
 
         def counting_walk(node):
             if isinstance(node, ast.Module):
                 roots.append(node)
             return walk(node)
+
+        def counting_module_walk(module):
+            roots.append(module.tree)
+            return module_walk(module)
 
         def no_segment(*args, **kwargs):
             raise AssertionError("ast.get_source_segment re-splits the "
@@ -528,6 +561,7 @@ class TestOneWalkPerModule:
             return module
 
         monkeypatch.setattr(ast, "walk", counting_walk)
+        monkeypatch.setattr(ModuleSource, "_walk", counting_module_walk)
         monkeypatch.setattr(ast, "get_source_segment", no_segment)
         monkeypatch.setattr(ModuleSource, "parse",
                             classmethod(recording_parse))
