@@ -7,11 +7,11 @@ Two claims about the batched path (:mod:`repro.runtime.kernel`):
   store-backed warm run (whole batches served as single records, zero
   re-execution);
 * **throughput** — with a result store attached, the scalar path pays
-  one content-address key, one lookup, one pickle and one locked log
-  append *per trial*; the batch kernel pays them *per batch*, so
-  trials/sec improves by roughly the batch size.  The floor asserted
-  here (and gated in CI from ``BENCH_harness.json``) is **10x** at
-  ``BATCH = 64``.
+  one content-address key, one lookup and one encoded record *per
+  trial*, all of a run's misses appended by one ``put_many``; the batch
+  kernel pays them *per batch*, so trials/sec improves by up to the
+  batch size.  The floor asserted here (and gated in CI from
+  ``BENCH_harness.json``) is **10x** at ``BATCH = 64``.
 
 The saved results table carries only the deterministic facts so drift
 detection stays meaningful; the measured throughputs are printed as
@@ -44,8 +44,8 @@ def _trial(seed):
 
     Deterministic arithmetic rather than an RNG draw, so the timed
     phase measures the harness's per-trial overhead (key, lookup,
-    pickle, locked append) and not the trial's own compute — the
-    regime where the batch kernel's ~B× amortisation shows.
+    record encoding) and not the trial's own compute — the regime
+    where the batch kernel's amortisation shows.
     """
     value = (seed * 2654435761) % 997
     return {"value": value / 997.0, "ok": float(seed % 7 != 0)}

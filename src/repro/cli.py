@@ -172,7 +172,7 @@ def _build_campaign(args, stream=None):
     callables (:data:`~repro.harness.campaign.DEMO_PROTECTORS`,
     :data:`~repro.harness.campaign.DEMO_FAULTS` and the default
     ``x + 1`` oracle), so the campaign pickles and ``--workers N``
-    under the ``auto`` backend runs its cells on the warm process pool.
+    runs its cells on the warm process pool.
     """
     from repro.harness.campaign import (
         DEMO_FAULTS,
@@ -191,8 +191,8 @@ def _build_campaign(args, stream=None):
     campaign = FaultCampaign(
         protectors=DEMO_PROTECTORS, faults=DEMO_FAULTS,
         requests=args.requests, seed=args.seed,
-        workers=args.workers, backend=getattr(args, "backend", "auto"),
-        batch=getattr(args, "batch", None), store=store, stream=stream)
+        workers=args.workers, batch=getattr(args, "batch", None),
+        store=store, stream=stream)
     return campaign, store
 
 
@@ -721,7 +721,7 @@ def _cmd_report(args) -> int:
         if args.workers > 1:
             from repro.runtime.pmap import ParallelMap
 
-            pool = ParallelMap(workers=args.workers, backend=args.backend)
+            pool = ParallelMap(workers=args.workers)
             results = pool.map(run_scenario_task, tasks)
         else:
             results = [run_scenario_task(task) for task in tasks]
@@ -839,14 +839,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         campaign.add_argument("--requests", type=int, default=120)
         campaign.add_argument("--seed", type=int, default=7)
         campaign.add_argument("--workers", type=int, default=1,
-                              help="fan cells out over a worker pool (worker "
-                                   "processes under --backend auto): cells "
-                                   "byte-identical to serial at any N, the "
-                                   "whole report byte-identical across "
-                                   "backends at one N")
-        campaign.add_argument("--backend",
-                              choices=("auto", "serial", "thread"),
-                              default="auto")
+                              help="fan cells out over N worker processes: "
+                                   "cells byte-identical to serial at any N")
         campaign.add_argument("--batch", type=int, default=None, metavar="B",
                               help="cells per pool task: coarser units, "
                                    "~B× less pickle traffic, byte-identical "
@@ -900,8 +894,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         top.add_argument("--seed", type=int, default=7)
         top.add_argument("--workers", type=int, default=2,
                          help="pool workers for the campaign under watch")
-        top.add_argument("--backend", choices=("auto", "serial", "thread"),
-                         default="auto")
         top.add_argument("--format", choices=("text", "json"),
                          default="text",
                          help="json: one repro-top-frame/v1 document per "
@@ -1042,9 +1034,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         report.add_argument("--workers", type=int, default=1,
                             help="fan scenarios out over a worker pool "
                                  "(telemetry merges in submission order)")
-        report.add_argument("--backend", choices=("auto", "serial", "thread",
-                                                  "process"),
-                            default="auto")
         report.set_defaults(func=_cmd_report)
     return parser
 

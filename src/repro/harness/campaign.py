@@ -62,8 +62,8 @@ def _unprotected(faulty: FaultyFunction, env: SimEnvironment
 # -- the demo injection matrix (``repro campaign`` / ``repro top``) --------
 #
 # Module-level for the same reason as the two above: a campaign built on
-# them pickles by reference, so ``backend="auto"`` fans its cells out
-# over worker processes instead of GIL-bound threads.
+# them pickles by reference, so ``workers=N`` fans its cells out over
+# worker processes instead of running them in the serial loop.
 
 def _nvp_protector(faulty: FaultyFunction, env: SimEnvironment
                    ) -> Callable[[Any], Any]:
@@ -167,9 +167,9 @@ class FaultCampaign:
             workers.  Every cell is a pure function of its labels and
             the base seed, and results are gathered in matrix order, so
             any worker count yields a byte-identical table;
-            ``workers <= 1`` keeps the serial loop.
-        backend: Pool backend; ``auto`` uses processes when the
-            campaign's factories pickle and threads otherwise.
+            ``workers <= 1`` keeps the serial loop, and so does a
+            campaign whose factories do not pickle; otherwise the
+            cells run on worker processes.
         batch: When set, pool tasks carry up to ``batch`` cells each
             (one submission, one pickled result list per batch) instead
             of one cell per task — the campaign-side face of the batch
@@ -211,7 +211,6 @@ class FaultCampaign:
                  requests: int = 100,
                  seed: int = 0,
                  workers: int = 1,
-                 backend: str = "auto",
                  batch: Optional[int] = None,
                  store: Optional["ResultStore"] = None,
                  certify: Optional[Any] = None,
@@ -231,7 +230,6 @@ class FaultCampaign:
         self.requests = requests
         self.seed = seed
         self.workers = workers
-        self.backend = backend
         self.batch = batch
         self.store = store
         self.certify = certify
@@ -372,8 +370,7 @@ class FaultCampaign:
         from repro.runtime.kernel import partition
         from repro.runtime.pmap import ParallelMap
 
-        pool = ParallelMap(workers=self.workers, backend=self.backend,
-                           stream=self.stream)
+        pool = ParallelMap(workers=self.workers, stream=self.stream)
         try:
             if self.batch is None:
                 return pool.map(self._run_pair, pairs)

@@ -43,17 +43,16 @@ class Experiment:
             draws, no clock writes), so metric values are identical
             either way.  Inside a pool worker whose chunk is being
             captured (an outer session was installed), the per-trial
-            session nests within the worker's thread-local capture
-            session — shadowing it exactly as it shadows the global
-            session serially.
+            session nests within the chunk's capture session —
+            shadowing it exactly as it shadows an outer session
+            serially.
         workers: Fan the trials out over this many pool workers
             (``repro.runtime.ParallelMap``).  Every trial is a pure
             function of its seed and results are gathered in seed
             order, so any worker count produces byte-identical results;
-            ``workers <= 1`` keeps the plain serial loop.
-        backend: Pool backend (``auto``/``serial``/``thread``/
-            ``process``); ``auto`` uses processes when the trial
-            pickles.
+            ``workers <= 1`` keeps the plain serial loop, and so does
+            a trial that does not pickle; otherwise the trials run on
+            worker processes.
         batch: When set, run the seeds through the **batch kernel**
             (:mod:`repro.runtime.kernel`): contiguous batches of up to
             ``batch`` seeds execute as one pure call each, returning
@@ -106,7 +105,6 @@ class Experiment:
     seeds: Sequence[int] = tuple(range(5))
     instrument: bool = False
     workers: int = 1
-    backend: str = "auto"
     batch: Optional[int] = None
     store: Optional["ResultStore"] = None
     certify: Optional[Any] = None
@@ -210,23 +208,11 @@ class Experiment:
         # chunk so the pool never re-bundles (and re-pickles) batches.
         return self._pooled_map(runner, list(batches), chunk_size=1)
 
-    def _pool(self):
-        from repro.runtime.pmap import ParallelMap
-
-        # With no outer session installed, instrumented trials install
-        # a process-global telemetry session, so unpicklable trials
-        # must degrade to serial (not threads) to keep per-trial
-        # digests isolated.  (Captured chunks are safe under threads:
-        # each worker holds a thread-local session the per-trial
-        # sessions nest inside.)
-        return ParallelMap(workers=self.workers, backend=self.backend,
-                           fallback="serial" if self.instrument
-                           else "thread",
-                           stream=self.stream)
-
     def _pooled_map(self, runner, items, **kwargs):
         """One pool map call, keeping its accounting on the experiment."""
-        pool = self._pool()
+        from repro.runtime.pmap import ParallelMap
+
+        pool = ParallelMap(workers=self.workers, stream=self.stream)
         out = pool.map(runner, items, **kwargs)
         self.pool_stats = pool.stats
         self.flight_records = pool.flight_records
@@ -252,14 +238,13 @@ class Experiment:
 
 def run_trials(trial: Callable[[int], Dict[str, float]],
                seeds: Sequence[int], workers: int = 1,
-               backend: str = "auto",
                batch: Optional[int] = None,
                store: Optional["ResultStore"] = None,
                certify: Optional[Any] = None,
                stream: Optional[Any] = None) -> List[TrialResult]:
     """Run ``trial`` over seeds (functional form of :class:`Experiment`)."""
     return Experiment(name="trials", trial=trial, seeds=tuple(seeds),
-                      workers=workers, backend=backend, batch=batch,
+                      workers=workers, batch=batch,
                       store=store, certify=certify, stream=stream).run()
 
 

@@ -44,7 +44,7 @@ from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
 from repro._util import stable_int
 from repro.harness.campaign import CampaignCell, FaultCampaign
 from repro.observe import current as _telemetry
-from repro.observe import local_session as _local_session
+from repro.observe import session as _session
 from repro.observe.stream import make_delta
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -73,9 +73,9 @@ def campaign_fingerprint(campaign: FaultCampaign) -> str:
     Covers the source versions of the oracle and every protector and
     fault factory (via :func:`~repro.runtime.store.code_fingerprint`),
     the label sets, the workload size and the base seed — everything a
-    cell's value depends on.  Deliberately excludes ``workers`` /
-    ``backend`` / ``batch``: those change *how* the matrix is computed,
-    never *what* it computes.
+    cell's value depends on.  Deliberately excludes ``workers`` and
+    ``batch``: those change *how* the matrix is computed, never *what*
+    it computes.
     """
     from repro.runtime.store import code_fingerprint
 
@@ -198,7 +198,7 @@ def _run_shard(campaign: FaultCampaign, capture: Capture,
     """
     if not capture:
         return campaign._run_pairs(pairs), None
-    with _local_session(events_only=capture == EVENTS_ONLY) as telemetry:
+    with _session(events_only=capture == EVENTS_ONLY) as telemetry:
         cells = campaign._run_pairs(pairs)
         return cells, telemetry.snapshot()
 
@@ -317,8 +317,7 @@ class ShardedCampaign:
             return
         from repro.runtime.pmap import ParallelMap
 
-        pool = ParallelMap(workers=campaign.workers,
-                           backend=campaign.backend)
+        pool = ParallelMap(workers=campaign.workers)
         try:
             # chunk_size=1: a shard is already a coarse unit; never
             # re-bundle (or re-pickle) shards into larger chunks.

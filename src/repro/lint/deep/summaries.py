@@ -5,7 +5,9 @@ and DET004 filter too) extracts, for every function (methods, nested
 defs and defs under ``if`` / ``try`` / ``with`` included):
 
 * **determinism hazards** — canonical calls that read a clock
-  (``time.time`` and friends, ``datetime.now``), draw OS entropy
+  (``time.time`` and friends, ``datetime.now``; ``time.localtime``,
+  ``gmtime``, ``ctime`` and ``strftime`` only when not handed the time
+  to convert), draw OS entropy
   (module-level ``random.*``, seedless ``random.Random()``,
   ``uuid.uuid4``, ``os.urandom``, ``secrets.*``), read the launching
   environment (``os.getenv``, ``os.environ``, ``os.getpid``, …), or
@@ -21,8 +23,9 @@ defs and defs under ``if`` / ``try`` / ``with`` included):
   assignment, mutating method calls (``.append`` …) on a module-level
   name, and subscript / attribute stores into one;
 * **outgoing calls** — local references (same-module functions,
-  ``self.method``) and canonical dotted externals, the edges the
-  fixpoint propagates over.
+  ``self.method``, defs under a module-level ``if`` / ``try`` included)
+  and canonical dotted externals, the edges the fixpoint propagates
+  over.
 
 Summaries serialize to plain dicts so :class:`~repro.runtime.store.
 ResultStore` can content-address them (key: module name + source text +
@@ -51,7 +54,9 @@ __all__ = ["SUMMARY_VERSION", "FunctionSummary", "Hazard",
 #: Version tag baked into every summary cache key: bump it whenever the
 #: extraction below changes, and every cached summary invalidates.  v2:
 #: fingerprints index the parser's lines, not ``str.splitlines()``'s.
-SUMMARY_VERSION = "lint-deep-summary/v2"
+#: v3: a call to a def under a module-level block is a call edge, and a
+#: clock function handed the time to convert reads no clock.
+SUMMARY_VERSION = "lint-deep-summary/v3"
 
 #: ``random`` module functions that drive the shared global RNG.
 UNSEEDED_RANDOM_FNS = frozenset((
@@ -69,6 +74,11 @@ CLOCK_CALLS = frozenset((
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
 ))
+
+#: Clock calls that only convert when handed a time: the position of
+#: that argument.  With it (and not ``None``) they read no clock.
+TIME_ARGUMENT = {"time.localtime": 0, "time.gmtime": 0, "time.ctime": 0,
+                 "time.strftime": 1}
 
 #: Canonical dotted calls that draw OS entropy (kind ``rng``), beyond
 #: the ``random.*`` global-RNG family handled separately.
@@ -305,6 +315,19 @@ def _local_bindings(fn: ast.AST, own: Sequence[ast.AST]) -> set:
     return bound - declared_global
 
 
+def _given_time(call: ast.Call, canonical: str) -> bool:
+    """Whether a :data:`TIME_ARGUMENT` call is handed its time: a
+    positional argument there that is neither ``None`` nor unpacked
+    from ``*args``."""
+    index = TIME_ARGUMENT.get(canonical)
+    if index is None or len(call.args) <= index \
+            or any(isinstance(arg, ast.Starred)
+                   for arg in call.args[:index + 1]):
+        return False
+    given = call.args[index]
+    return not (isinstance(given, ast.Constant) and given.value is None)
+
+
 @dataclasses.dataclass(frozen=True)
 class _Site:
     """One hazard the scan found, with the node it anchors to."""
@@ -393,7 +416,8 @@ class _HazardScan:
                                      call, canonical))
 
         if canonical in CLOCK_CALLS:
-            add("clock", f"wall-clock read {canonical}()")
+            if not _given_time(call, canonical):
+                add("clock", f"wall-clock read {canonical}()")
         elif canonical in ENTROPY_CALLS:
             add("rng", f"OS-entropy draw {canonical}()")
         elif canonical in ENV_CALLS or canonical.startswith("os.environ."):
@@ -478,8 +502,9 @@ class _ModuleScanner:
         self.aliases = hazards.aliases
         self.globals = _module_globals(module.tree)
         self.functions: Dict[str, FunctionSummary] = {}
-        #: top-level function/class names, for local call resolution.
-        self.top_level = {node.name for node in module.tree.body
+        #: module-scope function/class names (defs under a module-level
+        #: ``if`` / ``try`` / ``with`` too), for local call resolution.
+        self.top_level = {node.name for node in hazards.scopes[0].own
                           if isinstance(node, (*_SCOPE_NODES,
                                                ast.ClassDef))}
         self.task_names: set = set()

@@ -2,10 +2,8 @@
 
 ``ParallelMap``'s process backend pickles the task callable into worker
 processes.  Lambdas and locally defined functions (closures) do not
-pickle: under ``backend="auto"`` they silently degrade to the thread
-fallback (losing the speedup), and under ``backend="process"`` every
-chunk fails and is re-run serially in the parent — the exact failure
-PR 2 debugged at runtime.  These rules catch the unpicklable work item
+pickle, so a map over one silently runs in the serial loop and loses
+the process-pool speedup.  These rules catch the unpicklable work item
 where it is wired:
 
 * PROC001 — a ``lambda`` passed as the task to ``ParallelMap.map`` /
@@ -15,12 +13,8 @@ where it is wired:
 * PROC003 — a task function that touches the warm-pool API
   (``WorkerPool``, ``get_pool``, ``shutdown_pools``, …or any import of
   ``repro.runtime.pool``).  Pool handles are parent-side only: the
-  registry's fork guard makes a forked worker's ``acquire()`` raise,
-  and a thread worker that borrows the pool it is running on can
-  deadlock waiting for its own slot.
-
-Severity escalates to ``error`` when the call site explicitly requests
-``backend="process"`` — that combination can never work.
+  registry's fork guard makes a forked worker's ``acquire()`` of a
+  parent's handle raise.
 """
 
 from __future__ import annotations
@@ -61,16 +55,6 @@ def _walk_scope(body: List[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _backend_literal(call: Optional[ast.Call]) -> Optional[str]:
-    """The string value of a ``backend=`` keyword, when literal."""
-    if call is None:
-        return None
-    value = keyword_value(call, "backend")
-    if isinstance(value, ast.Constant) and isinstance(value.value, str):
-        return value.value
-    return None
-
-
 class _ScopeInfo:
     """Names bound to lambdas, nested defs, and ParallelMap instances
     within one lexical scope, and the scope's calls."""
@@ -78,8 +62,8 @@ class _ScopeInfo:
     def __init__(self, body: List[ast.stmt], inside_function: bool) -> None:
         self.lambda_names: Set[str] = set()
         self.nested_def_names: Set[str] = set()
-        #: name -> the ParallelMap(...) constructor call it was bound to
-        self.pool_vars: Dict[str, ast.Call] = {}
+        #: names bound to a ParallelMap(...) constructor call
+        self.pool_vars: Set[str] = set()
         #: every call in the scope, in :func:`_walk_scope` order
         self.calls: List[ast.Call] = []
         for node in _walk_scope(body):
@@ -98,8 +82,7 @@ class _ScopeInfo:
                 elif (isinstance(node.value, ast.Call)
                         and isinstance(node.value.func, ast.Name)
                         and node.value.func.id in POOL_CLASSES):
-                    for name in targets:
-                        self.pool_vars[name] = node.value
+                    self.pool_vars.update(targets)
 
 
 def _task_argument(call: ast.Call) -> Optional[ast.expr]:
@@ -118,43 +101,40 @@ def _scopes(module: ModuleSource
         yield node.body, True
 
 
-def _map_call_sites(info: _ScopeInfo) -> Iterator[
-        Tuple[ast.Call, Optional[ast.Call]]]:
-    """``(map_call, constructor_call_or_None)`` per call site in scope."""
+def _is_pool(owner: ast.expr, info: _ScopeInfo) -> bool:
+    """Whether ``owner.map`` is a ParallelMap's map."""
+    if isinstance(owner, ast.Call):  # ParallelMap(...).map(fn, ...)
+        return (isinstance(owner.func, ast.Name)
+                and owner.func.id in POOL_CLASSES)
+    return isinstance(owner, ast.Name) and owner.id in info.pool_vars
+
+
+def _map_call_sites(info: _ScopeInfo) -> Iterator[ast.Call]:
+    """Every map call site in scope."""
     for node in info.calls:
         func = node.func
         # parallel_map(fn, items, ...)
         if isinstance(func, ast.Name) and func.id in PARALLEL_MAP_FNS:
-            yield node, None
+            yield node
         # <pool>.map(fn, items) and ParallelMap(...).map(fn, ...)
-        elif isinstance(func, ast.Attribute) and func.attr == "map":
-            owner = func.value
-            if (isinstance(owner, ast.Call)
-                    and isinstance(owner.func, ast.Name)
-                    and owner.func.id in POOL_CLASSES):
-                yield node, owner
-            elif (isinstance(owner, ast.Name)
-                    and owner.id in info.pool_vars):
-                yield node, info.pool_vars[owner.id]
+        elif (isinstance(func, ast.Attribute) and func.attr == "map"
+                and _is_pool(func.value, info)):
+            yield node
 
 
-_Site = Tuple[ast.expr, _ScopeInfo, Optional[str], Optional[str]]
+_Site = Tuple[ast.expr, _ScopeInfo]
 
 
 def _task_sites(module: ModuleSource) -> List[_Site]:
-    """``(task, scope info, backend, severity)`` per map call site in
-    the module — one scan, which every PROC rule filters."""
+    """``(task, scope info)`` per map call site in the module — one
+    scan, which every PROC rule filters."""
     sites: List[_Site] = []
     for body, inside_function in _scopes(module):
         info = _ScopeInfo(body, inside_function)
-        for call, ctor in _map_call_sites(info):
+        for call in _map_call_sites(info):
             task = _task_argument(call)
-            if task is None:
-                continue
-            backend = (_backend_literal(ctor) if ctor is not None
-                       else _backend_literal(call))
-            severity = "error" if backend == "process" else None
-            sites.append((task, info, backend, severity))
+            if task is not None:
+                sites.append((task, info))
     return sites
 
 
@@ -162,20 +142,16 @@ class _ProcessSafetyBase(Rule):
     """Shared scaffolding: classify the task of every map call site."""
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for task, info, backend, severity in module.shared(_task_sites):
-            yield from self._check_task(module, task, info, backend,
-                                        severity)
+        for task, info in module.shared(_task_sites):
+            yield from self._check_task(module, task, info)
 
-    def _check_task(self, module, task, info, backend, severity):
+    def _check_task(self, module, task, info):
         raise NotImplementedError
 
 
-def _backend_clause(backend: Optional[str]) -> str:
-    if backend == "process":
-        return ("backend='process' will fail every chunk and re-run "
-                "serially in the parent")
-    return ("the 'auto' backend silently degrades to the thread "
-            "fallback, losing the process-pool speedup")
+#: What an unpicklable task costs, in every PROC001/PROC002 message.
+_SERIAL_CLAUSE = ("the map silently runs in the serial loop, losing "
+                  "the process-pool speedup")
 
 
 class LambdaTaskRule(_ProcessSafetyBase):
@@ -184,19 +160,17 @@ class LambdaTaskRule(_ProcessSafetyBase):
     summary = ("lambda passed as a ParallelMap/parallel_map task: "
                "lambdas do not pickle into worker processes")
 
-    def _check_task(self, module, task, info, backend, severity):
+    def _check_task(self, module, task, info):
         if isinstance(task, ast.Lambda):
             yield self.finding(
                 module, task,
-                f"lambda task does not pickle; "
-                f"{_backend_clause(backend)} — hoist it to a "
-                f"module-level def", severity)
+                f"lambda task does not pickle; {_SERIAL_CLAUSE} — "
+                f"hoist it to a module-level def")
         elif isinstance(task, ast.Name) and task.id in info.lambda_names:
             yield self.finding(
                 module, task,
                 f"'{task.id}' is bound to a lambda and does not pickle; "
-                f"{_backend_clause(backend)} — hoist it to a "
-                f"module-level def", severity)
+                f"{_SERIAL_CLAUSE} — hoist it to a module-level def")
 
 
 class NestedDefTaskRule(_ProcessSafetyBase):
@@ -205,13 +179,13 @@ class NestedDefTaskRule(_ProcessSafetyBase):
     summary = ("locally defined function passed as a ParallelMap task: "
                "closures do not pickle into worker processes")
 
-    def _check_task(self, module, task, info, backend, severity):
+    def _check_task(self, module, task, info):
         if isinstance(task, ast.Name) and task.id in info.nested_def_names:
             yield self.finding(
                 module, task,
                 f"'{task.id}' is defined inside a function and does not "
-                f"pickle; {_backend_clause(backend)} — move it to "
-                f"module level and pass data via the items", severity)
+                f"pickle; {_SERIAL_CLAUSE} — move it to module level "
+                f"and pass data via the items")
 
 
 def _pool_api_references(fn: ast.AST) -> List[str]:
@@ -239,7 +213,7 @@ class PoolFromTaskRule(_ProcessSafetyBase):
                "handles are parent-side only and must not be touched "
                "from worker-side task code")
 
-    def _check_task(self, module, task, info, backend, severity):
+    def _check_task(self, module, task, info):
         if not isinstance(task, ast.Name):
             return
         fn = next((node for node in module.tree.body
@@ -254,9 +228,8 @@ class PoolFromTaskRule(_ProcessSafetyBase):
                 module, task,
                 f"task '{task.id}' references the warm-pool API "
                 f"({', '.join(sorted(refs))}); the registry's fork "
-                f"guard raises in process workers and a thread worker "
-                f"can deadlock on its own pool — keep pool handling in "
-                f"the parent", severity)
+                f"guard raises in process workers — keep pool handling "
+                f"in the parent")
 
 
 RULES: Iterable[Type[Rule]] = (LambdaTaskRule, NestedDefTaskRule,

@@ -59,7 +59,6 @@ from repro.observe.telemetry import (
     disable,
     enabled,
     install,
-    local_session,
     session,
 )
 from repro.observe.tracer import Span, Tracer
@@ -84,7 +83,6 @@ __all__ = [
     "disable",
     "enabled",
     "install",
-    "local_session",
     "parse_report",
     "session",
 ]

@@ -17,7 +17,7 @@ deltas, span ids/seqs renumber cumulatively and event seqs shift
 cumulatively, folding the deltas **in emission order** into any
 receiver produces byte-for-byte the state that merging one
 whole-chunk snapshot would have — the property
-``tests/unit/test_stream.py`` pins across all three pool backends.
+``tests/unit/test_stream.py`` pins on the serial and process backends.
 (The snapshot/merge caveat carries over: a ``set()``-style gauge
 merges as a net delta; no framework series uses one.)
 
@@ -37,12 +37,12 @@ There is one canonical fold and one tap:
   interim deltas stay in it.  Final dashboards report from the
   canonical session.
 
-Transport to the collector is backend-matched: serial and thread
-chunks call :meth:`StreamCollector.offer` themselves (it is
-thread-safe); process chunks put into a ``multiprocessing.Manager().
-Queue()`` proxy (picklable through executor submission, unlike a raw
-``multiprocessing.Queue``) that a parent thread drains into the
-collector.
+Transport to the collector is backend-matched: serial chunks call
+:meth:`StreamCollector.offer` themselves (it is thread-safe, for the
+dashboard thread that reads it); process chunks put into a
+``multiprocessing.Manager().Queue()`` proxy (picklable through executor
+submission, unlike a raw ``multiprocessing.Queue``) that a parent
+thread drains into the collector.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class StreamCollector:
     view.
 
     Thread-safe.  :meth:`offer` is called for every delta as it is
-    made — by the chunk itself on the serial and thread backends, by
-    the drain thread on the process backend: the delta is validated
+    made — by the chunk itself on the serial backend, by the drain
+    thread on the process backend: the delta is validated
     and folded into the optional live view in arrival order.  The
     canonical session never reads the collector; it folds the deltas
     each chunk hands back with its results.
@@ -253,8 +253,8 @@ class TelemetryStream:
         Returns ``(epoch, put)``: the epoch tags this call's origins,
         and a chunk hands each delta it makes to ``put`` — the
         collector's own :meth:`~StreamCollector.offer` on the serial
-        and thread backends, or a manager-queue proxy's ``put`` on the
-        process backend, whose queue a drain thread feeds to the
+        backend, or a manager-queue proxy's ``put`` on the process
+        backend, whose queue a drain thread feeds to the
         collector.  Raises :class:`RuntimeError` while the stream is
         already active.
         """

@@ -20,15 +20,11 @@ bit-identical to an uninstrumented build.  Enable collection with::
 
 or imperatively with :func:`install` / :func:`disable`.
 
-Sessions resolve per thread: :func:`current` first consults a
-thread-local override (set by :func:`local_session`, the mechanism the
-parallel runtime uses to give each worker chunk a private capture
-session) and falls back to the process-global installed session.
-:func:`install` and :func:`session` keep their global semantics except
-when the calling thread is already inside a :func:`local_session`, in
-which case they nest within that thread's override — so an instrumented
-trial that opens its own per-trial session inside a pool worker shadows
-the chunk capture exactly as it shadows the global session serially.
+There is one session slot per process.  The parallel runtime captures
+a worker chunk by opening a :func:`session` around it in the worker
+process, and no two chunks share a process, so an instrumented trial
+that opens its own per-trial session inside a chunk shadows the chunk
+capture exactly as it shadows an outer session serially.
 
 Cross-process aggregation: :meth:`Telemetry.snapshot` freezes all three
 pieces into one picklable document and :meth:`Telemetry.merge` folds it
@@ -48,7 +44,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import threading
 from typing import Any, Callable, Dict, Iterator, Optional
 
 from repro.observe import flightrec as _flightrec
@@ -233,29 +228,9 @@ _DISABLED = Telemetry(enabled=False)
 _current = _DISABLED
 
 
-class _LocalSessions(threading.local):
-    """Per-thread session override (worker chunk capture).
-
-    The class attribute is the per-thread default, so reading
-    ``_local.current`` on a fresh thread is a plain attribute hit —
-    no ``getattr`` default, no caught AttributeError — keeping the
-    disabled instrumentation hot path allocation- and exception-free.
-    """
-
-    current: Optional[Telemetry] = None
-
-
-_local = _LocalSessions()
-
-
 def current() -> Telemetry:
-    """The current thread's telemetry session (disabled by default).
-
-    A thread-local override installed by :func:`local_session` wins;
-    otherwise the process-global installed session is returned.
-    """
-    override = _local.current
-    return _current if override is None else override
+    """The installed telemetry session (disabled by default)."""
+    return _current
 
 
 def enabled() -> bool:
@@ -264,27 +239,16 @@ def enabled() -> bool:
 
 
 def install(telemetry: Telemetry) -> Telemetry:
-    """Install ``telemetry`` as the current session; returns it.
-
-    Installs process-globally, unless the calling thread is inside a
-    :func:`local_session` — then the thread's override is replaced
-    instead, so nested sessions opened inside a pool worker stay
-    invisible to every other thread.
-    """
+    """Install ``telemetry`` as the current session; returns it."""
     global _current
-    if _local.current is not None:
-        _local.current = telemetry
-    else:
-        _current = telemetry
+    _current = telemetry
     return telemetry
 
 
 def disable() -> None:
-    """Restore the disabled no-op default (and drop any thread-local
-    override held by the calling thread)."""
+    """Restore the disabled no-op default."""
     global _current
     _current = _DISABLED
-    _local.current = None
 
 
 @contextlib.contextmanager
@@ -305,26 +269,3 @@ def session(clock: Optional[Any] = None,
     finally:
         install(previous)
 
-
-@contextlib.contextmanager
-def local_session(clock: Optional[Any] = None,
-                  events_only: bool = False) -> Iterator[Telemetry]:
-    """Install a fresh session visible *only to the calling thread*.
-
-    This is the capture mechanism of the parallel runtime: each worker
-    chunk runs inside a local session, records its telemetry privately
-    (other threads keep seeing their own view), and the session's
-    :meth:`Telemetry.snapshot` is shipped back to the parent, which
-    merges it in submission order.  Sessions opened with
-    :func:`session`/:func:`install` inside the block nest within the
-    thread's override rather than touching the process-global session.
-    The parallel runtime passes the capturing session's
-    ``events_only``, so a chunk records what its parent keeps.
-    """
-    telemetry = Telemetry(clock=clock, events_only=events_only)
-    previous = _local.current
-    _local.current = telemetry
-    try:
-        yield telemetry
-    finally:
-        _local.current = previous

@@ -5,13 +5,14 @@ package removes the *wall-clock* part of that cost without touching a
 single output byte.  Five cooperating pieces:
 
 * :mod:`~repro.runtime.pmap` — :class:`ParallelMap`, an ordered,
-  chunked scatter/gather over pure tasks with serial / thread / process
-  backends, per-chunk timeouts and a retry-once-serial fallback, all
-  running chunks through one chunk runner;
+  chunked scatter/gather over pure tasks that runs each call serially
+  or on worker processes, as the work decides, with per-chunk timeouts
+  and a retry-once-serial fallback, all running chunks through one
+  chunk runner;
 * :mod:`~repro.runtime.pool` — :class:`WorkerPool`, the warm-executor
   registry ``ParallelMap`` borrows from, so repeated maps amortise
-  worker spawn cost (one long-lived executor per ``(backend, workers)``
-  signature, fork-safety guarded, explicit shutdown);
+  worker spawn cost (one long-lived process executor per worker count,
+  fork-safety guarded, explicit shutdown);
 * :mod:`~repro.runtime.store` — :class:`ResultStore`, a disk-backed,
   content-addressed store whose index also keeps decoded values:
   pure-trial results keyed on (task, args digest, seed, code version)
@@ -42,7 +43,7 @@ from repro.runtime.kernel import (
     trial_seed,
     trial_stream,
 )
-from repro.runtime.pmap import BACKENDS, ParallelMap, PoolStats, parallel_map
+from repro.runtime.pmap import ParallelMap, PoolStats, parallel_map
 from repro.runtime.pool import (
     WorkerPool,
     get_pool,
@@ -57,7 +58,6 @@ from repro.runtime.store import (
 )
 
 __all__ = [
-    "BACKENDS",
     "BatchResult",
     "MISS",
     "MetricAccumulator",

@@ -146,7 +146,10 @@ def run_bench_file(path_str: str) -> Dict[str, Any]:
     Imports the module from its path (with the benchmarks directory on
     ``sys.path`` so ``from _common import save_result`` resolves) and
     calls every ``test_*`` function with a :class:`TimingBenchmark`.
-    Returns a plain dict so the result pickles across process pools.
+    The module is entered in ``sys.modules`` under its file stem before
+    it executes, so the file's own functions pickle by reference and
+    the pool maps it makes can run on worker processes.  Returns a
+    plain dict so the result pickles across process pools.
     """
     path = pathlib.Path(path_str)
     parent = str(path.parent)
@@ -164,6 +167,7 @@ def run_bench_file(path_str: str) -> Dict[str, Any]:
     try:
         spec = importlib.util.spec_from_file_location(path.stem, path)
         module = importlib.util.module_from_spec(spec)
+        sys.modules[path.stem] = module
         with contextlib.redirect_stdout(buffer):
             spec.loader.exec_module(module)
             tests = [getattr(module, attr) for attr in dir(module)
@@ -225,7 +229,6 @@ def diff_results(before: Dict[str, str],
 
 def run_suite(benchmarks_dir: pathlib.Path,
               workers: Optional[int] = None,
-              backend: str = "auto",
               only: Sequence[str] = (),
               quick: bool = False,
               timeout: Optional[float] = DEFAULT_TIMEOUT,
@@ -246,7 +249,7 @@ def run_suite(benchmarks_dir: pathlib.Path,
         paths = [p for p in paths
                  if any(token in p.stem for token in only)]
     before = snapshot_results(benchmarks_dir)
-    pool = ParallelMap(workers=workers, backend=backend, timeout=timeout)
+    pool = ParallelMap(workers=workers, timeout=timeout)
 
     keys: Dict[pathlib.Path, str] = {}
     served: Dict[pathlib.Path, Dict[str, Any]] = {}
@@ -408,9 +411,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     ``benchmarks/run_all.py``)."""
     parser.add_argument("--workers", type=int, default=None,
                         help="pool size (default: CPU count)")
-    parser.add_argument("--backend",
-                        choices=("auto", "serial", "thread", "process"),
-                        default="auto")
     parser.add_argument("--quick", action="store_true",
                         help="run only the fast deterministic subset")
     parser.add_argument("--only", action="append", default=[],
@@ -451,7 +451,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     store = (ResultStore(args.store, name="bench")
              if getattr(args, "incremental", False) else None)
     report = run_suite(benchmarks_dir, workers=args.workers,
-                       backend=args.backend, only=args.only,
+                       only=args.only,
                        quick=args.quick, timeout=args.timeout,
                        store=store,
                        chunk_size=getattr(args, "chunk_size", None))

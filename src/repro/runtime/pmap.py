@@ -16,20 +16,21 @@ out across workers must not change a single byte of output.
   pickle, or dies with its worker is re-run serially in the parent
   exactly once, which is always safe for pure tasks.
 
-By default the thread and process backends borrow a **warm executor**
-from the process-wide registry in :mod:`repro.runtime.pool` (keyed on
-``(backend, workers)``), so repeated maps amortise worker spawn cost;
-``reuse=False`` restores the original per-call executor, which is
-joined before :meth:`ParallelMap.map` returns.  Either way the serial
-backend is the reference semantics; the thread and process backends
-are bit-identical accelerations of it.  ``backend="auto"``
-picks the process pool when the task and items are picklable and falls
-back to ``fallback`` (threads by default) when they are not — closures
-and lambdas keep working, they just stay in-process.
+The work decides the backend: the serial loop for one worker, one item
+or a task that does not pickle (closures and lambdas keep working,
+they just stay in-process), and worker processes otherwise.  Trials
+are pure-Python simulations that hold the GIL, so threads would add
+overhead and no parallelism; there is no thread backend.  The process
+backend borrows a **warm executor** from the process-wide registry in
+:mod:`repro.runtime.pool` (keyed on the worker count), so repeated
+maps amortise worker spawn cost; ``reuse=False`` restores the original
+per-call executor, which is joined before :meth:`ParallelMap.map`
+returns.  Either way the serial loop is the reference semantics; the
+process backend is a bit-identical acceleration of it.
 
 **Telemetry capture.**  When the parent has a telemetry session
 installed at the moment a chunk is submitted, the chunk runs inside a
-worker-local session (:func:`repro.observe.local_session`) and ships
+fresh session in its worker (:func:`repro.observe.session`) and ships
 its :meth:`~repro.observe.telemetry.Telemetry.snapshot` back with the
 results; the parent merges the snapshots strictly in submission order,
 so the merged telemetry of a pooled run is byte-identical to the serial
@@ -38,7 +39,7 @@ backend-dependent by nature; see docs/OBSERVABILITY.md).  The enabled
 check happens per chunk, not per pool, so a session installed while a
 long campaign is already fanned out still captures the remaining
 chunks.  The same read takes the session's ``events_only`` flag, and
-the chunk's local session keeps what the parent keeps.
+the chunk's session keeps what the parent keeps.
 
 **Delta streaming.**  Pass a :class:`~repro.observe.stream.
 TelemetryStream` as ``stream=`` and captured chunks also tap their
@@ -50,10 +51,11 @@ streamed chunk with no sink and no interim deltas.  Either way every
 chunk hands all its deltas back with its results, and the parent folds
 them in emission order, which is byte-identical to the merge-at-end
 protocol.  A chunk that times out or fails hands nothing back, so only
-its serial rerun, which writes straight into the session, is counted;
-the rerun also dumps the process flight recorder's window
-(:mod:`repro.observe.flightrec`) into
-:attr:`ParallelMap.flight_records`.
+its serial rerun, which writes straight into the session, is counted.
+After the rerun, finished or failed, the process flight recorder's
+window (:mod:`repro.observe.flightrec`) is dumped into
+:attr:`ParallelMap.flight_records`; a worker's records never reach the
+parent's ring, so the window holds the rerun's records.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from typing import (Any, Callable, Iterable, List, Optional, Sequence, Tuple,
 
 from repro.observe import current as _telemetry
 from repro.observe import flightrec as _flightrec
-from repro.observe import local_session as _local_session
+from repro.observe import session as _session
 from repro.observe.stream import TelemetryStream, make_delta
 from repro.runtime.pool import get_pool as _get_pool
 from repro.runtime.pool import new_executor as _new_executor
@@ -76,9 +78,6 @@ from repro.runtime.pool import retire_pool as _retire_pool
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-#: Recognised backend names (``auto`` resolves to one of the others).
-BACKENDS = ("auto", "serial", "thread", "process")
 
 
 @dataclasses.dataclass
@@ -112,6 +111,11 @@ class PoolStats:
     flight_dumps: int = 0
 
 
+#: The :class:`PoolStats` fields a map call reports as counters.
+_COUNTED = ("tasks", "chunks", "serial_retries", "timeouts",
+            "captured_chunks", "dropped_snapshots", "pool_reuses",
+            "streamed_chunks", "deltas_merged", "flight_dumps")
+
 #: A chunk's capture: ``(events_only, put, origin, every)`` or None.
 _Capture = Optional[Tuple[bool, Any, Any, Optional[int]]]
 
@@ -121,7 +125,7 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
     """Run one contiguous slice of items — in a worker or the parent.
 
     With no ``capture`` the items run in the caller's session.  With
-    one they run in a local session (keeping events only when
+    one they run in a fresh session (keeping events only when
     ``events_only`` is set) that makes a ``repro-delta/v1`` document
     every ``every`` items and a final one for the tail, each covering
     the telemetry since the previous one.  A streamed chunk also hands
@@ -142,7 +146,7 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
         if put is not None:
             put(delta)
 
-    with _local_session(events_only=events_only) as telemetry:
+    with _session(events_only=events_only) as telemetry:
         for item in chunk:
             results.append(fn(item))
             if every and len(results) % every == 0:
@@ -166,14 +170,9 @@ class ParallelMap:
 
     Args:
         workers: Worker count; ``None`` means ``os.cpu_count()``.
-            ``workers <= 1`` always runs serially.
-        backend: One of :data:`BACKENDS`.  ``auto`` resolves per call:
-            serial for trivial inputs, process when ``fn`` and the items
-            pickle, else ``fallback``.
-        fallback: Backend ``auto`` degrades to for unpicklable work —
-            ``"thread"`` (default) or ``"serial"`` (required when tasks
-            touch process-global state such as an installed telemetry
-            session).
+            Each call runs serially for ``workers <= 1``, for one item,
+            or when ``fn`` or the first item does not pickle, and on
+            worker processes otherwise.
         chunk_size: Items per submitted chunk; ``None`` picks
             ``ceil(len(items) / (workers * 4))`` so every worker gets
             several chunks to smooth uneven task costs.
@@ -184,11 +183,11 @@ class ParallelMap:
             a future per chunk up front.
         reuse: When true (the default) the call borrows a long-lived
             executor from the warm-pool registry
-            (:mod:`repro.runtime.pool`), keyed on ``(backend,
-            workers)``, so repeated maps amortise worker spawn cost.
-            ``reuse=False`` keeps the original per-call executor, which
-            is joined before :meth:`map` returns.  Results and merged
-            telemetry are byte-identical either way.
+            (:mod:`repro.runtime.pool`), keyed on the worker count, so
+            repeated maps amortise worker spawn cost.  ``reuse=False``
+            keeps the original per-call executor, which is joined
+            before :meth:`map` returns.  Results and merged telemetry
+            are byte-identical either way.
         stream: Optional :class:`~repro.observe.stream.TelemetryStream`.
             When set and telemetry is enabled, captured chunks put
             incremental ``repro-delta/v1`` snapshots into the stream
@@ -197,26 +196,18 @@ class ParallelMap:
             back, as it does without a stream.
     """
 
-    def __init__(self, workers: Optional[int] = None, backend: str = "auto",
-                 fallback: str = "thread",
+    def __init__(self, workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
                  timeout: Optional[float] = None,
                  max_in_flight: Optional[int] = None,
                  reuse: bool = True,
                  stream: Optional[TelemetryStream] = None) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; "
-                             f"expected one of {BACKENDS}")
-        if fallback not in ("thread", "serial"):
-            raise ValueError("fallback must be 'thread' or 'serial'")
         if chunk_size is not None and chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.workers = max(1, workers if workers is not None
                            else (os.cpu_count() or 1))
-        self.backend = backend
-        self.fallback = fallback
         self.chunk_size = chunk_size
         self.timeout = timeout
         self.max_in_flight = max_in_flight
@@ -230,13 +221,10 @@ class ParallelMap:
     # -- backend resolution ------------------------------------------------
 
     def _resolve(self, fn: Callable, items: Sequence) -> str:
-        if self.backend != "auto":
-            return self.backend
-        if self.workers <= 1 or len(items) <= 1:
+        if self.workers <= 1 or len(items) <= 1 \
+                or not _picklable(fn, items[0]):
             return "serial"
-        if _picklable(fn, items[0]):
-            return "process"
-        return self.fallback
+        return "process"
 
     # -- the map -----------------------------------------------------------
 
@@ -303,7 +291,7 @@ class ParallelMap:
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         self.stats.chunks = len(chunks)
         max_in_flight = self.max_in_flight or self.workers * 2
-        pool, warm = self._executor(backend, len(chunks))
+        pool, warm = self._executor(len(chunks))
         stream = self.stream
         epoch: Optional[int] = None
         put: Any = None
@@ -419,43 +407,47 @@ class ParallelMap:
         """Parent-side rerun of a timed-out or failed chunk.
 
         The chunk handed no deltas back, so none are folded (the rerun
-        writes straight into the installed session), and the flight
-        recorder's window is dumped into :attr:`flight_records`.
+        writes straight into the installed session).  Once the rerun
+        has finished or raised, the flight recorder's window is dumped
+        into :attr:`flight_records`: a worker's records stay in the
+        worker's ring, so only the rerun can explain the failure.
         """
         self.stats.serial_retries += 1
         if capture is not None:
             self.stats.dropped_snapshots += 1
-        self.flight_records.append(_flightrec.dump(
-            reason, chunk=index, backend=self.stats.backend,
-            tasks=len(chunk)))
-        self.stats.flight_dumps += 1
-        return _run_chunk(fn, chunk)[0]
+        try:
+            return _run_chunk(fn, chunk)[0]
+        finally:
+            self.flight_records.append(_flightrec.dump(
+                reason, chunk=index, backend=self.stats.backend,
+                tasks=len(chunk)))
+            self.stats.flight_dumps += 1
 
     # -- executors ---------------------------------------------------------
 
-    def _executor(self, backend: str, nchunks: int):
+    def _executor(self, nchunks: int):
         """``(executor, warm_pool_or_None)`` for one map call.
 
         With ``reuse`` (the default) the executor comes from the
-        process-wide warm registry, keyed on ``(backend, workers)``;
-        ``None`` as the second element marks the per-call fallback
-        executor, which the caller must join.
+        process-wide warm registry, keyed on the worker count; ``None``
+        as the second element marks the per-call fallback executor,
+        which the caller must join.
         """
         if self.reuse:
-            warm = _get_pool(backend, self.workers)
+            warm = _get_pool(self.workers)
             reused = warm.warm
             executor = warm.acquire()
             if reused:
                 self.stats.pool_reuses = 1
             return executor, warm
-        return _new_executor(backend, min(self.workers, nchunks)), None
+        return _new_executor(min(self.workers, nchunks)), None
 
     def prewarm(self, fn: Optional[Callable] = None,
                 items: Sequence = ()) -> str:
-        """Spawn (or reuse) the warm executor for this pool's signature.
+        """Spawn (or reuse) the warm executor for this pool's size.
 
         Resolves the backend exactly as :meth:`map` would for ``fn`` and
-        ``items`` (an ``auto`` backend with no sample resolves to
+        ``items`` (with no sample, more than one worker resolves to
         ``process``) and acquires the registry executor outside any
         timed region, so the first measured :meth:`map` call pays no
         spawn cost.  No-op for serial resolutions or ``reuse=False``.
@@ -463,53 +455,28 @@ class ParallelMap:
         """
         if fn is not None:
             backend = self._resolve(fn, list(items))
-        elif self.backend == "auto":
-            backend = "process" if self.workers > 1 else "serial"
         else:
-            backend = self.backend
-        if self.reuse and backend in ("thread", "process"):
-            _get_pool(backend, self.workers).acquire()
+            backend = "process" if self.workers > 1 else "serial"
+        if self.reuse and backend == "process":
+            _get_pool(self.workers).acquire()
         return backend
 
     # -- telemetry ---------------------------------------------------------
 
     def _report(self) -> None:
         """Forward the call's accounting to an installed telemetry
-        session (no-op when telemetry is disabled)."""
+        session (no-op when telemetry is disabled): one
+        ``repro_runtime_<field>_total`` counter per :data:`_COUNTED`
+        field, the zero ones left out past ``tasks`` and ``chunks``."""
         tel = _telemetry()
         if not tel.enabled:
             return
         stats = self.stats
-        tel.metrics.inc("repro_runtime_tasks_total", stats.tasks,
-                        backend=stats.backend)
-        tel.metrics.inc("repro_runtime_chunks_total", stats.chunks,
-                        backend=stats.backend)
-        if stats.serial_retries:
-            tel.metrics.inc("repro_runtime_serial_retries_total",
-                            stats.serial_retries, backend=stats.backend)
-        if stats.timeouts:
-            tel.metrics.inc("repro_runtime_timeouts_total",
-                            stats.timeouts, backend=stats.backend)
-        if stats.captured_chunks:
-            tel.metrics.inc("repro_runtime_captured_chunks_total",
-                            stats.captured_chunks, backend=stats.backend)
-        if stats.dropped_snapshots:
-            tel.metrics.inc("repro_runtime_dropped_snapshots_total",
-                            stats.dropped_snapshots,
-                            backend=stats.backend)
-        if stats.pool_reuses:
-            tel.metrics.inc("repro_runtime_pool_reuses_total",
-                            stats.pool_reuses, backend=stats.backend)
-        if stats.streamed_chunks:
-            tel.metrics.inc("repro_runtime_streamed_chunks_total",
-                            stats.streamed_chunks, backend=stats.backend)
-        if stats.deltas_merged:
-            tel.metrics.inc("repro_runtime_deltas_merged_total",
-                            stats.deltas_merged, backend=stats.backend)
-        if stats.flight_dumps:
-            tel.metrics.inc("repro_runtime_flight_dumps_total",
-                            stats.flight_dumps, backend=stats.backend)
-
+        for field in _COUNTED:
+            amount = getattr(stats, field)
+            if amount or field in ("tasks", "chunks"):
+                tel.metrics.inc(f"repro_runtime_{field}_total", amount,
+                                backend=stats.backend)
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T],
                  workers: Optional[int] = None,

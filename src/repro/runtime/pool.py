@@ -1,13 +1,13 @@
-"""Warm worker pools: long-lived executors shared across map calls.
+"""Warm worker pools: long-lived process executors shared across maps.
 
 Every :meth:`~repro.runtime.pmap.ParallelMap.map` call used to build
 and tear down a fresh ``concurrent.futures`` executor, so each
 experiment, campaign batch and bench run repaid the full worker spawn
 and interpreter-import cost — on a small workload the harness *lost*
 CPU time to pooling.  This module amortises that cost: a process-wide
-registry lazily spawns **one long-lived executor per** ``(backend,
-workers)`` **signature** and hands the same executor to every
-subsequent call with that signature, within one parent process.
+registry lazily spawns **one long-lived process executor per worker
+count** and hands the same executor to every subsequent call with that
+count, within one parent process.
 
 The registry is safe by construction rather than by convention:
 
@@ -21,8 +21,13 @@ The registry is safe by construction rather than by convention:
   call respawns cleanly; the in-flight call completes through
   :class:`~repro.runtime.pmap.ParallelMap`'s retry-once-serial path.
 * **explicit lifecycle** — ``WorkerPool`` is a context manager, and
-  :func:`shutdown_pools` (also registered ``atexit``) tears every warm
-  executor down deterministically.
+  :func:`shutdown_pools` tears every warm executor down
+  deterministically.  Each process that uses the registry registers
+  :func:`shutdown_pools` once as a ``multiprocessing`` exit finalizer,
+  which runs at interpreter exit in the main process *and* when a pool
+  worker exits (a worker runs no ``atexit`` hooks).  So a pool spawned
+  inside a pool worker is torn down before that worker joins its
+  children, instead of leaving them idle and the program hung.
 
 Worker-side code must never touch this registry: a task that imports
 :class:`WorkerPool` would manage pools from inside a pool, which the
@@ -31,63 +36,57 @@ Worker-side code must never touch this registry: a task that imports
 
 from __future__ import annotations
 
-import atexit
 import concurrent.futures
+import multiprocessing.util
 import os
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.observe import disable as _telemetry_off
 
 __all__ = ["WorkerPool", "get_pool", "retire_pool", "shutdown_pools",
            "pool_stats", "new_executor"]
 
-#: Backends a warm pool can host (serial work never needs an executor).
-POOLED_BACKENDS = ("thread", "process")
+#: Exit priority of the per-process :func:`shutdown_pools` finalizer.
+#: Above the executor queues' own finalizers (10), so the pools shut
+#: down while their queues still work.
+_EXIT_PRIORITY = 100
 
 
-def new_executor(backend: str, workers: int
-                 ) -> concurrent.futures.Executor:
-    """A fresh executor of ``workers`` for a pooled ``backend``.
+def new_executor(workers: int) -> concurrent.futures.Executor:
+    """A fresh process executor of ``workers``.
 
-    Process workers start by dropping the telemetry session they
-    inherited.  A forked worker holds a copy of whatever session its
-    parent had installed at the fork; without the reset, a later map
-    made with telemetry off would run its tasks in that copy, which
-    records and is never merged.
+    Workers start by dropping the telemetry session they inherited.  A
+    forked worker holds a copy of whatever session its parent had
+    installed at the fork; without the reset, a later map made with
+    telemetry off would run its tasks in that copy, which records and
+    is never merged.
     """
-    if backend == "thread":
-        return concurrent.futures.ThreadPoolExecutor(max_workers=workers)
     return concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_telemetry_off)
 
 
 class WorkerPool:
-    """One lazily spawned, long-lived executor for a pool signature.
+    """One lazily spawned, long-lived process executor.
 
     Args:
-        backend: ``"thread"`` or ``"process"``.
         workers: Executor size (``max_workers``).
 
     The executor is created on first :meth:`acquire` and reused by every
     later one; ``reuses`` counts the amortised spawns.  Use as a context
     manager (or call :meth:`shutdown`) for deterministic teardown::
 
-        with WorkerPool("process", 4) as pool:
+        with WorkerPool(4) as pool:
             executor = pool.acquire()
             ...
 
     Registry-managed instances (via :func:`get_pool`) are torn down by
-    :func:`shutdown_pools` / ``atexit`` instead.
+    :func:`shutdown_pools` instead.
     """
 
-    def __init__(self, backend: str, workers: int) -> None:
-        if backend not in POOLED_BACKENDS:
-            raise ValueError(f"unknown pooled backend {backend!r}; "
-                             f"expected one of {POOLED_BACKENDS}")
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
-        self.backend = backend
         self.workers = workers
         self._executor: Optional[concurrent.futures.Executor] = None
         self._lock = threading.Lock()
@@ -117,7 +116,7 @@ class WorkerPool:
             if self.dead:
                 raise RuntimeError("worker pool has been shut down")
             if self._executor is None:
-                self._executor = new_executor(self.backend, self.workers)
+                self._executor = new_executor(self.workers)
                 self.owner_pid = os.getpid()
             elif self.owner_pid != os.getpid():
                 raise RuntimeError(
@@ -147,28 +146,32 @@ class WorkerPool:
         self.shutdown(wait=True)
 
 
-#: signature -> pool, owned by ``_registry_pid``.
-_registry: Dict[Tuple[str, int], WorkerPool] = {}
-_registry_pid = os.getpid()
+#: worker count -> pool, owned by ``_registry_pid``.
+_registry: Dict[int, WorkerPool] = {}
+_registry_pid: Optional[int] = None
 _registry_lock = threading.Lock()
 
 
 def _guard_fork() -> None:
-    """Drop the registry in a forked child (caller holds the lock).
+    """Adopt the registry for the calling process (caller holds the
+    lock).
 
-    The executors in it belong to the parent — their result pipes and
-    worker processes are shared state a child must not drain.  The
-    child simply starts with an empty registry and spawns its own
-    pools on demand.
+    In a forked child the executors in it belong to the parent — their
+    result pipes and worker processes are shared state a child must not
+    drain — so the child starts with an empty registry and spawns its
+    own pools on demand.  The first use in each process also registers
+    that process's exit finalizer.
     """
     global _registry_pid
     if os.getpid() != _registry_pid:
         _registry.clear()
         _registry_pid = os.getpid()
+        multiprocessing.util.Finalize(None, shutdown_pools,
+                                      exitpriority=_EXIT_PRIORITY)
 
 
-def get_pool(backend: str, workers: int) -> WorkerPool:
-    """The process-wide warm pool for ``(backend, workers)``.
+def get_pool(workers: int) -> WorkerPool:
+    """The process-wide warm pool of ``workers`` processes.
 
     Lazily creates the :class:`WorkerPool` (not yet the executor — that
     spawns on first :meth:`~WorkerPool.acquire`); replaces a dead or
@@ -176,11 +179,10 @@ def get_pool(backend: str, workers: int) -> WorkerPool:
     """
     with _registry_lock:
         _guard_fork()
-        key = (backend, workers)
-        pool = _registry.get(key)
+        pool = _registry.get(workers)
         if pool is None or pool.dead or pool.broken():
-            pool = WorkerPool(backend, workers)
-            _registry[key] = pool
+            pool = WorkerPool(workers)
+            _registry[workers] = pool
         return pool
 
 
@@ -192,9 +194,8 @@ def retire_pool(pool: WorkerPool, wait: bool = False) -> None:
     """
     with _registry_lock:
         _guard_fork()
-        key = (pool.backend, pool.workers)
-        if _registry.get(key) is pool:
-            del _registry[key]
+        if _registry.get(pool.workers) is pool:
+            del _registry[pool.workers]
     pool.shutdown(wait=wait)
 
 
@@ -219,13 +220,12 @@ def shutdown_pools(wait: bool = True) -> int:
 
 
 def pool_stats() -> List[Dict[str, object]]:
-    """One dict per registry pool, sorted by signature (for reports)."""
+    """One dict per registry pool, sorted by worker count (for
+    reports).  ``backend`` is always ``"process"``: the live frame and
+    its readers key on it."""
     with _registry_lock:
         _guard_fork()
         pools = sorted(_registry.items())
-    return [{"backend": backend, "workers": workers, "warm": pool.warm,
-             "reuses": pool.reuses}
-            for (backend, workers), pool in pools]
-
-
-atexit.register(shutdown_pools)
+    return [{"backend": "process", "workers": workers,
+             "warm": pool.warm, "reuses": pool.reuses}
+            for workers, pool in pools]

@@ -89,8 +89,7 @@ def _shard_counts(stderr):
 
 @pytest.mark.parametrize("extra", [
     pytest.param([], id="serial"),
-    pytest.param(["--workers", "3", "--backend", "thread"], id="thread"),
-    # ``auto`` runs the shards on worker processes, so the group kill
+    # ``--workers 3`` runs the shards on worker processes, so the group kill
     # lands while worker processes hold shards.
     pytest.param(["--workers", "3"], id="process"),
 ])

@@ -1,6 +1,7 @@
 """Unit tests for the ``repro bench`` runner."""
 
 import json
+import sys
 
 import pytest
 
@@ -23,13 +24,40 @@ class TestDiscovery:
         assert set(bench_mod.QUICK_BENCHMARKS) <= names
 
 
+class TestBenchLoader:
+    def test_a_bench_files_own_tasks_map_on_processes(
+            self, tmp_path, monkeypatch):
+        # The file is entered in sys.modules before it runs, so its own
+        # functions pickle by reference and its maps reach the pool.
+        stem = "bench_loader_probe"
+        monkeypatch.delitem(sys.modules, stem, raising=False)
+        path = tmp_path / f"{stem}.py"
+        path.write_text(
+            "from repro.runtime.pmap import ParallelMap\n"
+            "\n"
+            "\n"
+            "def _square(x):\n"
+            "    return x * x\n"
+            "\n"
+            "\n"
+            "def test_maps_on_processes(benchmark):\n"
+            "    pool = ParallelMap(workers=2)\n"
+            "    assert pool.map(_square, range(8)) == "
+            "[x * x for x in range(8)]\n"
+            "    print('backend', pool.stats.backend)\n"
+            "    assert pool.stats.backend == 'process'\n",
+            encoding="utf-8")
+        outcome = bench_mod.run_bench_file(str(path))
+        assert outcome["ok"], outcome["error"]
+        assert outcome["output"] == "backend process\n"
+
+
 class TestWorkerIdentity:
     def test_workers_1_vs_4_same_tables_and_no_drift(self):
         suite = bench_mod.default_benchmarks_dir()
         only = ["table1", "table2"]
         serial = bench_mod.run_suite(suite, workers=1, only=only)
-        pooled = bench_mod.run_suite(suite, workers=4, only=only,
-                                     backend="process")
+        pooled = bench_mod.run_suite(suite, workers=4, only=only)
         assert serial["failures"] == [] and pooled["failures"] == []
         assert serial["results_drift"] == []
         assert pooled["results_drift"] == []
@@ -202,13 +230,17 @@ class TestHarnessReport:
     def test_timeout_falls_back_to_parent_run(self, tmp_path):
         # A bench that sleeps past the deadline forces the
         # retry-once-serial path; the run still completes with correct
-        # tables and the pool records the timeout.
+        # tables and the pool records the timeout.  Two files put the
+        # suite on the (prewarmed) process pool.
+        (tmp_path / "bench_quick.py").write_text(
+            "def test_quick(benchmark):\n"
+            "    benchmark(abs, -1)\n", encoding="utf-8")
         (tmp_path / "bench_slow.py").write_text(
             "import time\n"
             "def test_slow(benchmark):\n"
             "    benchmark(time.sleep, 0.3)\n", encoding="utf-8")
-        report = bench_mod.run_suite(tmp_path, workers=2,
-                                     backend="thread", timeout=0.05)
+        report = bench_mod.run_suite(tmp_path, workers=2, timeout=0.05)
+        assert report["backend"] == "process"
         assert report["failures"] == []
         assert report["pool"]["timeouts"] == 1
         assert report["pool"]["serial_retries"] == 1

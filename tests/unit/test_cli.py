@@ -40,8 +40,7 @@ class TestOneCommandParser:
          "--no-adjudicator"],
         ["campaign"],
         ["campaign", "--format", "json", "--requests", "120",
-         "--workers", "2", "--seed", "3", "--backend", "thread",
-         "--batch", "4"],
+         "--workers", "2", "--seed", "3", "--batch", "4"],
         ["campaign", "--shards", "8", "--store", "ck.jsonl", "--resume",
          "--max-shards", "4", "--gate", "--gate-baseline", "b.json",
          "--gate-bench", "h.json", "--gate-tolerance", "0.1"],
@@ -57,8 +56,7 @@ class TestOneCommandParser:
         ["demo", "--versions", "3", "--failure-rate", "0.2"],
         ["trace", "nvp", "--limit", "5", "--jsonl", "t.jsonl"],
         ["metrics", "c3", "--format", "openmetrics", "--seed", "1"],
-        ["report", "all", "--workers", "2", "--backend", "thread",
-         "--trace-out", "t.json"],
+        ["report", "all", "--workers", "2", "--trace-out", "t.json"],
     ]
     EXITING = [
         [], ["--help"], ["-h"], ["--version"], ["frobnicate"],
@@ -70,6 +68,9 @@ class TestOneCommandParser:
         ["recommend", "gremlins"], ["campaign", "--backend", "nope"],
         ["campaign", "--requests", "many"], ["campaign", "--bogus"],
         ["campaign", "stray"], ["trace", "nvp", "extra"],
+        # An option that no longer exists errors alike in both.
+        ["report", "all", "--workers", "2", "--backend", "thread",
+         "--trace-out", "t.json"],
         *([command, "--help"] for command in COMMANDS),
     ]
 
@@ -235,15 +236,18 @@ class TestCampaignCommand:
               "--workers", "3"])
         assert capsys.readouterr().out == serial
 
-    @pytest.mark.parametrize("command", ["campaign", "top"])
+    @pytest.mark.parametrize("command", [["campaign"], ["top"],
+                                         ["report", "all"], ["bench"]],
+                             ids=" ".join)
     def test_process_backend_is_not_offered(self, command, capsys):
-        # Not needed: the demo matrix pickles, so the default ``auto``
-        # backend already runs ``--workers N`` on the process pool
-        # (TestPooledCampaignBackends); ``thread`` stays selectable.
+        # No backend is: ``--workers N`` runs on worker processes when
+        # the work pickles (TestPooledCampaignBackends), serially
+        # otherwise, and no option names a backend.
         with pytest.raises(SystemExit) as exc:
-            main([command, "--backend", "process"])
+            main([*command, "--backend", "process"])
         assert exc.value.code == 2
-        assert "invalid choice: 'process'" in capsys.readouterr().err
+        assert "unrecognized arguments: --backend process" \
+            in capsys.readouterr().err
 
     def test_campaign_json_format(self, capsys):
         import json
@@ -258,12 +262,12 @@ class TestCampaignCommand:
 
 
 class TestPooledCampaignBackends:
-    """The demo matrix's factories are module-level, so ``auto`` puts
-    ``--workers N`` on worker processes.  The whole report is
-    byte-identical across backends at one worker count, and the cells
-    are byte-identical to serial at any.  At ``--requests 20 --seed 7``
-    the pooled SLI ``window_span``/``throughput`` rows differ from
-    serial, so those fields are compared between pools only."""
+    """The demo matrix's factories are module-level, so ``--workers N``
+    runs on worker processes.  The cells are byte-identical to serial
+    at any worker count.  At ``--requests 20 --seed 7`` the pooled SLI
+    ``window_span``/``throughput`` rows differ from serial, so whole
+    pooled reports are pinned on their own
+    (``tests/integration/test_output_pins.py``)."""
 
     SMALL = ["--requests", "20", "--seed", "7"]
 
@@ -290,13 +294,10 @@ class TestPooledCampaignBackends:
         ["--requests", "120", "--seed", "5"],
         ["--requests", "120", "--seed", "5", "--shards", "4"],
     ], ids=["small", "plain", "sharded"])
-    def test_process_report_equals_thread_report(self, argv, capsys):
+    def test_pooled_cells_equal_serial_cells(self, argv, capsys):
         import json
 
         process = self._json(capsys, [*argv, "--workers", "2"])
-        thread = self._json(capsys, [*argv, "--workers", "2",
-                                     "--backend", "thread"])
-        assert process == thread
         serial = self._json(capsys, [*argv, "--workers", "1"])
         assert json.loads(process)["cells"] == json.loads(serial)["cells"]
 
@@ -307,8 +308,7 @@ class TestPooledCampaignBackends:
         import sys
 
         src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
-        thread = self._json(capsys, [*self.SMALL, "--workers", "2",
-                                     "--backend", "thread"])
+        here = self._json(capsys, [*self.SMALL, "--workers", "2"])
         for hash_seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                        PYTHONPATH=src)
@@ -317,7 +317,7 @@ class TestPooledCampaignBackends:
                  "json", *self.SMALL, "--workers", "2"],
                 capture_output=True, text=True, env=env, check=True,
                 timeout=120)
-            assert proc.stdout == thread
+            assert proc.stdout == here
 
 
 class TestShardedCampaignCLI:
@@ -616,8 +616,7 @@ class TestReportCommand:
                      "--format", "json"]) == 0
         serial = capsys.readouterr().out
         assert main(["report", "all", "--requests", "20", "--seed", "5",
-                     "--format", "json", "--workers", "2",
-                     "--backend", "process"]) == 0
+                     "--format", "json", "--workers", "2"]) == 0
         assert capsys.readouterr().out == serial
 
     def test_report_leaves_no_session_installed(self):

@@ -134,8 +134,8 @@ class TestSession:
         assert tel.tracer.capacity == 0
         assert tel.metrics.recording is False
 
-    def test_local_session_takes_the_mode(self):
-        with observe.local_session(events_only=True) as tel:
+    def test_nested_session_keeps_its_own_mode(self):
+        with observe.session(events_only=True) as tel:
             assert observe.current() is tel and tel.events_only
             with observe.session() as nested:
                 # A nested session (an instrumented trial's) is full.
@@ -144,15 +144,15 @@ class TestSession:
 
 class TestWorkersInherit:
     @pytest.mark.parametrize("backend,workers", [
-        ("serial", 1), ("thread", 2), ("process", 2)])
+        ("serial", 1), ("process", 2)])
     @pytest.mark.parametrize("streamed", [False, True])
     @pytest.mark.parametrize("events_only", [False, True])
     def test_chunks_keep_what_the_parent_keeps(self, backend, workers,
                                                streamed, events_only):
         stream = TelemetryStream(every=2) if streamed else None
         with observe.session(events_only=events_only) as tel:
-            pool = ParallelMap(workers=workers, backend=backend,
-                               chunk_size=3, stream=stream)
+            pool = ParallelMap(workers=workers, chunk_size=3,
+                               stream=stream)
             modes = pool.map(probe, range(8))
         assert modes == [events_only] * 8
         assert tel.bus.counts["probe.item"] == 8
@@ -162,6 +162,7 @@ class TestWorkersInherit:
         else:
             assert len(tel.tracer.spans) == 8
             assert tel.metrics.value("probe_total") == 8.0
+        assert pool.stats.backend == backend
         if backend != "serial" or streamed:
             assert pool.stats.captured_chunks >= 1
 
@@ -258,15 +259,16 @@ def make_bohrbug():
 def failure_dump(events_only, monkeypatch):
     """The flight dump of a pooled campaign chunk that raised."""
     fresh_recorder(monkeypatch)
-    # One batch of both cells is one chunk on one worker thread, so the
-    # window holds that chunk's records alone, in a fixed order.
+    # One cell per chunk on worker processes: the failing cell's
+    # records stay in its worker's ring, so the parent's ring holds
+    # the serial rerun's records alone, in a fixed order.
     campaign = FaultCampaign({"nvp": failing_nvp_protector},
                              {"bohrbug": make_bohrbug}, oracle=oracle,
-                             requests=12, seed=4, workers=2,
-                             backend="thread", batch=8)
+                             requests=12, seed=4, workers=2, batch=1)
     with observe.session(events_only=events_only):
         with pytest.raises(RuntimeError, match="protector defect"):
             campaign.run()
+    assert campaign.pool_stats.backend == "process"
     [dump] = campaign.flight_records
     return dump
 

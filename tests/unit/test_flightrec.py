@@ -17,6 +17,24 @@ from repro.observe.export.jsonl import validate_event_log
 from repro.observe.flightrec import SCHEMA, FlightRecorder
 from repro.runtime.pmap import ParallelMap
 
+#: The test process: pool tasks below fail in any other (a worker).
+PARENT_PID = os.getpid()
+
+
+def flaky(x):
+    """``x + 1``, except that item 2 fails in a pool worker (the
+    parent's serial rerun succeeds)."""
+    if x == 2 and os.getpid() != PARENT_PID:
+        raise RuntimeError("induced worker failure")
+    return x + 1
+
+
+def slow(x):
+    """``x + 1``, sleeping long on item 1 (timeout probe)."""
+    if x == 1:
+        time.sleep(0.4)
+    return x + 1
+
 
 class TestRingBuffer:
     def test_strict_fifo_eviction_order(self):
@@ -75,10 +93,10 @@ class TestDumps:
         tel = observe.Telemetry()
         rec.attach(tel)
         tel.publish("unit.before_crash")
-        document = rec.dump("unit-test", chunk=3, backend="thread")
+        document = rec.dump("unit-test", chunk=3, backend="process")
         assert document["schema"] == SCHEMA
         assert document["reason"] == "unit-test"
-        assert document["context"] == {"chunk": 3, "backend": "thread"}
+        assert document["context"] == {"chunk": 3, "backend": "process"}
         assert document["capacity"] == 4
         assert document["records"][-1]["topic"] == "unit.before_crash"
         assert rec.dumps == 1
@@ -110,15 +128,7 @@ class TestDumps:
 
 class TestPoolDumpTriggers:
     def test_serial_retry_dumps_flight_window(self):
-        state = {"failed": False}
-
-        def flaky(x):
-            if x == 2 and not state["failed"]:
-                state["failed"] = True
-                raise RuntimeError("induced worker failure")
-            return x + 1
-
-        pool = ParallelMap(workers=2, backend="thread", chunk_size=1)
+        pool = ParallelMap(workers=2, chunk_size=1)
         results = pool.map(flaky, [0, 1, 2, 3])
         assert results == [1, 2, 3, 4]
         assert pool.stats.serial_retries == 1
@@ -126,16 +136,12 @@ class TestPoolDumpTriggers:
         [record] = pool.flight_records
         assert record["schema"] == SCHEMA
         assert record["reason"] == "chunk-serial-retry"
-        assert record["context"]["backend"] == "thread"
+        assert record["context"]["backend"] == "process"
 
     def test_chunk_timeout_dumps_flight_window(self):
-        def slow(x):
-            if x == 1:
-                time.sleep(0.4)
-            return x + 1
-
-        pool = ParallelMap(workers=2, backend="thread", chunk_size=1,
-                           timeout=0.05)
+        pool = ParallelMap(workers=2, chunk_size=1, timeout=0.05)
+        # Fork the workers first: a cold spawn is not a chunk timeout.
+        pool.prewarm()
         results = pool.map(slow, [0, 1])
         assert results == [1, 2]
         assert pool.stats.timeouts == 1
@@ -196,7 +202,7 @@ def task(x):
     return x + 1
 
 from repro.runtime.pmap import ParallelMap
-pool = ParallelMap(workers=2, backend="process", chunk_size=1)
+pool = ParallelMap(workers=2, chunk_size=1)
 results = pool.map(task, [0, 1, 2, 3])
 assert results == [1, 2, 3, 4], results
 assert pool.stats.serial_retries >= 1

@@ -369,3 +369,75 @@ class TestCycleSafety:
         report = LintEngine(deep=True,
                             select=["XDET002"]).run([str(tmp_path)])
         assert [f.rule for f in report.findings] == ["XDET002"]
+
+
+def _deep_run_of(tmp_path, source):
+    """``(findings, certificate)`` of a deep run over a one-module
+    package ``pkg`` holding ``source`` as ``pkg/tasks.py``."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "tasks.py").write_text(source)
+    engine = LintEngine(deep=True)
+    report = engine.run([str(package)])
+    return ([(f.rule, f.line) for f in report.findings],
+            engine.analysis.certificate()["functions"])
+
+
+class TestModuleScopeCallTargets:
+    """A def under a module-level ``try`` / ``if`` is a call target like
+    one in the module body, so what it reaches reaches its callers."""
+
+    def test_trial_calling_a_guarded_clock_reader_is_not_certified(
+            self, tmp_path):
+        findings, functions = _deep_run_of(tmp_path, (
+            "import time\n"
+            "\n"
+            "try:\n"
+            "    import json\n"
+            "except ImportError:\n"
+            "    json = None\n"
+            "else:\n"
+            "    def helper():\n"
+            "        return time.time()\n"
+            "\n"
+            "\n"
+            "def run_trial(seed):\n"
+            "    return {'t': helper() + seed}\n"))
+        assert findings == [("DET002", 9), ("XDET001", 12)]
+        assert functions["pkg.tasks:run_trial"]["deterministic"] is False
+
+
+class TestClockGivenItsTime:
+    """``strftime``, ``localtime``, ``gmtime`` and ``ctime`` convert a
+    time they are handed; only without one do they read the clock."""
+
+    MODULE = (
+        "import time\n"
+        "\n"
+        "\n"
+        "def helper(seed):\n"
+        "    t = (2008, 6, 24, 0, 0, seed, 1, 176, 0)\n"
+        "    return {call}\n"
+        "\n"
+        "\n"
+        "def run_trial(seed):\n"
+        "    return helper(seed)\n")
+
+    @pytest.mark.parametrize("call", [
+        "time.strftime('%Y', t)", "time.localtime(seed)",
+        "time.gmtime(seed)", "time.ctime(seed)"])
+    def test_a_given_time_reads_no_clock(self, tmp_path, call):
+        findings, functions = _deep_run_of(
+            tmp_path, self.MODULE.format(call=call))
+        assert findings == []
+        assert functions["pkg.tasks:run_trial"]["deterministic"] is True
+
+    @pytest.mark.parametrize("call", [
+        "time.strftime('%Y')", "time.localtime()", "time.gmtime(None)",
+        "time.ctime(None)"])
+    def test_no_time_or_none_reads_the_clock(self, tmp_path, call):
+        findings, functions = _deep_run_of(
+            tmp_path, self.MODULE.format(call=call))
+        assert findings == [("DET002", 6), ("XDET001", 9)]
+        assert functions["pkg.tasks:run_trial"]["deterministic"] is False

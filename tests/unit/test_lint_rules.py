@@ -282,17 +282,17 @@ class TestProcessSafety:
         """
         assert rule_ids(src) == ["PROC001"]
 
-    def test_explicit_process_backend_escalates_to_error(self):
+    def test_lambda_task_warns_of_the_serial_loop(self):
         src = """
             from repro.runtime import ParallelMap
 
             def run(xs):
-                return ParallelMap(backend="process").map(
-                    lambda x: x, xs)
+                return ParallelMap(workers=2).map(lambda x: x, xs)
         """
         result = findings(src)
         assert [f.rule for f in result] == ["PROC001"]
-        assert result[0].severity == "error"
+        assert result[0].severity == "warning"
+        assert "runs in the serial loop" in result[0].message
 
     def test_nested_def_task_is_flagged(self):
         src = """
@@ -324,7 +324,7 @@ class TestProcessSafety:
             from repro.runtime.pool import get_pool
 
             def work(x):
-                return get_pool("thread", 2).acquire().submit(abs, x)
+                return get_pool(2).acquire().submit(abs, x)
 
             def run(xs):
                 return parallel_map(work, xs)
@@ -344,7 +344,7 @@ class TestProcessSafety:
         """
         assert rule_ids(src) == ["PROC003"]
 
-    def test_pool_task_on_process_backend_is_an_error(self):
+    def test_pool_task_is_a_warning(self):
         src = """
             from repro.runtime import ParallelMap
             from repro.runtime.pool import shutdown_pools
@@ -354,12 +354,12 @@ class TestProcessSafety:
                 return x
 
             def run(xs):
-                pool = ParallelMap(workers=2, backend="process")
+                pool = ParallelMap(workers=2)
                 return pool.map(work, xs)
         """
         result = findings(src)
         assert [f.rule for f in result] == ["PROC003"]
-        assert result[0].severity == "error"
+        assert result[0].severity == "warning"
 
     def test_parent_side_pool_use_is_clean(self):
         src = """

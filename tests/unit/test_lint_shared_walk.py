@@ -10,7 +10,14 @@ index onto the parser's lines: the edge package then gained one DET001
 ``random.choice`` after the U+2028 in ``ff_mod`` became suppressed and
 the fingerprints of ``ff_mod``'s functions changed; the fixtures gained
 one DET002 (the aliased clock in ``deep_helpers.stamp``); and
-``SUMMARY_VERSION`` became v2.  Nothing else moved.  The digests cover:
+``SUMMARY_VERSION`` became v2.  Nothing else moved.  They were re-made
+again when ``SUMMARY_VERSION`` became v3 (calls to defs under a
+module-level block became call edges, and clock functions handed their
+time stopped counting as clock reads) and the PROC rules lost their
+``backend='process'`` escalation: with the version string held at v2
+every digest still equals its v2 pin except the edge report and raw
+findings, whose three PROC001/PROC002 errors became warnings and whose
+six PROC messages no longer name a thread fallback.  The digests cover:
 
 * the JSON report of ``LintEngine(deep=True)`` (less the wall-clock
   ``duration_seconds``) and its determinism certificate, on
@@ -328,31 +335,31 @@ PINS = {
     "fixtures.report":
         "16272491c7f34545f326e08e5c5f3ef2e5634bd19360ce867eb8c36e1b9b7f64",
     "fixtures.certificate":
-        "4cb3fdd5f17036a7357834f696792d9473f7f5f6f3f56fe2efb4fa8b0ba0c0ef",
+        "3979e7077438aa52ea59c90b211b708da67626f60128b44b1c7bb5041647562d",
     "edge.report":
-        "de850663a6b970c60c8acfa55000afab964ccd6c1e5b80492927ecaf6fd4a2f9",
+        "74dd7e7518783771d5c8af1f76dc7342b5a99ba0b2c67f89bca6d469f873df4a",
     "edge.certificate":
-        "0960958044f67934695e40e1fb234f9b34f155d2e77a8c55da0875a928a4e777",
+        "f0fc1c6c09d4c263d265d2712417de82bb2fe99e02e7538b7058e92c95124dea",
     "edge.raw_findings":
-        "af59079d9dcd1eabdda41d6e00ddc4581315c29df7d85c43e96327502f027f76",
+        "c6aaf4705e6a413db2497c025cb9081ad898512c8aad703695582a9d0c3a1cde",
     "edge.raw_summaries":
-        "e114f39a409fe81497d6f4d64d60b79a9ed4d801ea9b8148ae60b96fb84c22e2",
+        "2486002a554520950f083cfc122eaa41192576a31357b32798533475fcdc8c6f",
     # The summaries' fingerprints join the parser's lines with "\n",
     # so CRLF and LF sources certify alike.
     "edge.raw_certificate":
-        "0960958044f67934695e40e1fb234f9b34f155d2e77a8c55da0875a928a4e777",
+        "f0fc1c6c09d4c263d265d2712417de82bb2fe99e02e7538b7058e92c95124dea",
 }
 
 #: ``ModuleSummary.as_dict()`` digest of every fixture module.
 SUMMARY_PINS = {
     "tests/fixtures/__init__.py":
-        "dd879059753a299492096eaff3d5f2ee889757a41871e092418f0cbf6d28f9b4",
+        "41660a6c1eb9930184747efc9a2f5c677fc27bcc182fca7c65e0c32631e8f963",
     "tests/fixtures/deep_helpers.py":
-        "2ee8f27455aac25e4be79696b7ce929ecb8017cd551ea76db8c9975936d9a80e",
+        "4d4fa845c195d6b706251fb21f2ac4a9b4b5e773499d3c073f1382edaf052aa3",
     "tests/fixtures/deep_planted.py":
-        "56cd761e814d1ddf59034a3f910c2e6c6eafc25ee23633624f05f117590f763a",
+        "49e412b7e12a0be20b6100d33abe47017ee5cc10b2cb447da5c0d92f96131471",
     "tests/fixtures/lint_planted.py":
-        "b2117a6e50041a3b919ce42ab0abb33247bfdbea5361302d75f9c892f1a00378",
+        "2180eea50d89adab30a0aa5b7d9b0d269d22306d27cf421e06a947cb041dbce1",
 }
 
 
@@ -427,7 +434,7 @@ class TestPinnedOutput:
 
     def test_fixture_summaries_serve_from_an_unchanged_cache(
             self, in_repo):
-        assert SUMMARY_VERSION == "lint-deep-summary/v2"
+        assert SUMMARY_VERSION == "lint-deep-summary/v3"
         got = {}
         for path in sorted(SUMMARY_PINS):
             with open(path, "r", encoding="utf-8") as handle:

@@ -37,10 +37,9 @@ def _sha256(document):
 
 def test_two_cli_cells_record_the_pinned_bytes():
     args = argparse.Namespace(requests=120, seed=5, workers=1,
-                              backend="serial", batch=None, store=None,
-                              shards=None)
+                              batch=None, store=None, shards=None)
     campaign, _ = cli._build_campaign(args)
-    with observe.local_session() as tel:
+    with observe.session() as tel:
         recorder = FlightRecorder()
         recorder.attach(tel)
         for protector, fault in CELLS:

@@ -4,7 +4,6 @@ import pickle
 
 import pytest
 
-from repro import observe
 from repro.observe import EventBus, MetricsRegistry, Telemetry, Tracer
 
 
@@ -83,7 +82,7 @@ class TestMetricsSnapshot:
 
     def test_exclude_prefix_drops_series(self):
         registry = MetricsRegistry()
-        registry.inc("repro_runtime_tasks_total", 4, backend="thread")
+        registry.inc("repro_runtime_tasks_total", 4, backend="process")
         registry.inc("workload_total", 2)
         flat = registry.as_dict(exclude=("repro_runtime_",))
         assert flat == {"workload_total": 2}
@@ -209,43 +208,3 @@ class TestTelemetrySnapshot:
         assert [s.name for s in target.tracer.spans] \
             == ["technique.execute"]
 
-
-class TestLocalSession:
-    def test_local_session_shadows_global(self):
-        with observe.session() as outer:
-            with observe.local_session() as local:
-                assert observe.current() is local
-                observe.current().count("inner_total")
-            assert observe.current() is outer
-        assert outer.metrics.value("inner_total") == 0
-
-    def test_local_session_is_thread_private(self):
-        import threading
-
-        results = {}
-
-        def probe():
-            results["other"] = observe.current()
-
-        with observe.local_session():
-            thread = threading.Thread(target=probe)
-            thread.start()
-            thread.join()
-        assert results["other"] is not observe.current() or \
-            not results["other"].enabled
-
-    def test_session_nests_inside_local_session(self):
-        with observe.local_session() as chunk:
-            with observe.session() as trial:
-                assert observe.current() is trial
-            assert observe.current() is chunk
-        # The global session was never touched.
-        assert not observe.enabled()
-
-    def test_install_inside_local_session_stays_local(self):
-        global_before = observe.current()
-        with observe.local_session():
-            replacement = observe.Telemetry()
-            observe.install(replacement)
-            assert observe.current() is replacement
-        assert observe.current() is global_before

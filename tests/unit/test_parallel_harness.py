@@ -82,26 +82,26 @@ class TestExperimentByteIdentity:
         serial = Experiment(name="e", trial=seeded_trial,
                             seeds=seeds).run()
         parallel = Experiment(name="e", trial=seeded_trial, seeds=seeds,
-                              workers=4, backend="process").run()
+                              workers=4).run()
         assert repr(parallel) == repr(serial)
         assert repr(summarize(parallel)) == repr(summarize(serial))
 
-    def test_thread_fallback_matches_serial_for_closures(self):
+    def test_closure_trials_run_serially_and_match(self):
         bias = 0.5
         trial = lambda seed: {"x": seed + bias}  # noqa: E731 - unpicklable
         seeds = tuple(range(8))
         serial = Experiment(name="e", trial=trial, seeds=seeds).run()
-        parallel = Experiment(name="e", trial=trial, seeds=seeds,
-                              workers=3).run()
-        assert repr(parallel) == repr(serial)
+        experiment = Experiment(name="e", trial=trial, seeds=seeds,
+                                workers=3)
+        assert repr(experiment.run()) == repr(serial)
+        assert experiment.pool_stats.backend == "serial"
 
     def test_instrumented_digests_match_serial(self):
         seeds = (0, 1, 2, 3)
         serial = Experiment(name="e", trial=nvp_trial, seeds=seeds,
                             instrument=True).run()
         parallel = Experiment(name="e", trial=nvp_trial, seeds=seeds,
-                              instrument=True, workers=2,
-                              backend="process").run()
+                              instrument=True, workers=2).run()
         assert [r.metrics for r in parallel] == [r.metrics
                                                  for r in serial]
         assert [r.telemetry for r in parallel] == [r.telemetry
@@ -109,17 +109,16 @@ class TestExperimentByteIdentity:
 
     def test_run_trials_workers_knob(self):
         serial = run_trials(seeded_trial, seeds=range(10))
-        parallel = run_trials(seeded_trial, seeds=range(10), workers=4,
-                              backend="process")
+        parallel = run_trials(seeded_trial, seeds=range(10), workers=4)
         assert repr(parallel) == repr(serial)
 
 
 class TestCampaignByteIdentity:
     def test_process_pool_matrix_and_table_match_serial(self):
         serial = FaultCampaign(**CAMPAIGN_KWARGS)
-        parallel = FaultCampaign(**CAMPAIGN_KWARGS, workers=4,
-                                 backend="process")
+        parallel = FaultCampaign(**CAMPAIGN_KWARGS, workers=4)
         assert parallel.run() == serial.run()
+        assert parallel.pool_stats.backend == "process"
         assert parallel.render() == serial.render()
 
     def test_closure_campaign_falls_back_and_matches(self):
@@ -130,6 +129,7 @@ class TestCampaignByteIdentity:
         serial = FaultCampaign(**kwargs)
         parallel = FaultCampaign(**kwargs, workers=2)
         assert parallel.render() == serial.render()
+        assert parallel.pool_stats.backend == "serial"
 
 
 class TestStableSeedDerivation:

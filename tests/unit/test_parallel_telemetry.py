@@ -1,7 +1,7 @@
 """Serial-vs-parallel byte-identity for captured telemetry.
 
-The pool captures each chunk's telemetry in a worker-local session and
-merges the snapshots in submission order, so with a session installed
+The pool captures each chunk's telemetry in a session in its worker
+process and merges the snapshots in submission order, so with a session installed
 the merged record of a pooled run must equal the serial run's byte for
 byte.  Workload costs here are dyadic (1.0, 0.5) so float summation is
 exact under any chunk grouping, and every trial binds the session to
@@ -9,9 +9,14 @@ its environment's virtual clock so timestamps are seed-derived rather
 than session-relative (see docs/OBSERVABILITY.md).
 """
 
+import os
+
 from repro import observe
 from repro.harness.experiment import Experiment
 from repro.runtime.pmap import ParallelMap
+
+#: The test process: ``flaky_trial`` fails in any other (a worker).
+PARENT_PID = os.getpid()
 
 #: Pool self-metrics are backend-dependent by design; the byte-identity
 #: contract covers the workload series only.
@@ -47,14 +52,24 @@ def nvp_trial(seed):
     return {"ok": float(ok)}
 
 
+def flaky_trial(seed):
+    """``nvp_trial``, except that seed 1 fails in a pool worker (not in
+    the parent's serial rerun)."""
+    if seed == 1 and os.getpid() != PARENT_PID:
+        raise RuntimeError("worker-side failure")
+    return nvp_trial(seed)
+
+
 def _run_backend(backend, instrument=False, workers=3):
     """One instrumented experiment run; returns the outer session."""
     with observe.session() as tel:
-        results = Experiment(name="t", trial=nvp_trial,
-                             seeds=tuple(range(9)),
-                             instrument=instrument,
-                             workers=1 if backend == "serial" else workers,
-                             backend=backend).run()
+        experiment = Experiment(
+            name="t", trial=nvp_trial, seeds=tuple(range(9)),
+            instrument=instrument,
+            workers=1 if backend == "serial" else workers)
+        results = experiment.run()
+    if backend != "serial":
+        assert experiment.pool_stats.backend == backend
     return tel, results
 
 
@@ -65,24 +80,18 @@ def _span_tree(tel):
 class TestCapturedTelemetryByteIdentity:
     def test_metric_dumps_identical_across_backends(self):
         serial, _ = _run_backend("serial")
-        thread, _ = _run_backend("thread")
         process, _ = _run_backend("process")
         expected = serial.metrics.render_prometheus(exclude=EXCLUDE)
-        assert thread.metrics.render_prometheus(exclude=EXCLUDE) \
-            == expected
         assert process.metrics.render_prometheus(exclude=EXCLUDE) \
             == expected
-        assert thread.metrics.as_dict(exclude=EXCLUDE) \
+        assert process.metrics.as_dict(exclude=EXCLUDE) \
             == serial.metrics.as_dict(exclude=EXCLUDE)
 
     def test_span_trees_identical_across_backends(self):
         serial, _ = _run_backend("serial")
-        thread, _ = _run_backend("thread")
         process, _ = _run_backend("process")
-        expected = _span_tree(serial)
-        assert _span_tree(thread) == expected
-        assert _span_tree(process) == expected
-        assert thread.tracer.timeline() == serial.tracer.timeline()
+        assert _span_tree(process) == _span_tree(serial)
+        assert process.tracer.timeline() == serial.tracer.timeline()
 
     def test_event_history_identical_across_backends(self):
         serial, _ = _run_backend("serial")
@@ -98,16 +107,16 @@ class TestCapturedTelemetryByteIdentity:
         assert repr(process) == repr(serial)
 
     def test_instrumented_trials_nest_inside_capture(self):
-        # instrument=True opens a per-trial session inside each worker;
-        # with thread workers it must shadow the chunk capture session,
-        # not the process-global one, so digests still match serial.
+        # instrument=True opens a per-trial session inside each worker
+        # chunk; it must shadow the chunk capture session and restore
+        # it, so digests still match serial.
         serial_tel, serial = _run_backend("serial", instrument=True)
-        thread_tel, thread = _run_backend("thread", instrument=True)
-        assert [r.telemetry for r in thread] == [r.telemetry
-                                                 for r in serial]
+        process_tel, process = _run_backend("process", instrument=True)
+        assert [r.telemetry for r in process] == [r.telemetry
+                                                  for r in serial]
         # The per-trial sessions swallowed the workload telemetry; the
         # outer sessions agree on that too.
-        assert thread_tel.metrics.as_dict(exclude=EXCLUDE) \
+        assert process_tel.metrics.as_dict(exclude=EXCLUDE) \
             == serial_tel.metrics.as_dict(exclude=EXCLUDE)
 
 
@@ -116,7 +125,7 @@ class TestMidCampaignSessionInstall:
         # Regression: the capture decision must be taken per chunk at
         # submission time, not once per pool, so a session installed
         # after the pool exists still collects telemetry.
-        pool = ParallelMap(workers=2, backend="thread", chunk_size=3)
+        pool = ParallelMap(workers=2, chunk_size=3)
         pool.map(nvp_trial, range(6))  # no session: nothing captured
         assert pool.stats.captured_chunks == 0
         try:
@@ -131,17 +140,19 @@ class TestMidCampaignSessionInstall:
             observe.disable()
 
     def test_serial_retry_of_captured_chunk_reaches_the_session(self):
-        def flaky(x):
-            if x == "boom":
-                raise RuntimeError("worker-side failure")
-            return nvp_trial(x)
-
+        with observe.session() as serial:
+            expected = [nvp_trial(x) for x in (0, 1)]
         with observe.session() as tel:
-            pool = ParallelMap(workers=2, backend="thread", chunk_size=1)
-            results = pool.map(flaky, [0, 1])
-            assert len(results) == 2
-            assert pool.stats.captured_chunks == 2
-            assert len(tel.tracer.spans) > 0
+            pool = ParallelMap(workers=2, chunk_size=1)
+            results = pool.map(flaky_trial, [0, 1])
+        assert results == expected
+        assert pool.stats.captured_chunks == 2
+        assert pool.stats.serial_retries == 1
+        assert pool.stats.dropped_snapshots == 1
+        # The failed chunk's rerun wrote straight into the session.
+        assert tel.metrics.as_dict(exclude=EXCLUDE) \
+            == serial.metrics.as_dict(exclude=EXCLUDE)
+        assert _span_tree(tel) == _span_tree(serial)
 
 
 class TestHashSeedStability:

@@ -542,7 +542,7 @@ class TestHarnessWiring:
         # The store never ships to workers (__getstate__ strips it), so
         # pooled fan-out serves parent-side hits like the serial path.
         pooled = FaultCampaign(**CAMPAIGN_KWARGS, store=store,
-                               workers=3, backend="process").run()
+                               workers=3).run()
         assert cold == warm == pooled == plain
         assert store.stats()["writes"] == len(plain)
 

@@ -7,7 +7,6 @@ import os
 import pickle
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -16,7 +15,6 @@ from repro.faults.development import Bohrbug, Heisenbug, InputRegion
 from repro.harness.campaign import FaultCampaign
 from repro.harness.shard import (ShardPlan, ShardedCampaign,
                                  campaign_fingerprint, pairs_digest)
-from repro.runtime.pool import get_pool, retire_pool
 from repro.runtime.store import ResultStore
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -53,13 +51,12 @@ def make_quiet():
     return Heisenbug("quiet", probability=0.0)
 
 
-def build_campaign(requests=30, seed=3, workers=1, backend="auto"):
+def build_campaign(requests=30, seed=3, workers=1):
     return FaultCampaign(
         {"retry": retry_protector},
         {"bohrbug": make_bohrbug, "heisenbug": make_heisenbug,
          "none": make_quiet},
-        oracle=oracle, requests=requests, seed=seed,
-        workers=workers, backend=backend)
+        oracle=oracle, requests=requests, seed=seed, workers=workers)
 
 
 def snapshot_bytes(snapshot):
@@ -70,20 +67,6 @@ def sha256(data):
     if isinstance(data, str):
         data = data.encode("utf-8")
     return hashlib.sha256(data).hexdigest()
-
-
-class CountingProtector:
-    """A retry protector factory that counts the cells it is built for
-    (one build per measured cell)."""
-
-    def __init__(self):
-        self.cells = 0
-        self._lock = threading.Lock()
-
-    def __call__(self, faulty, env):
-        with self._lock:
-            self.cells += 1
-        return retry_protector(faulty, env)
 
 
 class TestShardPlan:
@@ -142,13 +125,12 @@ class TestShardedExecution:
             assert sharded.run() == reference
             assert sharded.stats.shards_executed == len(sharded.plan)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_pooled_sharded_matches_plain_run(self, backend):
         reference = build_campaign().run()
-        sharded = ShardedCampaign(
-            build_campaign(workers=3, backend=backend), shards=4)
+        sharded = ShardedCampaign(build_campaign(workers=3), shards=4)
         assert sharded.run() == reference
-        assert sharded.campaign.pool_stats is not None
+        assert sharded.campaign.pool_stats.backend == backend
 
     def test_run_shards_streams_in_plan_order(self):
         sharded = ShardedCampaign(build_campaign(), shards=3)
@@ -168,22 +150,14 @@ class TestShardedExecution:
         assert sharded.stats.shards_executed == 2
         with pytest.raises(ValueError):
             ShardedCampaign(build_campaign(), shards=2, max_shards=0)
-        # Pooled, shards past the limit must never reach the pool: once
-        # the pool has drained, only the first K shards' cells were
-        # built.
-        counter = CountingProtector()
-        campaign = FaultCampaign(
-            {"retry": counter, "unprotected": counter},
-            {"bohrbug": make_bohrbug, "heisenbug": make_heisenbug,
-             "none": make_quiet},
-            oracle=oracle, requests=30, seed=3, workers=2,
-            backend="thread")
+        # Pooled, shards past the limit must never reach the pool: it
+        # is handed the first K shards only.
+        campaign = build_campaign(workers=2)
         sharded = ShardedCampaign(campaign, shards=6, max_shards=2)
         assert len(sharded.run()) == 2
         assert sharded.stats.truncated
-        retire_pool(get_pool("thread", 2), wait=True)
-        assert counter.cells == sum(len(shard)
-                                    for shard in sharded.plan.shards[:2])
+        assert campaign.pool_stats.backend == "process"
+        assert campaign.pool_stats.tasks == 2
 
 
 class TestCheckpointResume:
@@ -296,8 +270,7 @@ class TestFingerprint:
 
     def test_fingerprint_ignores_execution_knobs(self):
         base = campaign_fingerprint(build_campaign())
-        assert campaign_fingerprint(
-            build_campaign(workers=8, backend="thread")) == base
+        assert campaign_fingerprint(build_campaign(workers=8)) == base
 
     def test_sources_are_read_once_per_campaign(self, tmp_path,
                                                 monkeypatch):

@@ -3,13 +3,13 @@
 The contract under test (see docs/OBSERVABILITY.md): a streamed map
 call's canonical session — the ``repro-delta/v1`` documents each chunk
 hands back, folded in emission order — is byte-identical to the plain
-captured run, on every backend, and a chunk that fails in its worker
+captured run, serial or on processes, and a chunk that fails in its worker
 adds nothing to it.  Workload costs are dyadic and every trial binds
 the session to its environment's virtual clock, the same discipline as
 ``test_parallel_telemetry``.
 """
 
-import threading
+import os
 
 import pytest
 
@@ -24,6 +24,10 @@ from repro.runtime.pmap import ParallelMap
 #: Pool self-metrics are backend- and transport-dependent by design;
 #: the byte-identity contract covers the workload series only.
 EXCLUDE = ("repro_runtime_",)
+
+
+#: The test process: ``flaky_trial`` fails in any other (a worker).
+PARENT_PID = os.getpid()
 
 
 # -- module-level (picklable) building blocks for the process backend --
@@ -43,10 +47,9 @@ def stream_trial(seed):
 
 
 def flaky_trial(seed):
-    """``stream_trial``, except that seed 4 fails off the main thread
-    (in a pool worker, not in the parent's serial rerun)."""
-    if seed == 4 and threading.current_thread() is not \
-            threading.main_thread():
+    """``stream_trial``, except that seed 4 fails in a pool worker
+    (not in the parent's serial rerun)."""
+    if seed == 4 and os.getpid() != PARENT_PID:
         raise RuntimeError("worker-only failure")
     return stream_trial(seed)
 
@@ -63,10 +66,11 @@ def _fingerprint(tel):
 def _run(backend, stream=None, workers=3, seeds=range(9)):
     """One run under a session; returns (session, pool)."""
     pool = ParallelMap(workers=1 if backend == "serial" else workers,
-                       backend=backend, chunk_size=3, stream=stream)
+                       chunk_size=3, stream=stream)
     with observe.session() as tel:
         results = pool.map(stream_trial, list(seeds))
     assert results == [seed * 2 for seed in seeds]
+    assert pool.stats.backend == backend
     return tel, pool
 
 
@@ -139,7 +143,7 @@ class TestStreamedByteIdentity:
     def test_streamed_folds_identical_across_backends(self):
         plain, _ = _run("serial")
         expected = _fingerprint(plain)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             tel, pool = _run(backend, stream=TelemetryStream(every=2))
             assert _fingerprint(tel) == expected, backend
             assert pool.stats.streamed_chunks == pool.stats.chunks
@@ -159,13 +163,13 @@ class TestStreamedByteIdentity:
 
     def test_stream_is_reusable_across_map_calls(self):
         stream = TelemetryStream(every=2)
-        first, pool = _run("thread", stream=stream)
-        second, _ = _run("thread", stream=stream)
+        first, pool = _run("process", stream=stream)
+        second, _ = _run("process", stream=stream)
         assert _fingerprint(first) == _fingerprint(second)
         assert stream.collector.received == 2 * pool.stats.deltas_merged
 
     def test_activate_twice_raises(self):
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             stream = TelemetryStream()
             stream.activate(backend)
             try:
@@ -183,7 +187,7 @@ class TestStreamedByteIdentity:
     def test_live_view_sees_the_same_workload_totals(self):
         live = observe.Telemetry()
         stream = TelemetryStream(every=2, live=live)
-        tel, _ = _run("thread", stream=stream)
+        tel, _ = _run("process", stream=stream)
         # Arrival order is nondeterministic, so histories may differ —
         # but the folded totals are commutative and must agree.
         assert live.metrics.value("stream_trials_total") == \
@@ -193,7 +197,7 @@ class TestStreamedByteIdentity:
     def test_chunk_failing_in_its_worker_adds_nothing(self):
         plain, _ = _run("serial")
         live = observe.Telemetry()
-        pool = ParallelMap(workers=3, backend="thread", chunk_size=3,
+        pool = ParallelMap(workers=3, chunk_size=3,
                            stream=TelemetryStream(every=1, live=live))
         with observe.session() as tel:
             results = pool.map(flaky_trial, list(range(9)))
@@ -210,7 +214,7 @@ class TestStreamedByteIdentity:
         assert tel.bus.counts["stream.tick"] == 9
 
     def test_disabled_session_streams_nothing(self):
-        pool = ParallelMap(workers=2, backend="thread", chunk_size=3,
+        pool = ParallelMap(workers=2, chunk_size=3,
                            stream=TelemetryStream(every=2))
         results = pool.map(stream_trial, list(range(6)))
         assert results == [seed * 2 for seed in range(6)]
