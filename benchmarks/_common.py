@@ -6,29 +6,20 @@ the paper's claim holds, and writes its rendered table to
 ``benchmarks/results/<experiment>.txt`` so EXPERIMENTS.md entries can be
 refreshed verbatim.
 
-Benchmarks that pin machine-dependent timings (the observe suite)
-share one JSON report, ``BENCH_observe.json``, through
-:func:`update_bench_json`: a schema-versioned document with host
-metadata, updated one named section at a time under an advisory
-``flock`` so the pool can run the contributing benchmarks
+Benchmarks that pin machine-dependent timings write them to one JSON
+report, ``BENCH_harness.json`` (:data:`BENCH_HARNESS_JSON`), through
+:func:`repro.runtime.bench.update_harness_json`: a schema-versioned
+document with host metadata, updated one named section at a time under
+an advisory ``flock`` so the pool can run the contributing benchmarks
 concurrently without losing each other's sections.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import platform
-import time
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: Schema line for ``BENCH_observe.json``; bump on layout changes.
-BENCH_OBSERVE_SCHEMA = "repro-bench-observe/v1"
-
-BENCH_OBSERVE_JSON = pathlib.Path(__file__).resolve().parent.parent \
-    / "BENCH_observe.json"
 
 #: The harness timing report (sectioned repro-bench-harness/v2; written
 #: through :func:`repro.runtime.bench.update_harness_json`).
@@ -37,56 +28,20 @@ BENCH_HARNESS_JSON = pathlib.Path(__file__).resolve().parent.parent \
 
 
 def save_result(experiment_id: str, text: str) -> None:
-    """Persist a rendered experiment table and echo it to stdout."""
+    """Persist a rendered experiment table and echo it to stdout.
+
+    The table is written to a temporary file beside it and renamed over
+    it, so a write that fails leaves the previous table in place and a
+    concurrent reader never sees a truncated one.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{experiment_id}.txt"
-    path.write_text(text + "\n", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"\n[{experiment_id}]")
     print(text)
 
-
-def host_facts() -> dict:
-    """The machine identity a timing report needs to be interpretable:
-    without it a 113→307 ns/site swing between hosts is
-    indistinguishable from a regression."""
-    return {
-        "platform": platform.platform(),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-    }
-
-
-def update_bench_json(section: str, payload: dict,
-                      path: pathlib.Path = BENCH_OBSERVE_JSON,
-                      schema: str = BENCH_OBSERVE_SCHEMA) -> dict:
-    """Read-modify-write one section of a shared timing report.
-
-    The whole cycle happens under an exclusive ``flock`` (the same
-    discipline as the result store's log appends), so two benchmarks
-    running in pool workers can each land their section without
-    clobbering the other's.  A legacy or corrupt document (no matching
-    ``schema`` line) is replaced rather than merged.  Returns the
-    document as written.
-    """
-    import fcntl
-
-    with open(path, "a+", encoding="utf-8") as handle:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        handle.seek(0)
-        raw = handle.read().strip()
-        document = {}
-        if raw:
-            try:
-                loaded = json.loads(raw)
-            except ValueError:
-                loaded = None
-            if isinstance(loaded, dict) and loaded.get("schema") == schema:
-                document = loaded
-        document["schema"] = schema
-        document["host"] = host_facts()
-        document["generated_unix"] = time.time()
-        document[section] = payload
-        handle.seek(0)
-        handle.truncate()
-        handle.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return document

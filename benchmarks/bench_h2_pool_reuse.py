@@ -2,12 +2,12 @@
 
 Two claims about the harness's own cost model:
 
-* **warm pools** — a :class:`ParallelMap` with ``reuse=True`` (the
-  default) borrows one long-lived process executor per worker count
-  instead of spawning a fresh one per ``map()`` call, so a sequence of
-  maps pays spawn cost once.  Reuse must be free of
-  observable effect: the warm maps' results are byte-identical to
-  per-call-executor maps and to the serial path.
+* **warm pools** — a :class:`ParallelMap` borrows one long-lived
+  process executor per worker count instead of spawning a fresh one
+  per ``map()`` call, so a sequence of maps pays spawn cost once.
+  Reuse must be free of observable effect: the warm maps' results are
+  byte-identical to cold maps (the warm pools shut down before each,
+  so each spawns its own workers) and to the serial path.
 * **incremental re-runs** — a suite driven through
   :func:`repro.runtime.bench.run_suite` with a
   :class:`~repro.runtime.store.ResultStore` serves files unchanged
@@ -29,6 +29,7 @@ import time
 from repro.harness.report import render_table
 from repro.runtime.bench import run_suite
 from repro.runtime.pmap import ParallelMap
+from repro.runtime.pool import shutdown_pools
 from repro.runtime.store import ResultStore
 
 from _common import save_result
@@ -47,11 +48,16 @@ def _square(x):
     return x * x
 
 
-def _run_maps(reuse):
-    """``MAPS`` process-pool maps; returns (results, seconds, stats)."""
-    pool = ParallelMap(workers=2, reuse=reuse)
+def _run_maps(cold):
+    """``MAPS`` process-pool maps; returns (results, seconds, stats).
+    ``cold`` shuts the warm pools down before each map."""
+    pool = ParallelMap(workers=2)
+    results = []
     start = time.perf_counter()
-    results = [pool.map(_square, ITEMS) for _ in range(MAPS)]
+    for _ in range(MAPS):
+        if cold:
+            shutdown_pools()
+        results.append(pool.map(_square, ITEMS))
     seconds = time.perf_counter() - start
     return results, seconds, pool.stats
 
@@ -79,8 +85,8 @@ def _run_incremental(suite, store_path):
 
 def _experiment():
     serial = [_square(x) for x in ITEMS]
-    cold_results, cold_seconds, _ = _run_maps(reuse=False)
-    warm_results, warm_seconds, warm_stats = _run_maps(reuse=True)
+    cold_results, cold_seconds, _ = _run_maps(cold=True)
+    warm_results, warm_seconds, warm_stats = _run_maps(cold=False)
 
     root = pathlib.Path(tempfile.mkdtemp(prefix="bench_h3_"))
     try:

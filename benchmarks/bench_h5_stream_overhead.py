@@ -16,7 +16,7 @@ Three claims about the delta-snapshot protocol
 * **enabled overhead pinned** — the per-trial cost of a streamed
   serial run versus a plain one, both recording into a session, is
   measured and written to the ``"streaming"`` section of
-  ``BENCH_observe.json``, next to host metadata so cross-host swings
+  ``BENCH_harness.json``, next to host metadata so cross-host swings
   stay attributable.  It is timed on the serial backend because a
   worker process's CPU time does not show in this process's
   ``process_time``.
@@ -32,9 +32,10 @@ from repro import observe
 from repro.environment import SimEnvironment
 from repro.harness.report import render_table
 from repro.observe.stream import TelemetryStream
+from repro.runtime.bench import update_harness_json
 from repro.runtime.pmap import ParallelMap
 
-from _common import save_result, update_bench_json
+from _common import BENCH_HARNESS_JSON, save_result
 
 #: Disabled-path timing iterations (same scale as bench_observe).
 N_SITES = 20_000
@@ -202,7 +203,7 @@ def _experiment():
 def test_stream_overhead_identity_and_disabled_budget(benchmark):
     facts, section, table = benchmark(_experiment)
     save_result("H5_stream_overhead", table)
-    update_bench_json("streaming", section)
+    update_harness_json(BENCH_HARNESS_JSON, "streaming", section)
     print(" ".join(
         f"{key}={value:.1f}" for key, value in sorted(section.items())))
 

@@ -6,7 +6,7 @@ only then do telemetry work — so the cost of *having* the observe
 subsystem is the cost of that disabled-path check, and the cost of
 *using* it is the per-site enabled work (counter bump, event publish,
 span open/close).  This benchmark times both paths per site and writes
-the timings to the ``"sites"`` section of ``BENCH_observe.json`` —
+the timings to the ``"sites"`` section of ``BENCH_harness.json`` —
 schema-versioned, with host metadata and iteration counts, so a
 timing swing between hosts is attributable (the bare-number era could
 not tell a 113→307 ns host change from a regression).
@@ -34,8 +34,9 @@ import tracemalloc
 
 from repro import observe
 from repro.harness.report import render_table
+from repro.runtime.bench import update_harness_json
 
-from _common import save_result, update_bench_json
+from _common import BENCH_HARNESS_JSON, save_result
 
 N = 20_000
 
@@ -157,7 +158,7 @@ def _experiment():
 def test_observe_overhead_disabled_path_is_allocation_free(benchmark):
     rows, section, net, disabled_ns, table = benchmark(_experiment)
     save_result("OBS_overhead", table)
-    update_bench_json("sites", section)
+    update_harness_json(BENCH_HARNESS_JSON, "sites", section)
     print(" ".join(f"{key}={value:.0f}" for key, value in section.items()
                    if key.endswith(("_ns_per_site", "_ns_per_record"))))
 

@@ -705,6 +705,7 @@ def _cmd_report(args) -> int:
 
     from repro import observe
     from repro.harness.scenarios import SCENARIOS, run_scenario_task
+    from repro.runtime.pmap import ParallelMap
 
     names = (sorted(SCENARIOS) if args.scenario == "all"
              else [args.scenario])
@@ -718,13 +719,8 @@ def _cmd_report(args) -> int:
         wall = time.perf_counter if args.format != "json" else None
         monitor = observe.SliMonitor(tel.bus, window=args.window,
                                      wall_clock=wall)
-        if args.workers > 1:
-            from repro.runtime.pmap import ParallelMap
-
-            pool = ParallelMap(workers=args.workers)
-            results = pool.map(run_scenario_task, tasks)
-        else:
-            results = [run_scenario_task(task) for task in tasks]
+        results = ParallelMap(workers=args.workers).map(
+            run_scenario_task, tasks)
     if args.format == "json":
         document = {"requests": args.requests, "seed": args.seed,
                     "scenarios": results, "sli": monitor.as_dict()}
@@ -842,7 +838,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                               help="fan cells out over N worker processes: "
                                    "cells byte-identical to serial at any N")
         campaign.add_argument("--batch", type=int, default=None, metavar="B",
-                              help="cells per pool task: coarser units, "
+                              help="cells per pool chunk: coarser units, "
                                    "~B× less pickle traffic, byte-identical "
                                    "matrix for any B")
         campaign.add_argument("--store", metavar="PATH", default=None,

@@ -167,17 +167,16 @@ class FaultCampaign:
             workers.  Every cell is a pure function of its labels and
             the base seed, and results are gathered in matrix order, so
             any worker count yields a byte-identical table;
-            ``workers <= 1`` keeps the serial loop, and so does a
-            campaign whose factories do not pickle; otherwise the
-            cells run on worker processes.
-        batch: When set, pool tasks carry up to ``batch`` cells each
-            (one submission, one pickled result list per batch) instead
-            of one cell per task — the campaign-side face of the batch
-            kernel's coarse-unit discipline (see
-            :mod:`repro.runtime.kernel`).  Cells stay individually
-            content-addressed in the store, and any ``batch`` yields a
-            byte-identical matrix because every cell is a pure function
-            of its labels and the base seed.
+            :class:`~repro.runtime.pmap.ParallelMap` decides whether
+            the cells run serially or on worker processes.
+        batch: When set, the map's chunk size: each pool submission
+            carries up to ``batch`` cells (one pickled result list per
+            chunk) instead of the pool's default chunking — the
+            campaign-side face of the batch kernel's coarse-unit
+            discipline (see :mod:`repro.runtime.kernel`).  Cells stay
+            individually content-addressed in the store, and any
+            ``batch`` yields a byte-identical matrix because every cell
+            is a pure function of its labels and the base seed.
         store: Optional :class:`~repro.runtime.store.ResultStore`.
             When set, each cell is looked up by content address —
             (protector + fault + oracle source versions, labels,
@@ -199,9 +198,9 @@ class FaultCampaign:
             --live`` dashboard).  Consulted parent-side only — workers
             get a copy without it, like ``store``/``certify``.
 
-    After a pooled :meth:`run`, :attr:`pool_stats` holds the map call's
-    :class:`~repro.runtime.pmap.PoolStats` and :attr:`flight_records`
-    any flight-recorder dumps it produced.
+    After a :meth:`run` that executes cells, :attr:`pool_stats` holds
+    the map call's :class:`~repro.runtime.pmap.PoolStats` and
+    :attr:`flight_records` any flight-recorder dumps it produced.
     """
 
     def __init__(self,
@@ -337,12 +336,6 @@ class FaultCampaign:
         store is consulted parent-side so workers never write it."""
         return self._measure(*pair)
 
-    def _run_pairs(self, pairs: Tuple[Tuple[str, str], ...]
-                   ) -> List[CampaignCell]:
-        """Pool task under ``batch``: a whole slab of cells measured in
-        one call, returned as one pickled list."""
-        return [self._measure(*pair) for pair in pairs]
-
     def pairs(self) -> List[Tuple[str, str]]:
         """The full (protector, fault) pair list, protector-major —
         the matrix order every report renders in, and the input the
@@ -364,22 +357,12 @@ class FaultCampaign:
 
     def _execute(self, pairs: List[Tuple[str, str]]) -> List[CampaignCell]:
         """Measure ``pairs`` (a sub-list on store partial hits), in
-        order, through the serial loop or the pool."""
-        if (self.workers <= 1 or len(pairs) <= 1) and self.stream is None:
-            return [self._measure(*pair) for pair in pairs]
-        from repro.runtime.kernel import partition
+        order, in one pool map (``batch`` cells per chunk)."""
         from repro.runtime.pmap import ParallelMap
 
         pool = ParallelMap(workers=self.workers, stream=self.stream)
         try:
-            if self.batch is None:
-                return pool.map(self._run_pair, pairs)
-            # Each batch is already a coarse unit of work; submit one
-            # per chunk so the pool never re-bundles (and re-pickles)
-            # batches.
-            slabs = partition(pairs, self.batch)
-            gathered = pool.map(self._run_pairs, slabs, chunk_size=1)
-            return [cell for slab in gathered for cell in slab]
+            return pool.map(self._run_pair, pairs, chunk_size=self.batch)
         finally:
             self.pool_stats = pool.stats
             self.flight_records = pool.flight_records

@@ -50,8 +50,7 @@ class Experiment:
             (``repro.runtime.ParallelMap``).  Every trial is a pure
             function of its seed and results are gathered in seed
             order, so any worker count produces byte-identical results;
-            ``workers <= 1`` keeps the plain serial loop, and so does
-            a trial that does not pickle; otherwise the trials run on
+            the pool decides whether the trials run serially or on
             worker processes.
         batch: When set, run the seeds through the **batch kernel**
             (:mod:`repro.runtime.kernel`): contiguous batches of up to
@@ -94,8 +93,8 @@ class Experiment:
             one snapshot per chunk at the end.  The folded session is
             byte-identical either way.
 
-    After a pooled :meth:`run`, :attr:`pool_stats` holds the last map
-    call's :class:`~repro.runtime.pmap.PoolStats` and
+    After a :meth:`run` that executes trials, :attr:`pool_stats` holds
+    the last map call's :class:`~repro.runtime.pmap.PoolStats` and
     :attr:`flight_records` any flight-recorder dumps it produced
     (chunk timeouts / serial retries).
     """
@@ -186,37 +185,31 @@ class Experiment:
 
     def _execute(self, seeds: Sequence[int]) -> List[TrialResult]:
         """Run ``seeds`` (a sub-sequence on store partial hits), in
-        order, through the serial loop or the pool, each through the
-        per-trial step batches use (:func:`~repro.runtime.kernel.
-        _run_trial`)."""
+        order, in one pool map, each through the per-trial step batches
+        use (:func:`~repro.runtime.kernel._run_trial`)."""
         runner = functools.partial(_run_trial, self.trial, self.instrument)
-        if (self.workers <= 1 or len(seeds) <= 1) and self.stream is None:
-            ran = [runner(seed) for seed in seeds]
-        else:
-            ran = self._pooled_map(runner, list(seeds))
+        ran = self._map(runner, list(seeds))
         return [TrialResult(seed=seed, metrics=metrics, telemetry=telemetry)
                 for seed, (metrics, telemetry) in zip(seeds, ran)]
 
     def _execute_batches(self, batches: Sequence[Sequence[int]]
                          ) -> List[BatchResult]:
-        """Run seed batches, in order, through the serial loop or the
-        pool (one pool item per batch: the batch *is* the chunk)."""
+        """Run seed batches, in order, in one pool map.  Each batch is
+        already a coarse unit of work, so it is its own chunk: the pool
+        never re-bundles (and re-pickles) batches."""
         runner = functools.partial(run_batch, self.trial, self.instrument)
-        if self.workers <= 1 or len(batches) <= 1:
-            return [runner(batch) for batch in batches]
-        # Each batch is already a coarse unit of work; submit one per
-        # chunk so the pool never re-bundles (and re-pickles) batches.
-        return self._pooled_map(runner, list(batches), chunk_size=1)
+        return self._map(runner, list(batches), chunk_size=1)
 
-    def _pooled_map(self, runner, items, **kwargs):
+    def _map(self, runner, items, chunk_size=None):
         """One pool map call, keeping its accounting on the experiment."""
         from repro.runtime.pmap import ParallelMap
 
         pool = ParallelMap(workers=self.workers, stream=self.stream)
-        out = pool.map(runner, items, **kwargs)
-        self.pool_stats = pool.stats
-        self.flight_records = pool.flight_records
-        return out
+        try:
+            return pool.map(runner, items, chunk_size=chunk_size)
+        finally:
+            self.pool_stats = pool.stats
+            self.flight_records = pool.flight_records
 
     def summary(self, results: Optional[Sequence[Union[TrialResult,
                                                        BatchResult]]] = None

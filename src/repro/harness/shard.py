@@ -197,9 +197,9 @@ def _run_shard(campaign: FaultCampaign, capture: Capture,
     be *checkpointed* alongside the cells and replayed on resume.
     """
     if not capture:
-        return campaign._run_pairs(pairs), None
+        return [campaign._measure(*pair) for pair in pairs], None
     with _session(events_only=capture == EVENTS_ONLY) as telemetry:
-        cells = campaign._run_pairs(pairs)
+        cells = [campaign._measure(*pair) for pair in pairs]
         return cells, telemetry.snapshot()
 
 
@@ -302,9 +302,11 @@ class ShardedCampaign:
                  ) -> Iterator[Tuple[List[CampaignCell],
                                      Optional[Dict[str, Any]]]]:
         """Yield ``(cells, snapshot)`` for every pending shard, in
-        ``pending`` order — serial inline loop for one worker (results
-        materialize one shard at a time), pool ``imap`` otherwise
-        (gathered in submission order, O(shard) in flight)."""
+        ``pending`` order — pool ``imap`` for more than one worker
+        (gathered in submission order, O(shard) in flight), and an
+        inline loop otherwise.  The harness's one loop outside the
+        pool: a serial ``imap`` yields once, at the end, and each shard
+        must be checkpointed as it lands."""
         if not pending:
             return
         campaign = self.campaign

@@ -233,15 +233,11 @@ def run_suite(benchmarks_dir: pathlib.Path,
               quick: bool = False,
               timeout: Optional[float] = DEFAULT_TIMEOUT,
               store: Optional[ResultStore] = None,
-              chunk_size: Optional[int] = None,
               ) -> Dict[str, Any]:
     """Run the (filtered) suite; returns the harness report document.
 
     With a ``store`` the run is incremental: files whose content-address
-    hits are served without executing, only misses fan out.
-    ``chunk_size`` overrides the pool's per-submission bundling (1 =
-    one file per pool task, the coarse-unit discipline of the batch
-    kernel)."""
+    hits are served without executing, only misses fan out."""
     paths = discover(benchmarks_dir)
     if quick:
         paths = [p for p in paths if p.stem in QUICK_BENCHMARKS]
@@ -267,8 +263,7 @@ def run_suite(benchmarks_dir: pathlib.Path,
         # is suite compute, not worker start-up.
         pool.prewarm(run_bench_file, [str(p) for p in missing])
     wall_start = time.perf_counter()
-    fresh = iter(pool.map(run_bench_file, [str(p) for p in missing],
-                          chunk_size=chunk_size)
+    fresh = iter(pool.map(run_bench_file, [str(p) for p in missing])
                  if missing else ())
     outcomes: List[Dict[str, Any]] = []
     for path in paths:
@@ -422,10 +417,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="suite location (default: auto-detected)")
     parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
                         help="per-benchmark deadline in seconds")
-    parser.add_argument("--chunk-size", type=int, default=None,
-                        metavar="N",
-                        help="benchmark files per pool submission "
-                             "(default: auto; 1 = one file per task)")
     parser.add_argument("--incremental", action="store_true",
                         help="serve benchmark files unchanged since the "
                              "last run from the result store")
@@ -453,8 +444,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report = run_suite(benchmarks_dir, workers=args.workers,
                        only=args.only,
                        quick=args.quick, timeout=args.timeout,
-                       store=store,
-                       chunk_size=getattr(args, "chunk_size", None))
+                       store=store)
     if args.verbose:
         for name, output in report["outputs"].items():
             if output:

@@ -16,17 +16,19 @@ out across workers must not change a single byte of output.
   pickle, or dies with its worker is re-run serially in the parent
   exactly once, which is always safe for pure tasks.
 
-The work decides the backend: the serial loop for one worker, one item
-or a task that does not pickle (closures and lambdas keep working,
-they just stay in-process), and worker processes otherwise.  Trials
-are pure-Python simulations that hold the GIL, so threads would add
-overhead and no parallelism; there is no thread backend.  The process
-backend borrows a **warm executor** from the process-wide registry in
-:mod:`repro.runtime.pool` (keyed on the worker count), so repeated
-maps amortise worker spawn cost; ``reuse=False`` restores the original
-per-call executor, which is joined before :meth:`ParallelMap.map`
-returns.  Either way the serial loop is the reference semantics; the
-process backend is a bit-identical acceleration of it.
+The work decides the backend: the serial loop for one worker, one
+chunk (so one item) or a task that does not pickle (closures and
+lambdas keep working, they just stay in-process), and worker processes
+otherwise.  This is the one place that choice is made: the harness
+hands every map to :class:`ParallelMap`, whatever its worker count, and
+only the sharded engine keeps a loop of its own (see :meth:`imap`).
+Trials are pure-Python simulations that hold the GIL, so threads would
+add overhead and no parallelism; there is no thread backend.  The
+process backend borrows a **warm executor** from the process-wide
+registry in :mod:`repro.runtime.pool` (keyed on the worker count), so
+repeated maps amortise worker spawn cost.  The serial loop is the
+reference semantics; the process backend is a bit-identical
+acceleration of it.
 
 **Telemetry capture.**  When the parent has a telemetry session
 installed at the moment a chunk is submitted, the chunk runs inside a
@@ -73,7 +75,6 @@ from repro.observe import flightrec as _flightrec
 from repro.observe import session as _session
 from repro.observe.stream import TelemetryStream, make_delta
 from repro.runtime.pool import get_pool as _get_pool
-from repro.runtime.pool import new_executor as _new_executor
 from repro.runtime.pool import retire_pool as _retire_pool
 
 T = TypeVar("T")
@@ -170,24 +171,13 @@ class ParallelMap:
 
     Args:
         workers: Worker count; ``None`` means ``os.cpu_count()``.
-            Each call runs serially for ``workers <= 1``, for one item,
-            or when ``fn`` or the first item does not pickle, and on
-            worker processes otherwise.
-        chunk_size: Items per submitted chunk; ``None`` picks
-            ``ceil(len(items) / (workers * 4))`` so every worker gets
-            several chunks to smooth uneven task costs.
+            Each call runs serially for ``workers <= 1``, for items
+            that fit in one chunk, or when ``fn`` or the first item
+            does not pickle, and on worker processes otherwise.  At
+            most ``workers * 2`` chunks are in flight at once, so huge
+            inputs never materialise a future per chunk up front.
         timeout: Per-chunk deadline in (real) seconds; an overdue chunk
             is re-run serially in the parent.  ``None`` waits forever.
-        max_in_flight: Bound on submitted-but-ungathered chunks
-            (default ``workers * 2``), so huge inputs never materialise
-            a future per chunk up front.
-        reuse: When true (the default) the call borrows a long-lived
-            executor from the warm-pool registry
-            (:mod:`repro.runtime.pool`), keyed on the worker count, so
-            repeated maps amortise worker spawn cost.  ``reuse=False``
-            keeps the original per-call executor, which is joined
-            before :meth:`map` returns.  Results and merged telemetry
-            are byte-identical either way.
         stream: Optional :class:`~repro.observe.stream.TelemetryStream`.
             When set and telemetry is enabled, captured chunks put
             incremental ``repro-delta/v1`` snapshots into the stream
@@ -197,21 +187,13 @@ class ParallelMap:
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 chunk_size: Optional[int] = None,
                  timeout: Optional[float] = None,
-                 max_in_flight: Optional[int] = None,
-                 reuse: bool = True,
                  stream: Optional[TelemetryStream] = None) -> None:
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.workers = max(1, workers if workers is not None
                            else (os.cpu_count() or 1))
-        self.chunk_size = chunk_size
         self.timeout = timeout
-        self.max_in_flight = max_in_flight
-        self.reuse = reuse
         self.stream = stream
         self.stats = PoolStats()
         #: Flight-recorder dump documents produced by the most recent
@@ -220,8 +202,17 @@ class ParallelMap:
 
     # -- backend resolution ------------------------------------------------
 
-    def _resolve(self, fn: Callable, items: Sequence) -> str:
-        if self.workers <= 1 or len(items) <= 1 \
+    def _chunk_size(self, items: Sequence,
+                    chunk_size: Optional[int]) -> int:
+        """The per-call chunk size, or ``ceil(len(items) / (workers *
+        4))`` so every worker gets several chunks to smooth uneven task
+        costs."""
+        if chunk_size is not None and chunk_size <= 0:
+            raise ValueError("chunk_size must be positive")
+        return chunk_size or max(1, -(-len(items) // (self.workers * 4)))
+
+    def _resolve(self, fn: Callable, items: Sequence, size: int) -> str:
+        if self.workers <= 1 or len(items) <= size \
                 or not _picklable(fn, items[0]):
             return "serial"
         return "process"
@@ -236,11 +227,12 @@ class ParallelMap:
         returned list is identical to the serial comprehension above.
 
         Args:
-            chunk_size: Per-call override of the constructor's chunk
-                size.  Batched callers (the harness's batch kernel)
-                pass ``1`` so each item — already a coarse batch of
-                work — is submitted as its own chunk and never
-                re-bundled into a second layer of pickling.
+            chunk_size: Items per submitted chunk (``None``: several
+                chunks per worker).  Batched callers (the harness's
+                batch kernel) pass ``1`` so each item — already a
+                coarse batch of work — is submitted as its own chunk
+                and never re-bundled into a second layer of pickling;
+                ``FaultCampaign(batch=B)`` passes ``B``.
         """
         results: List[R] = []
         for chunk_results in self.imap(fn, items, chunk_size=chunk_size):
@@ -269,29 +261,25 @@ class ParallelMap:
         chunk-at-a-time progress under ``workers <= 1`` should iterate
         their items themselves.
         """
-        if chunk_size is not None and chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
         tasks = list(items)
-        backend = self._resolve(fn, tasks)
+        size = self._chunk_size(tasks, chunk_size)
+        backend = self._resolve(fn, tasks, size)
         self.stats = PoolStats(backend=backend, workers=self.workers,
                                tasks=len(tasks))
         self.flight_records = []
-        if not tasks:
-            self._report()
-            return
         if backend == "serial":
-            results = self._run_serial(fn, tasks)
-            self.stats.chunks = 1
-            self._report()
-            yield results
+            if tasks:
+                results = self._run_serial(fn, tasks)
+                self.stats.chunks = 1
+                yield results
             return
 
-        size = (chunk_size or self.chunk_size
-                or max(1, -(-len(tasks) // (self.workers * 4))))
         chunks = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         self.stats.chunks = len(chunks)
-        max_in_flight = self.max_in_flight or self.workers * 2
-        pool, warm = self._executor(len(chunks))
+        warm = _get_pool(self.workers)
+        if warm.warm:
+            self.stats.pool_reuses = 1
+        pool = warm.acquire()
         stream = self.stream
         epoch: Optional[int] = None
         put: Any = None
@@ -304,7 +292,7 @@ class ParallelMap:
             submitted = 0
             while submitted < len(chunks) or pending:
                 while (submitted < len(chunks)
-                       and len(pending) < max_in_flight):
+                       and len(pending) < self.workers * 2):
                     # The enabled check is per chunk, not per pool: a
                     # session installed mid-campaign captures (and
                     # streams) whatever chunks are submitted from then
@@ -349,11 +337,7 @@ class ParallelMap:
         finally:
             if put is not None:
                 stream.deactivate()
-            if warm is None:
-                # Per-call executor: join it, exactly like the previous
-                # ``with`` block did.
-                pool.shutdown(wait=True)
-            elif warm.broken():
+            if warm.broken():
                 # A warm pool that lost a worker must not be reused;
                 # drop it so the next call respawns cleanly.
                 _retire_pool(warm)
@@ -425,49 +409,30 @@ class ParallelMap:
 
     # -- executors ---------------------------------------------------------
 
-    def _executor(self, nchunks: int):
-        """``(executor, warm_pool_or_None)`` for one map call.
-
-        With ``reuse`` (the default) the executor comes from the
-        process-wide warm registry, keyed on the worker count; ``None``
-        as the second element marks the per-call fallback executor,
-        which the caller must join.
-        """
-        if self.reuse:
-            warm = _get_pool(self.workers)
-            reused = warm.warm
-            executor = warm.acquire()
-            if reused:
-                self.stats.pool_reuses = 1
-            return executor, warm
-        return _new_executor(min(self.workers, nchunks)), None
-
-    def prewarm(self, fn: Optional[Callable] = None,
-                items: Sequence = ()) -> str:
+    def prewarm(self, fn: Callable, items: Sequence) -> str:
         """Spawn (or reuse) the warm executor for this pool's size.
 
         Resolves the backend exactly as :meth:`map` would for ``fn`` and
-        ``items`` (with no sample, more than one worker resolves to
-        ``process``) and acquires the registry executor outside any
-        timed region, so the first measured :meth:`map` call pays no
-        spawn cost.  No-op for serial resolutions or ``reuse=False``.
-        Returns the resolved backend name.
+        ``items`` with the default chunking, and acquires the registry
+        executor outside any timed region, so the first measured
+        :meth:`map` call pays no spawn cost.  No-op for serial
+        resolutions.  Returns the resolved backend name.
         """
-        if fn is not None:
-            backend = self._resolve(fn, list(items))
-        else:
-            backend = "process" if self.workers > 1 else "serial"
-        if self.reuse and backend == "process":
+        tasks = list(items)
+        backend = self._resolve(fn, tasks, self._chunk_size(tasks, None))
+        if backend == "process":
             _get_pool(self.workers).acquire()
         return backend
 
     # -- telemetry ---------------------------------------------------------
 
     def _report(self) -> None:
-        """Forward the call's accounting to an installed telemetry
+        """Forward a pooled call's accounting to an installed telemetry
         session (no-op when telemetry is disabled): one
         ``repro_runtime_<field>_total`` counter per :data:`_COUNTED`
-        field, the zero ones left out past ``tasks`` and ``chunks``."""
+        field, the zero ones left out past ``tasks`` and ``chunks``.
+        Serial calls never report, so a one-worker run records what the
+        plain loop would."""
         tel = _telemetry()
         if not tel.enabled:
             return
@@ -478,8 +443,11 @@ class ParallelMap:
                 tel.metrics.inc(f"repro_runtime_{field}_total", amount,
                                 backend=stats.backend)
 
+
 def parallel_map(fn: Callable[[T], R], items: Iterable[T],
                  workers: Optional[int] = None,
+                 chunk_size: Optional[int] = None,
                  **kwargs: Any) -> List[R]:
     """One-shot functional form of :class:`ParallelMap`."""
-    return ParallelMap(workers=workers, **kwargs).map(fn, items)
+    return ParallelMap(workers=workers, **kwargs).map(
+        fn, items, chunk_size=chunk_size)

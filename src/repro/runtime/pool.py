@@ -20,8 +20,8 @@ The registry is safe by construction rather than by convention:
   (``BrokenProcessPool``) is discarded from the registry so the next
   call respawns cleanly; the in-flight call completes through
   :class:`~repro.runtime.pmap.ParallelMap`'s retry-once-serial path.
-* **explicit lifecycle** — ``WorkerPool`` is a context manager, and
-  :func:`shutdown_pools` tears every warm executor down
+* **explicit lifecycle** — every executor comes from the registry,
+  and :func:`shutdown_pools` tears every warm executor down
   deterministically.  Each process that uses the registry registers
   :func:`shutdown_pools` once as a ``multiprocessing`` exit finalizer,
   which runs at interpreter exit in the main process *and* when a pool
@@ -45,25 +45,12 @@ from typing import Dict, List, Optional
 from repro.observe import disable as _telemetry_off
 
 __all__ = ["WorkerPool", "get_pool", "retire_pool", "shutdown_pools",
-           "pool_stats", "new_executor"]
+           "pool_stats"]
 
 #: Exit priority of the per-process :func:`shutdown_pools` finalizer.
 #: Above the executor queues' own finalizers (10), so the pools shut
 #: down while their queues still work.
 _EXIT_PRIORITY = 100
-
-
-def new_executor(workers: int) -> concurrent.futures.Executor:
-    """A fresh process executor of ``workers``.
-
-    Workers start by dropping the telemetry session they inherited.  A
-    forked worker holds a copy of whatever session its parent had
-    installed at the fork; without the reset, a later map made with
-    telemetry off would run its tasks in that copy, which records and
-    is never merged.
-    """
-    return concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, initializer=_telemetry_off)
 
 
 class WorkerPool:
@@ -73,15 +60,9 @@ class WorkerPool:
         workers: Executor size (``max_workers``).
 
     The executor is created on first :meth:`acquire` and reused by every
-    later one; ``reuses`` counts the amortised spawns.  Use as a context
-    manager (or call :meth:`shutdown`) for deterministic teardown::
-
-        with WorkerPool(4) as pool:
-            executor = pool.acquire()
-            ...
-
-    Registry-managed instances (via :func:`get_pool`) are torn down by
-    :func:`shutdown_pools` instead.
+    later one; ``reuses`` counts the amortised spawns.  Pools come from
+    :func:`get_pool`, and :func:`shutdown_pools` (or :meth:`shutdown`)
+    tears them down.
     """
 
     def __init__(self, workers: int) -> None:
@@ -111,12 +92,19 @@ class WorkerPool:
         child holding a parent-spawned handle: the child does not own
         the parent's workers, and submitting to them would race the
         parent for results.
+
+        Workers start by dropping the telemetry session they inherited.
+        A forked worker holds a copy of whatever session its parent had
+        installed at the fork; without the reset, a later map made with
+        telemetry off would run its tasks in that copy, which records
+        and is never merged.
         """
         with self._lock:
             if self.dead:
                 raise RuntimeError("worker pool has been shut down")
             if self._executor is None:
-                self._executor = new_executor(self.workers)
+                self._executor = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_telemetry_off)
                 self.owner_pid = os.getpid()
             elif self.owner_pid != os.getpid():
                 raise RuntimeError(
@@ -138,12 +126,6 @@ class WorkerPool:
             self.dead = True
         if executor is not None and self.owner_pid == os.getpid():
             executor.shutdown(wait=wait)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.shutdown(wait=True)
 
 
 #: worker count -> pool, owned by ``_registry_pid``.

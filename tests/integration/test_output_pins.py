@@ -21,6 +21,8 @@ from repro.observe import flightrec
 
 CAMPAIGN = ["campaign", "--format", "json", "--requests", "120",
             "--seed", "5"]
+BATCHED = ["campaign", "--format", "json", "--requests", "20", "--seed", "7",
+           "--workers", "2", "--batch", "4"]
 
 
 def sha256(text: str) -> str:
@@ -55,6 +57,12 @@ class TestCampaignReports:
     #: from the ``--workers 1`` report's, so only a pin holds it.
     POOLED_SMALL = \
         "8fc2f42410b2508c8ef32b5f473ef76fbc17f1fc597d11c56c09dd869938c6af"
+    #: The same campaign with ``--batch 4``: four cells per chunk.  Its
+    #: cells are ``POOLED_SMALL``'s, but its SLI rows are not, because
+    #: each chunk's session starts a fresh clock (ROADMAP item 5).
+    #: ``--batch 2`` prints the ``POOLED_SMALL`` bytes.
+    POOLED_BATCHED = \
+        "7dd1b6ead46d52fbda9105819a1de933ccdf379d229ad7bb97482270a82dd356"
 
     def test_serial(self, capsys):
         assert sha256(run(capsys, CAMPAIGN + ["--workers", "1"])) \
@@ -69,6 +77,9 @@ class TestCampaignReports:
                 "--seed", "7", "--workers", "2"]
         assert sha256(run(capsys, argv)) == self.POOLED_SMALL
 
+    def test_pooled_batched(self, capsys):
+        assert sha256(run(capsys, BATCHED)) == self.POOLED_BATCHED
+
     def test_sharded(self, capsys):
         assert sha256(run(capsys, CAMPAIGN + ["--workers", "2",
                                               "--shards", "4"])) \
@@ -82,6 +93,14 @@ class TestCampaignReports:
         report = json.dumps(final["report"], sort_keys=True, indent=2,
                             default=str) + "\n"
         assert sha256(report) == self.POOLED
+
+    def test_live_final_frame_report_batched(self, capsys):
+        out = run(capsys, BATCHED + ["--live", "--interval", "0.05"])
+        final = json.loads(out.strip().splitlines()[-1])
+        assert final["final"] is True
+        report = json.dumps(final["report"], sort_keys=True, indent=2,
+                            default=str) + "\n"
+        assert sha256(report) == self.POOLED_BATCHED
 
 
 class TestFlightWindow:

@@ -1,5 +1,6 @@
 """Unit tests for the ``repro bench`` runner."""
 
+import importlib.util
 import json
 import sys
 
@@ -50,6 +51,26 @@ class TestBenchLoader:
         outcome = bench_mod.run_bench_file(str(path))
         assert outcome["ok"], outcome["error"]
         assert outcome["output"] == "backend process\n"
+
+
+class TestSaveResult:
+    @pytest.fixture
+    def common(self, tmp_path, monkeypatch):
+        """The suite's ``_common`` helper, writing into ``tmp_path``."""
+        path = bench_mod.default_benchmarks_dir() / "_common.py"
+        spec = importlib.util.spec_from_file_location("_common_probe", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "RESULTS_DIR", tmp_path)
+        return module
+
+    def test_failed_write_keeps_the_previous_table(self, common, tmp_path):
+        common.save_result("T", "first table")
+        with pytest.raises(UnicodeEncodeError):
+            common.save_result("T", "lone surrogate \ud800")
+        assert (tmp_path / "T.txt").read_text(encoding="utf-8") \
+            == "first table\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["T.txt"]
 
 
 class TestWorkerIdentity:

@@ -151,9 +151,8 @@ class TestWorkersInherit:
                                                streamed, events_only):
         stream = TelemetryStream(every=2) if streamed else None
         with observe.session(events_only=events_only) as tel:
-            pool = ParallelMap(workers=workers, chunk_size=3,
-                               stream=stream)
-            modes = pool.map(probe, range(8))
+            pool = ParallelMap(workers=workers, stream=stream)
+            modes = pool.map(probe, range(8), chunk_size=3)
         assert modes == [events_only] * 8
         assert tel.bus.counts["probe.item"] == 8
         assert tel.tracer.started == 8

@@ -128,8 +128,8 @@ class TestDumps:
 
 class TestPoolDumpTriggers:
     def test_serial_retry_dumps_flight_window(self):
-        pool = ParallelMap(workers=2, chunk_size=1)
-        results = pool.map(flaky, [0, 1, 2, 3])
+        pool = ParallelMap(workers=2)
+        results = pool.map(flaky, [0, 1, 2, 3], chunk_size=1)
         assert results == [1, 2, 3, 4]
         assert pool.stats.serial_retries == 1
         assert pool.stats.flight_dumps == 1
@@ -139,10 +139,10 @@ class TestPoolDumpTriggers:
         assert record["context"]["backend"] == "process"
 
     def test_chunk_timeout_dumps_flight_window(self):
-        pool = ParallelMap(workers=2, chunk_size=1, timeout=0.05)
+        pool = ParallelMap(workers=2, timeout=0.05)
         # Fork the workers first: a cold spawn is not a chunk timeout.
-        pool.prewarm()
-        results = pool.map(slow, [0, 1])
+        pool.prewarm(slow, [0, 1])
+        results = pool.map(slow, [0, 1], chunk_size=1)
         assert results == [1, 2]
         assert pool.stats.timeouts == 1
         assert any(record["reason"] == "chunk-timeout"
@@ -202,8 +202,8 @@ def task(x):
     return x + 1
 
 from repro.runtime.pmap import ParallelMap
-pool = ParallelMap(workers=2, chunk_size=1)
-results = pool.map(task, [0, 1, 2, 3])
+pool = ParallelMap(workers=2)
+results = pool.map(task, [0, 1, 2, 3], chunk_size=1)
 assert results == [1, 2, 3, 4], results
 assert pool.stats.serial_retries >= 1
 assert pool.flight_records, "no flight dump recorded"

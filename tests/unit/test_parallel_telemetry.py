@@ -125,12 +125,13 @@ class TestMidCampaignSessionInstall:
         # Regression: the capture decision must be taken per chunk at
         # submission time, not once per pool, so a session installed
         # after the pool exists still collects telemetry.
-        pool = ParallelMap(workers=2, chunk_size=3)
-        pool.map(nvp_trial, range(6))  # no session: nothing captured
+        pool = ParallelMap(workers=2)
+        # No session: nothing captured.
+        pool.map(nvp_trial, range(6), chunk_size=3)
         assert pool.stats.captured_chunks == 0
         try:
             tel = observe.install(observe.Telemetry())
-            pool.map(nvp_trial, range(6))
+            pool.map(nvp_trial, range(6), chunk_size=3)
             assert pool.stats.captured_chunks == 2
             assert tel.metrics.value(
                 "repro_pattern_executions_total",
@@ -143,8 +144,8 @@ class TestMidCampaignSessionInstall:
         with observe.session() as serial:
             expected = [nvp_trial(x) for x in (0, 1)]
         with observe.session() as tel:
-            pool = ParallelMap(workers=2, chunk_size=1)
-            results = pool.map(flaky_trial, [0, 1])
+            pool = ParallelMap(workers=2)
+            results = pool.map(flaky_trial, [0, 1], chunk_size=1)
         assert results == expected
         assert pool.stats.captured_chunks == 2
         assert pool.stats.serial_retries == 1

@@ -42,8 +42,8 @@ def plus_one(item):
 def timing_pool(**kwargs):
     """A 2-worker process pool whose workers are already forked, so a
     cold spawn never counts against a chunk's deadline."""
-    pool = ParallelMap(workers=2, chunk_size=1, **kwargs)
-    assert pool.prewarm() == "process"
+    pool = ParallelMap(workers=2, **kwargs)
+    assert pool.prewarm(sleepy, range(5)) == "process"
     return pool
 
 
@@ -56,17 +56,24 @@ class TestValidation:
 
     def test_rejects_bad_options(self):
         with pytest.raises(ValueError):
-            ParallelMap(chunk_size=0)
-        with pytest.raises(ValueError):
             ParallelMap(timeout=0)
+
+    def test_takes_only_workers_timeout_and_stream(self):
+        # Chunk size is per call; the in-flight bound is workers * 2;
+        # every executor comes from the warm registry.
+        for option in ({"chunk_size": 2}, {"max_in_flight": 2},
+                       {"reuse": False}):
+            with pytest.raises(TypeError):
+                ParallelMap(**option)
 
 
 class TestOrderedGather:
     @pytest.mark.parametrize("workers", [1, 4], ids=["serial", "process"])
     def test_results_in_submission_order(self, workers):
         items = list(range(23))
-        pool = ParallelMap(workers=workers, chunk_size=3)
-        assert pool.map(square, items) == [square(i) for i in items]
+        pool = ParallelMap(workers=workers)
+        assert pool.map(square, items, chunk_size=3) == [square(i)
+                                                         for i in items]
 
     def test_empty_items(self):
         pool = ParallelMap(workers=4)
@@ -74,21 +81,27 @@ class TestOrderedGather:
         assert pool.stats.tasks == 0
 
     def test_chunk_accounting(self):
-        pool = ParallelMap(workers=3, chunk_size=2)
-        pool.map(square, range(11))
+        pool = ParallelMap(workers=3)
+        pool.map(square, range(11), chunk_size=2)
         assert pool.stats.chunks == 6
         assert pool.stats.tasks == 11
 
     def test_bounded_in_flight_still_complete(self):
-        pool = ParallelMap(workers=2, chunk_size=1, max_in_flight=2)
-        assert pool.map(square, range(20)) == [square(i)
-                                               for i in range(20)]
+        # 20 chunks through a window of workers * 2 = 4.
+        pool = ParallelMap(workers=2)
+        assert pool.map(square, range(20), chunk_size=1) == [
+            square(i) for i in range(20)]
 
 
 class TestBackendResolution:
     def test_workers_one_is_serial(self):
         pool = ParallelMap(workers=1)
         pool.map(square, range(5))
+        assert pool.stats.backend == "serial"
+
+    def test_one_chunk_is_serial(self):
+        pool = ParallelMap(workers=2)
+        assert pool.map(square, range(4), chunk_size=4) == [0, 1, 4, 9]
         assert pool.stats.backend == "serial"
 
     def test_auto_picks_process_for_picklable_tasks(self):
@@ -108,15 +121,15 @@ class TestBackendResolution:
 class TestFallbackPaths:
     def test_timeout_retries_chunk_serially(self):
         pool = timing_pool(timeout=0.05)
-        out = pool.map(sleepy, range(5))
+        out = pool.map(sleepy, range(5), chunk_size=1)
         assert out == [x * 10 for x in range(5)]
         assert pool.stats.timeouts == 1
         assert pool.stats.serial_retries == 1
 
     def test_task_error_propagates_after_one_serial_retry(self):
-        pool = ParallelMap(workers=2, chunk_size=1)
+        pool = ParallelMap(workers=2)
         with pytest.raises(ValueError, match="boom on 2"):
-            pool.map(boom, range(4))
+            pool.map(boom, range(4), chunk_size=1)
         assert pool.stats.serial_retries == 1
 
     def test_later_unpicklable_item_reruns_its_chunk_serially(self):
@@ -124,8 +137,8 @@ class TestFallbackPaths:
         # chunk holding the item that does not cannot reach a worker
         # and is re-run in the parent, with correct results.
         items = [0, 1, Unpicklable(2), 3]
-        pool = ParallelMap(workers=2, chunk_size=1)
-        assert pool.map(plus_one, items) == [1, 2, 3, 4]
+        pool = ParallelMap(workers=2)
+        assert pool.map(plus_one, items, chunk_size=1) == [1, 2, 3, 4]
         assert pool.stats.backend == "process"
         assert pool.stats.serial_retries == 1
 
@@ -134,7 +147,7 @@ class TestDroppedSnapshots:
     def test_timed_out_captured_chunk_drops_its_snapshot(self):
         with observe.session() as tel:
             pool = timing_pool(timeout=0.05)
-            out = pool.map(sleepy, range(5))
+            out = pool.map(sleepy, range(5), chunk_size=1)
         assert out == [x * 10 for x in range(5)]
         assert pool.stats.captured_chunks == 5
         assert pool.stats.dropped_snapshots == 1
@@ -143,16 +156,16 @@ class TestDroppedSnapshots:
 
     def test_failed_captured_chunk_drops_its_snapshot(self):
         with observe.session():
-            pool = ParallelMap(workers=2, chunk_size=1)
+            pool = ParallelMap(workers=2)
             with pytest.raises(ValueError, match="boom on 2"):
-                pool.map(boom, range(4))
+                pool.map(boom, range(4), chunk_size=1)
         assert pool.stats.dropped_snapshots == 1
         assert pool.stats.serial_retries == 1
 
     def test_clean_captured_run_drops_nothing(self):
         with observe.session() as tel:
-            pool = ParallelMap(workers=2, chunk_size=2)
-            pool.map(square, range(6))
+            pool = ParallelMap(workers=2)
+            pool.map(square, range(6), chunk_size=2)
         assert pool.stats.captured_chunks == 3
         assert pool.stats.dropped_snapshots == 0
         # The zero counter is not emitted at all.
@@ -161,33 +174,18 @@ class TestDroppedSnapshots:
 
     def test_uncaptured_timeouts_do_not_count_as_drops(self):
         pool = timing_pool(timeout=0.05)
-        pool.map(sleepy, range(5))
+        pool.map(sleepy, range(5), chunk_size=1)
         assert pool.stats.timeouts == 1
         assert pool.stats.captured_chunks == 0
         assert pool.stats.dropped_snapshots == 0
 
 
-class TestPerCallExecutor:
-    def test_reuse_false_joins_a_private_executor(self):
-        from repro.runtime.pool import pool_stats, shutdown_pools
-
-        shutdown_pools()
-        pool = ParallelMap(workers=2, reuse=False)
-        assert pool.map(square, range(10)) == [square(i)
-                                               for i in range(10)]
-        assert pool.map(square, range(10)) == [square(i)
-                                               for i in range(10)]
-        # No registry entry was created, and nothing counts as a reuse.
-        assert pool.stats.pool_reuses == 0
-        assert pool_stats() == []
-
-
 class TestIncrementalMap:
     @pytest.mark.parametrize("workers", [3], ids=["process"])
     def test_chunks_arrive_in_submission_order(self, workers):
-        pool = ParallelMap(workers=workers, chunk_size=4)
+        pool = ParallelMap(workers=workers)
         gathered = []
-        for chunk in pool.imap(square, range(14)):
+        for chunk in pool.imap(square, range(14), chunk_size=4):
             gathered.append(list(chunk))
         assert [len(c) for c in gathered] == [4, 4, 4, 2]
         flat = [value for chunk in gathered for value in chunk]
@@ -206,8 +204,8 @@ class TestIncrementalMap:
         assert pool.stats.chunks == 0
 
     def test_early_close_is_clean(self):
-        pool = ParallelMap(workers=2, chunk_size=2)
-        stream = pool.imap(square, range(12))
+        pool = ParallelMap(workers=2)
+        stream = pool.imap(square, range(12), chunk_size=2)
         first = next(stream)
         stream.close()
         assert first == [0, 1]
@@ -234,6 +232,13 @@ class TestTelemetry:
                                  backend="process") == 6.0
         assert tel.metrics.value("repro_runtime_chunks_total",
                                  backend="process") == 3.0
+
+    def test_serial_call_adds_no_runtime_series(self):
+        # One-worker callers hand their maps to the pool too, so a
+        # serial call must record exactly what the plain loop would.
+        with observe.session() as tel:
+            parallel_map(square, range(6), workers=1)
+        assert tel.metrics.as_dict() == {}
 
     def test_disabled_session_records_nothing(self):
         parallel_map(square, range(6), workers=2)

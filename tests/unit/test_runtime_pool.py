@@ -2,7 +2,7 @@
 
 The warm-pool registry must be a pure acceleration: a map served by a
 reused executor returns the same bytes (results *and* merged telemetry)
-as per-call executors and as the serial path, and its lifecycle edges —
+as the map that spawned it and as the serial path, and its lifecycle edges —
 forked children, broken workers, shutdown — fail safe rather than
 sharing executors across processes.
 """
@@ -23,7 +23,6 @@ from repro.runtime.pool import (
     get_pool,
     pool_stats,
     retire_pool,
-    new_executor,
     shutdown_pools,
 )
 
@@ -74,13 +73,16 @@ def _fresh_registry():
 
 class TestWorkerPool:
     def test_acquire_spawns_once_and_counts_reuses(self):
-        with WorkerPool(2) as pool:
+        pool = WorkerPool(2)
+        try:
             assert not pool.warm and pool.reuses == 0
             first = pool.acquire()
             assert pool.warm and pool.reuses == 0
             assert pool.acquire() is first
             assert pool.acquire() is first
             assert pool.reuses == 2
+        finally:
+            pool.shutdown()
         assert pool.dead
 
     def test_acquire_after_shutdown_raises(self):
@@ -207,18 +209,14 @@ class TestWorkerSessions:
         assert pool.stats.pool_reuses == 1
 
     def test_per_call_executor_workers_hold_no_global_session(self):
-        # A per-call (reuse=False) executor forks its workers inside the
-        # session; tasks submitted bare, with no chunk capture around
-        # them, see the worker's own session, which starts off.
-        executor = new_executor(3)
-        try:
-            with observe.session():
-                futures = [executor.submit(_session_enabled, x)
-                           for x in range(6)]
-                assert [future.result() for future in futures] \
-                    == [False] * 6
-        finally:
-            executor.shutdown(wait=True)
+        # A registry executor first used inside a session forks its
+        # workers there; tasks submitted bare, with no chunk capture
+        # around them, see the worker's own session, which starts off.
+        with observe.session():
+            executor = get_pool(3).acquire()
+            futures = [executor.submit(_session_enabled, x)
+                       for x in range(6)]
+            assert [future.result() for future in futures] == [False] * 6
 
 
 class TestParallelMapReuse:
@@ -234,18 +232,11 @@ class TestParallelMapReuse:
         assert other.stats.pool_reuses == 1  # shared across instances
         assert first == second == third == serial
 
-    def test_reuse_false_keeps_registry_empty(self):
-        pool = ParallelMap(workers=2, reuse=False)
-        assert pool.map(_square, range(12)) == [_square(x)
-                                                for x in range(12)]
-        assert pool.stats.pool_reuses == 0
-        assert pool_stats() == []
-
     def test_warm_process_pool_telemetry_matches_serial(self):
         def run(workers):
-            pool = ParallelMap(workers=workers, chunk_size=2)
+            pool = ParallelMap(workers=workers)
             with observe.session() as tel:
-                results = pool.map(_noisy, range(10))
+                results = pool.map(_noisy, range(10), chunk_size=2)
             return results, tel
 
         serial_results = [_noisy(x) for x in range(10)]
@@ -263,9 +254,9 @@ class TestParallelMapReuse:
                         for e in serial_tel.bus.history])
 
     def test_broken_warm_pool_is_retired_and_map_completes(self):
-        pool = ParallelMap(workers=2, chunk_size=4)
+        pool = ParallelMap(workers=2)
         warm_before = get_pool(2)
-        results = pool.map(_die_in_worker, range(8))
+        results = pool.map(_die_in_worker, range(8), chunk_size=4)
         # Every chunk was re-run serially in the parent.
         assert results == list(range(8))
         assert pool.stats.serial_retries >= 1
@@ -274,7 +265,7 @@ class TestParallelMapReuse:
 
     def test_prewarm_spawns_ahead_of_map(self):
         pool = ParallelMap(workers=2)
-        assert pool.prewarm() == "process"
+        assert pool.prewarm(_square, range(8)) == "process"
         assert pool_stats() == [{"backend": "process", "workers": 2,
                                  "warm": True, "reuses": 0}]
         pool.map(_square, range(8))
@@ -282,5 +273,5 @@ class TestParallelMapReuse:
 
     def test_prewarm_resolves_serial_to_noop(self):
         pool = ParallelMap(workers=1)
-        assert pool.prewarm() == "serial"
+        assert pool.prewarm(_square, range(8)) == "serial"
         assert pool_stats() == []

@@ -54,6 +54,14 @@ def flaky_trial(seed):
     return stream_trial(seed)
 
 
+def event_trial(seed):
+    """An experiment trial that publishes one event."""
+    tel = observe.current()
+    if tel.enabled:
+        tel.publish("trial.done", seed=seed)
+    return {"value": float(seed)}
+
+
 def _fingerprint(tel):
     """The three byte-identity surfaces of one session."""
     return (
@@ -66,9 +74,9 @@ def _fingerprint(tel):
 def _run(backend, stream=None, workers=3, seeds=range(9)):
     """One run under a session; returns (session, pool)."""
     pool = ParallelMap(workers=1 if backend == "serial" else workers,
-                       chunk_size=3, stream=stream)
+                       stream=stream)
     with observe.session() as tel:
-        results = pool.map(stream_trial, list(seeds))
+        results = pool.map(stream_trial, list(seeds), chunk_size=3)
     assert results == [seed * 2 for seed in seeds]
     assert pool.stats.backend == backend
     return tel, pool
@@ -197,10 +205,10 @@ class TestStreamedByteIdentity:
     def test_chunk_failing_in_its_worker_adds_nothing(self):
         plain, _ = _run("serial")
         live = observe.Telemetry()
-        pool = ParallelMap(workers=3, chunk_size=3,
+        pool = ParallelMap(workers=3,
                            stream=TelemetryStream(every=1, live=live))
         with observe.session() as tel:
-            results = pool.map(flaky_trial, list(range(9)))
+            results = pool.map(flaky_trial, list(range(9)), chunk_size=3)
         assert results == [seed * 2 for seed in range(9)]
         # Chunk [3, 4, 5] failed at seed 4 and reran in the parent.
         assert pool.stats.serial_retries == 1
@@ -214,12 +222,33 @@ class TestStreamedByteIdentity:
         assert tel.bus.counts["stream.tick"] == 9
 
     def test_disabled_session_streams_nothing(self):
-        pool = ParallelMap(workers=2, chunk_size=3,
-                           stream=TelemetryStream(every=2))
-        results = pool.map(stream_trial, list(range(6)))
+        pool = ParallelMap(workers=2, stream=TelemetryStream(every=2))
+        results = pool.map(stream_trial, list(range(6)), chunk_size=3)
         assert results == [seed * 2 for seed in range(6)]
         assert pool.stats.streamed_chunks == 0
         assert pool.stats.deltas_merged == 0
+
+
+class TestOneWorkerExperiment:
+    @pytest.mark.parametrize("batch,deltas", [(None, 5), (2, 3)])
+    def test_streams_into_the_live_view(self, batch, deltas):
+        # A one-worker experiment hands its map to the pool, batched or
+        # not, so its stream taps a delta per item (a seed, or a batch
+        # of seeds) plus a final one, and folds what a plain run holds.
+        from repro.harness.experiment import Experiment
+
+        def run(stream):
+            with observe.session(events_only=True) as tel:
+                Experiment(name="live", trial=event_trial, seeds=range(4),
+                           workers=1, batch=batch, stream=stream).run()
+            return [(e.topic, e.time, e.seq, e.payload)
+                    for e in tel.bus.history]
+
+        stream = TelemetryStream(every=1)
+        streamed = run(stream)
+        assert stream.collector.stats()["received"] == deltas
+        assert streamed == run(None)
+        assert len(streamed) == 4
 
 
 class TestHashSeedStability:
