@@ -11,7 +11,9 @@ report, ``BENCH_harness.json`` (:data:`BENCH_HARNESS_JSON`), through
 :func:`repro.runtime.bench.update_harness_json`: a schema-versioned
 document with host metadata, updated one named section at a time under
 an advisory ``flock`` so the pool can run the contributing benchmarks
-concurrently without losing each other's sections.
+concurrently without losing each other's sections.  ``repro bench
+--json PATH`` points each file's ``BENCH_HARNESS_JSON`` at ``PATH``, so
+every section of one run lands in the one document it names.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import pathlib
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: The harness timing report (sectioned repro-bench-harness/v2; written
-#: through :func:`repro.runtime.bench.update_harness_json`).
+#: through :func:`repro.runtime.bench.update_harness_json`): the
+#: checkout's document, which ``repro bench --json`` replaces in each
+#: file it runs.
 BENCH_HARNESS_JSON = pathlib.Path(__file__).resolve().parent.parent \
     / "BENCH_harness.json"
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import io
@@ -140,7 +141,9 @@ def default_benchmarks_dir() -> pathlib.Path:
     return candidates[0]
 
 
-def run_bench_file(path_str: str) -> Dict[str, Any]:
+def run_bench_file(path_str: str,
+                   harness_json: Optional[pathlib.Path] = None
+                   ) -> Dict[str, Any]:
     """Run one benchmark file in-process (the pool task).
 
     Imports the module from its path (with the benchmarks directory on
@@ -148,8 +151,11 @@ def run_bench_file(path_str: str) -> Dict[str, Any]:
     calls every ``test_*`` function with a :class:`TimingBenchmark`.
     The module is entered in ``sys.modules`` under its file stem before
     it executes, so the file's own functions pickle by reference and
-    the pool maps it makes can run on worker processes.  Returns a
-    plain dict so the result pickles across process pools.
+    the pool maps it makes can run on worker processes.  With
+    ``harness_json``, the module's ``BENCH_HARNESS_JSON`` (the document
+    a file writes its own sections to) is that path while its tests
+    run.  Returns a plain dict so the result pickles across process
+    pools.
     """
     path = pathlib.Path(path_str)
     parent = str(path.parent)
@@ -170,6 +176,8 @@ def run_bench_file(path_str: str) -> Dict[str, Any]:
         sys.modules[path.stem] = module
         with contextlib.redirect_stdout(buffer):
             spec.loader.exec_module(module)
+            if harness_json is not None:
+                module.BENCH_HARNESS_JSON = pathlib.Path(harness_json)
             tests = [getattr(module, attr) for attr in dir(module)
                      if attr.startswith("test_")
                      and callable(getattr(module, attr))]
@@ -233,11 +241,15 @@ def run_suite(benchmarks_dir: pathlib.Path,
               quick: bool = False,
               timeout: Optional[float] = DEFAULT_TIMEOUT,
               store: Optional[ResultStore] = None,
+              harness_json: Optional[pathlib.Path] = None,
               ) -> Dict[str, Any]:
     """Run the (filtered) suite; returns the harness report document.
 
     With a ``store`` the run is incremental: files whose content-address
-    hits are served without executing, only misses fan out."""
+    hits are served without executing, only misses fan out.  With
+    ``harness_json``, the sections files write to the harness document
+    land there (see :func:`run_bench_file`); without it, in the
+    document each file's ``_common`` names."""
     paths = discover(benchmarks_dir)
     if quick:
         paths = [p for p in paths if p.stem in QUICK_BENCHMARKS]
@@ -257,13 +269,14 @@ def run_suite(benchmarks_dir: pathlib.Path,
             if hit is not MISS:
                 served[path] = hit
     missing = [p for p in paths if p not in served]
+    task = functools.partial(run_bench_file, harness_json=harness_json)
 
     if missing:
         # Spawn the warm pool before the wall timer: measured wall time
         # is suite compute, not worker start-up.
-        pool.prewarm(run_bench_file, [str(p) for p in missing])
+        pool.prewarm(task, [str(p) for p in missing])
     wall_start = time.perf_counter()
-    fresh = iter(pool.map(run_bench_file, [str(p) for p in missing])
+    fresh = iter(pool.map(task, [str(p) for p in missing])
                  if missing else ())
     outcomes: List[Dict[str, Any]] = []
     for path in paths:
@@ -444,7 +457,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     report = run_suite(benchmarks_dir, workers=args.workers,
                        only=args.only,
                        quick=args.quick, timeout=args.timeout,
-                       store=store)
+                       store=store, harness_json=args.json)
     if args.verbose:
         for name, output in report["outputs"].items():
             if output:

@@ -14,19 +14,24 @@ content**: a ``PYTHONHASHSEED``-stable fingerprint of
 * a *code version* (a digest of the task's source), so edited code
   invalidates every result it produced.
 
-:class:`ResultStore` keeps an append-only JSONL log on disk, replayed
-into a plain dict **index** from key to its parsed record, so a lookup
-costs one dict probe.  The index also keeps the decoded value of every
-key the store served or wrote, so a repeated lookup in one process is a
-``tier="memory"`` hit with no second decode.  Appends are single
+:class:`ResultStore` keeps an append-only JSONL log on disk.  Opening
+it indexes every line by the key in its **head**, the
+``{"id": …, "key": "…", "payload": "`` prefix every record starts
+with, as the line's byte span: no line is parsed, so an open costs a
+scan of the log's bytes.  A lookup reads, parses and decodes only the
+lines it serves, with one open of the log per lookup batch, and keeps
+each decoded value, so a repeated lookup in one process is a
+``tier="memory"`` hit with no second read.  Appends are single
 ``O_APPEND`` writes under an advisory ``flock``, so concurrent writers
 from pool workers or parallel CI jobs interleave whole records, never
 bytes; readers pick up foreign appends on :meth:`refresh` (called
-automatically on a miss when the log grew).  A record whose payload
-does not decode (not hex, or not a whole pickle) counts as a corrupt
-line and gives way to the key's next record in the log, or to a miss,
-so the caller recomputes it.  :meth:`ResultStore.serve` is the
-harness's one path through the store.
+automatically on a miss when the log grew).  A served line must parse
+as a record of the key it was indexed under, with a payload that
+decodes (hex of a whole pickle).  One that does not (damaged, or moved
+by a rewrite or removal of the log under an open store) counts as a
+corrupt line and gives way to the key's next record in the log, or to
+a miss, so the caller recomputes it; a wrong record is never served.
+:meth:`ResultStore.serve` is the harness's one path through the store.
 
 Caching is **opt-in everywhere** (the ``store=`` knobs on
 :class:`~repro.harness.experiment.Experiment`,
@@ -47,9 +52,10 @@ import inspect
 import json
 import os
 import pickle
+import re
 import zlib
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, BinaryIO, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro._util import stable_int
 from repro.observe import current as _telemetry
@@ -65,6 +71,18 @@ MISS = object()
 #: arguments is part of the content address, so it must not change when
 #: the interpreter's default protocol does.
 _PICKLE_PROTOCOL = 4
+
+#: The head of a record line as :meth:`ResultStore._encode` writes it
+#: (``json.dumps`` with sorted keys puts ``id``, ``key`` and ``payload``
+#: first), capturing the key.  The key must be printable ASCII without
+#: a quote or backslash, so its bytes are the key itself with nothing to
+#: unescape; every key :func:`fingerprint` makes is hex.
+_HEAD = re.compile(rb'\{"id": [^,\n]*, '
+                   rb'"key": "([\x20\x21\x23-\x5b\x5d-\x7e]*)", '
+                   rb'"payload": "')
+
+#: ``(offset, length)`` of one record line in the log, newline excluded.
+Span = Tuple[int, int]
 
 
 def args_digest(args: Any) -> str:
@@ -160,16 +178,18 @@ class ResultStore:
         self.path = os.fspath(path)
         self.name = name
         self.quiet = quiet
-        #: ``key -> parsed record`` for every key in the log consumed so
-        #: far; the first record for a key wins.
-        self._rows: Dict[str, Dict[str, Any]] = {}
+        #: ``key -> span of its record line`` for every key in the log
+        #: consumed so far, indexed from each line's head alone; the
+        #: first record for a key wins.  A line is read and parsed only
+        #: when a lookup serves it.
+        self._rows: Dict[str, Span] = {}
         #: ``key -> decoded value`` for every key this store served or
         #: wrote: the memory tier, so a key is decoded at most once.
         self._values: Dict[str, Any] = {}
-        #: ``key -> its later records``, in log order, for keys the log
-        #: holds more than once (two writers computed the same key):
-        #: what is served when the indexed record's payload is damaged.
-        self._spares: Dict[str, List[Dict[str, Any]]] = {}
+        #: ``key -> spans of its later records``, in log order, for keys
+        #: the log holds more than once (two writers computed the same
+        #: key): what is served when the indexed record does not verify.
+        self._spares: Dict[str, List[Span]] = {}
         #: Bytes of the log consumed into the index so far.
         self._offset = 0
         self.hits = 0
@@ -185,10 +205,12 @@ class ResultStore:
         #: Records written through :meth:`put_many` (one flock'd append
         #: per batch, rather than one per record).
         self.puts_batched = 0
-        #: ``key -> trials`` for batch records seen via put/index.
+        #: ``key -> trials`` for batch records this store served or
+        #: wrote.
         self._trials: Dict[str, int] = {}
-        #: Log lines that are not a store record, or whose payload does
-        #: not decode (skipped, never fatal).
+        #: Log lines without a record head (counted when indexed), and
+        #: served lines that do not verify (counted when a lookup first
+        #: reaches them); skipped, never fatal.
         self.corrupt_lines = 0
         parent = os.path.dirname(self.path)
         if parent:
@@ -237,7 +259,8 @@ class ResultStore:
         Decoded values are served from memory; every other key is
         looked up in the log index, refreshed from the log **at most
         once** for the whole list when another writer has appended
-        since the last read, and decoded.  Hit/miss accounting and
+        since the last read, and its line read from the log (opened
+        once for the whole list) and decoded.  Hit/miss accounting and
         ``store.hit``/``store.miss`` events are identical to
         ``{k: self.get(k) for k in keys}``.
         """
@@ -259,11 +282,17 @@ class ResultStore:
                 # Another writer may have appended them; a no-op when
                 # the log has not grown.
                 self.refresh()
-            for key in wanted:
-                value = self._decode(key)
-                if value is MISS:
-                    self._record_miss()
-                out[key] = value
+            log = self._open() if any(key in rows for key in wanted) \
+                else None
+            try:
+                for key in wanted:
+                    value = self._decode(key, log)
+                    if value is MISS:
+                        self._record_miss()
+                    out[key] = value
+            finally:
+                if log is not None:
+                    log.close()
         return out
 
     def serve(self, keys: Sequence[str],
@@ -318,45 +347,73 @@ class ResultStore:
             payload["trials"] = trials
         self._publish("store.hit", **payload)
 
-    def _decode(self, key: str) -> Any:
+    def _decode(self, key: str, log: Optional[BinaryIO]) -> Any:
         """Decode ``key``'s indexed record into memory, account the hit.
 
-        A row whose payload is not hex, or not a whole pickle, counts
-        as a corrupt line and leaves the index; the key's next record
-        in the log takes its place and is tried in turn.  With none
-        left the result is :data:`MISS` (not yet accounted), so the
-        caller recomputes the value and appends it afresh.
+        A record that does not verify (see :meth:`_read`) counts as a
+        corrupt line and leaves the index; the key's next record in the
+        log takes its place and is tried in turn.  With none left the
+        result is :data:`MISS` (not yet accounted), so the caller
+        recomputes the value and appends it afresh.
         """
-        row = self._rows.get(key)
-        while row is not None:
-            try:
-                payload = bytes.fromhex(row["payload"])
-                value = pickle.loads(payload)
-            except (ValueError, EOFError, pickle.UnpicklingError):
+        span = self._rows.get(key)
+        while span is not None:
+            record = self._read(log, key, span)
+            if record is None:
                 self.corrupt_lines += 1
-                row = self._next_record(key)
+                span = self._next_record(key)
                 continue
+            value, size, trials = record
+            if isinstance(trials, int) and trials > 1:
+                self._trials[key] = trials
             self._values[key] = value
-            self.bytes_read += len(payload)
-            self._count("bytes_read", len(payload))
-            self._record_hit(key, tier="disk", bytes_read=len(payload))
+            self.bytes_read += size
+            self._count("bytes_read", size)
+            self._record_hit(key, tier="disk", bytes_read=size)
             return value
         return MISS
 
-    def _next_record(self, key: str) -> Optional[Dict[str, Any]]:
-        """Index ``key``'s next record in place of a damaged one; drop
-        the key when the log holds no other record of it."""
+    @staticmethod
+    def _read(log: Optional[BinaryIO], key: str, span: Span
+              ) -> Optional[Tuple[Any, int, Any]]:
+        """``(value, payload bytes, trials field)`` of the record at
+        ``span`` of ``log``, or ``None`` when it does not verify.
+
+        The line must parse as a JSON object whose ``key`` is ``key``
+        and whose ``payload`` is the hex of a whole pickle.  A damaged
+        payload fails this, and so does a span the log no longer holds
+        the record at: the log was rewritten, truncated or removed
+        (``log`` is ``None``) since the line was indexed.
+        """
+        if log is None:
+            return None
+        offset, length = span
+        try:
+            log.seek(offset)
+            row = json.loads(log.read(length))
+        except (OSError, ValueError):
+            return None
+        if not (isinstance(row, dict) and row.get("key") == key
+                and isinstance(row.get("payload"), str)):
+            return None
+        try:
+            payload = bytes.fromhex(row["payload"])
+            value = pickle.loads(payload)
+        except (ValueError, EOFError, pickle.UnpicklingError):
+            return None
+        return value, len(payload), row.get("trials")
+
+    def _next_record(self, key: str) -> Optional[Span]:
+        """Index ``key``'s next record in place of one that did not
+        verify; drop the key when the log holds no other record of
+        it."""
         spares = self._spares.get(key)
-        self._trials.pop(key, None)
         if not spares:
             self._spares.pop(key, None)
             del self._rows[key]
             return None
-        row = self._rows[key] = spares.pop(0)
-        trials = row.get("trials")
-        if isinstance(trials, int) and trials > 1:
-            self._trials[key] = trials
-        return row
+        span = self._rows[key] = spares.pop(0)
+        return span
 
     def put(self, key: str, value: Any, task: str = "?",
             seed: Optional[int] = None, trials: int = 1) -> None:
@@ -418,6 +475,8 @@ class ResultStore:
                        line: bytes) -> None:
         """Memory tier + counters + events for one written record."""
         self._values[key] = value
+        if trials > 1:
+            self._trials[key] = trials
         self.writes += 1
         self.bytes_written += len(line)
         self.trials_stored += trials
@@ -447,8 +506,8 @@ class ResultStore:
     # -- disk log ----------------------------------------------------------
 
     def refresh(self) -> int:
-        """Replay log bytes appended since the last read; returns the
-        number of new entries indexed."""
+        """Index the log lines appended since the last read by their
+        heads; returns the number of new keys indexed."""
         try:
             size = os.path.getsize(self.path)
         except OSError:
@@ -463,33 +522,38 @@ class ResultStore:
         end = data.rfind(b"\n") + 1
         if end == 0:
             return 0
+        base = self._offset
         self._offset += end
         rows = self._rows
+        head = _HEAD.match
         added = 0
-        for raw in data[:end].splitlines():
-            try:
-                row = json.loads(raw)
-            except ValueError:
-                row = None
-            if not (isinstance(row, dict)
-                    and isinstance(row.get("key"), str)
-                    and isinstance(row.get("payload"), str)):
+        start = 0
+        while start < end:
+            stop = data.index(b"\n", start)
+            found = head(data, start, stop)
+            span = (base + start, stop - start)
+            start = stop + 1
+            if found is None:
                 self.corrupt_lines += 1
                 continue
-            key = row["key"]
+            key = found[1].decode("ascii")
             if key in rows:
                 # The same key computed by two writers: the first
                 # record wins and the duplicate is not an error.  It
-                # is kept aside, to serve if the first one's payload
-                # turns out to be damaged.
-                self._spares.setdefault(key, []).append(row)
+                # is kept aside, to serve if the first one does not
+                # verify.
+                self._spares.setdefault(key, []).append(span)
                 continue
-            rows[key] = row
-            trials = row.get("trials")
-            if isinstance(trials, int) and trials > 1:
-                self._trials[key] = trials
+            rows[key] = span
             added += 1
         return added
+
+    def _open(self) -> Optional[BinaryIO]:
+        """The log opened for reading, or ``None`` when it is gone."""
+        try:
+            return open(self.path, "rb")
+        except OSError:
+            return None
 
     def _append(self, line: bytes) -> None:
         fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import sys
 
 import pytest
@@ -225,6 +226,34 @@ class TestHarnessReport:
         document = json.loads(report_path.read_text(encoding="utf-8"))
         assert document["shard_resume"] == {"resume_ratio": 0.4}
         assert document["suite"]["failures"] == []
+
+    def test_every_section_lands_in_the_json_target(self, tmp_path):
+        # A planted suite beside its own checkout document: the real
+        # ``_common`` helper names ``tmp_path/BENCH_harness.json``.
+        suite = tmp_path / "benchmarks"
+        suite.mkdir()
+        shutil.copy(bench_mod.default_benchmarks_dir() / "_common.py",
+                    suite)
+        for name in ("alpha", "beta"):
+            (suite / f"bench_planted_{name}.py").write_text(
+                "from _common import BENCH_HARNESS_JSON\n"
+                "from repro.runtime.bench import update_harness_json\n"
+                "\n"
+                "\n"
+                "def test_writes_a_section(benchmark):\n"
+                "    update_harness_json(BENCH_HARNESS_JSON, "
+                f"{name!r}, {{'value': 1}})\n", encoding="utf-8")
+        checkout = tmp_path / "BENCH_harness.json"
+        bench_mod.update_harness_json(checkout, "suite", {"failures": []})
+        committed = checkout.read_bytes()
+        target = tmp_path / "elsewhere.json"
+        code = cli_main(["bench", "--benchmarks-dir", str(suite),
+                         "--workers", "2", "--json", str(target)])
+        assert code == 0
+        document = json.loads(target.read_text(encoding="utf-8"))
+        assert document["alpha"] == document["beta"] == {"value": 1}
+        assert document["suite"]["failures"] == []
+        assert checkout.read_bytes() == committed
 
     def test_v1_document_is_rejected(self, tmp_path):
         # A flat v1 report left by an older runner fails loudly, naming

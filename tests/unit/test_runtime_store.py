@@ -16,6 +16,8 @@ import pickle
 import subprocess
 import sys
 
+import pytest
+
 from repro import observe
 from repro.runtime.store import (
     MISS,
@@ -261,15 +263,17 @@ class TestMemoryTier:
     keys it holds."""
 
     @staticmethod
-    def _counting_loads(monkeypatch):
+    def _counting_loads(monkeypatch, module=pickle):
+        """Record every ``module.loads`` call's input (``pickle`` or
+        ``json``)."""
         loads = []
-        real_loads = pickle.loads
+        real_loads = module.loads
 
         def counting(data, *args, **kwargs):
             loads.append(data)
             return real_loads(data, *args, **kwargs)
 
-        monkeypatch.setattr(pickle, "loads", counting)
+        monkeypatch.setattr(module, "loads", counting)
         return loads
 
     @staticmethod
@@ -331,6 +335,64 @@ class TestMemoryTier:
         assert [served[key] for key in keys] == list(range(1100))
         assert len(loads) == 1100
         assert store.bytes_read == read
+
+    def test_open_parses_no_line_and_a_lookup_only_its_own(
+            self, tmp_path, monkeypatch):
+        path = tmp_path / "s.jsonl"
+        writer = ResultStore(path)
+        keys = [writer.key("task", (i,), seed=0, code="v1")
+                for i in range(1100)]
+        writer.put_many([{"key": key, "value": i}
+                         for i, key in enumerate(keys)])
+        parsed = self._counting_loads(monkeypatch, json)
+        unpickled = self._counting_loads(monkeypatch)
+        store = ResultStore(path)
+        assert store.entries == 1100
+        assert (parsed, unpickled) == ([], [])
+        wanted = keys[500:503]
+        assert store.get_many(wanted) == {key: 500 + i
+                                          for i, key in enumerate(wanted)}
+        assert len(parsed) == len(unpickled) == 3
+
+    @pytest.mark.parametrize("rewrite", ["reordered", "removed"])
+    def test_a_stale_span_is_a_corrupt_line_and_a_miss(self, tmp_path,
+                                                       rewrite):
+        path = tmp_path / "s.jsonl"
+        writer = ResultStore(path)
+        keys = [writer.key("task", (i,), seed=0, code="v1")
+                for i in range(16)]
+        writer.put_many([{"key": key, "value": {"i": i}}
+                         for i, key in enumerate(keys)])
+        store = ResultStore(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        # Two records of one length trade places, so each one's indexed
+        # span holds the other's whole, valid record.
+        a, b = next((a, b) for a in range(16) for b in range(a + 1, 16)
+                    if len(lines[a]) == len(lines[b]))
+        if rewrite == "reordered":
+            lines[a], lines[b] = lines[b], lines[a]
+            path.write_bytes(b"".join(lines))
+        else:
+            path.unlink()
+
+        assert store.get(keys[a]) is MISS
+        stats = store.stats()
+        assert (stats["corrupt_lines"], stats["hits"], stats["misses"]) \
+            == (1, 0, 1)
+        computed = []
+
+        def compute(missing):
+            computed.append(missing)
+            return [{"i": b}]
+
+        assert store.serve([keys[b]], compute, task="task",
+                           seeds=[0]) == [{"i": b}]
+        assert computed == [[0]]
+        stats = store.stats()
+        assert (stats["corrupt_lines"], stats["misses"], stats["writes"]) \
+            == (2, 2, 1)
+        appended = json.loads(path.read_bytes().splitlines()[-1])
+        assert appended["key"] == keys[b]
 
 
 def damage(path, key, payload):
@@ -451,6 +513,19 @@ class TestBatchedPuts:
         served = ResultStore(tmp_path / "b.jsonl", name="reader")
         assert served.get(key) == [1, 2, 3]
         assert served.stats()["trials_served"] == 3
+
+    def test_a_written_batch_record_is_served_from_memory_as_a_batch(
+            self, tmp_path):
+        store = ResultStore(tmp_path / "b.jsonl", name="batch")
+        key = store.key("batched", ("cell",), seed=1)
+        store.put_many([{"key": key, "value": [1, 2, 3],
+                         "task": "batched", "seed": 1, "trials": 3}])
+        with observe.session() as tel:
+            assert store.get(key) == [1, 2, 3]
+        assert store.stats()["trials_served"] == 3
+        [hit] = [event.payload for event in tel.bus.history
+                 if event.topic == "store.hit"]
+        assert (hit["tier"], hit["trials"]) == ("memory", 3)
 
     def test_empty_batch_is_a_no_op(self, tmp_path):
         store = ResultStore(tmp_path / "b.jsonl", name="batch")
