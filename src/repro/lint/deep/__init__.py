@@ -8,17 +8,17 @@ call chains: a trial function that transitively reads a clock two
 helpers away poisons them just as surely.  This package closes that
 gap with a classic summary-based whole-program pass:
 
-1. **summaries** (:mod:`~repro.lint.deep.summaries`) — one
-   intraprocedural pass per module extracts, for every function, its
-   local hazards (clock / RNG-entropy / environment / hash-order reads,
-   unpicklable captures, module-global mutation) and its outgoing
-   calls, with import aliases resolved to canonical dotted names.
-   Summaries are content-addressed through the
+1. **summaries** (:mod:`~repro.lint.deep.summaries`) — from the
+   module's hazard scan (:mod:`repro.lint.hazards`, which the local
+   rules read too), for every function, its local hazards (clock /
+   RNG-entropy / environment / hash-order reads, unpicklable captures,
+   module-global mutation) and its outgoing calls, with import aliases
+   resolved to canonical dotted names.  Summaries are
+   content-addressed through the
    :class:`~repro.runtime.store.ResultStore` fingerprint machinery, so
    re-lints only re-summarize edited modules;
-2. **graph** (:mod:`~repro.lint.deep.graph`) — module names inferred
-   from package layout, the module-level import graph, and resolution
-   of call references across the analyzed set;
+2. **graph** (:mod:`~repro.lint.deep.graph`) — the module-level import
+   graph, and the import closure ``repro certify`` analyzes;
 3. **propagate** (:mod:`~repro.lint.deep.propagate`) — fixpoint
    propagation of three properties (**determinism**, **picklability**,
    **purity**) over the call graph, emitting ``XDET00x`` / ``XPROC00x``
@@ -41,15 +41,14 @@ from repro.lint.deep.certificate import (
     enforce_certificate,
     function_fingerprint,
 )
-from repro.lint.deep.graph import module_name_for
 from repro.lint.deep.propagate import DeepAnalysis
 from repro.lint.deep.summaries import (
     SUMMARY_VERSION,
     FunctionSummary,
-    Hazard,
     ModuleSummary,
     summarize_module,
 )
+from repro.lint.hazards import Hazard, module_name_for
 
 __all__ = [
     "CERTIFICATE_VERSION",

@@ -1,43 +1,25 @@
-"""Module naming and import-graph construction for the deep pass.
+"""Import-graph construction for the deep pass.
 
 A whole-program analysis needs to know *which module a file is* (to
 resolve ``from pkg.mod import helper`` against the analyzed set) without
-importing anything.  :func:`module_name_for` infers the dotted name the
-standard way: walk up from the file while ``__init__.py`` marks each
-parent as a package.  The returned root directory is the import root —
-the directory a runtime would need on ``sys.path`` — which
-:func:`import_closure` uses to chase project-internal imports for
-``repro certify`` without analyzing the whole tree.
+importing anything.  :func:`~repro.lint.hazards.module_name_for` infers
+the dotted name the standard way: walk up from the file while
+``__init__.py`` marks each parent as a package.  The returned root
+directory is the import root — the directory a runtime would need on
+``sys.path`` — which :func:`import_closure` uses to chase
+project-internal imports for ``repro certify`` without analyzing the
+whole tree.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set
 
-__all__ = ["import_closure", "import_graph", "imported_modules",
-           "module_name_for", "resolve_import_from"]
+from repro.lint.hazards import module_name_for, resolve_import_from
 
-
-def module_name_for(path: str) -> Tuple[str, str]:
-    """``(dotted module name, import root dir)`` for a source file.
-
-    ``src/repro/lint/engine.py`` → ``("repro.lint.engine", "src")``
-    provided each of ``repro`` and ``repro/lint`` holds an
-    ``__init__.py``.  A file outside any package is its own bare stem.
-    ``__init__.py`` itself names the package.
-    """
-    absolute = os.path.abspath(path)
-    directory, filename = os.path.split(absolute)
-    stem = os.path.splitext(filename)[0]
-    parts: List[str] = [] if stem == "__init__" else [stem]
-    while os.path.isfile(os.path.join(directory, "__init__.py")):
-        directory, package = os.path.split(directory)
-        if not package:  # pragma: no cover - filesystem root guard
-            break
-        parts.insert(0, package)
-    return ".".join(parts) or stem, directory
+__all__ = ["import_closure", "import_graph", "imported_modules"]
 
 
 def imported_modules(nodes: Iterable[ast.AST], package: str) -> List[str]:
@@ -60,19 +42,6 @@ def imported_modules(nodes: Iterable[ast.AST], package: str) -> List[str]:
             if base:
                 found.add(base)
     return sorted(found)
-
-
-def resolve_import_from(node: ast.ImportFrom, package: str) -> str:
-    """The absolute dotted module an ``ImportFrom`` targets."""
-    if node.level == 0:
-        return node.module or ""
-    parts = package.split(".") if package else []
-    # level=1 is the current package; each extra level climbs one.
-    climb = node.level - 1
-    base = parts[:len(parts) - climb] if climb <= len(parts) else []
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base)
 
 
 def import_graph(modules: Dict[str, Sequence[str]]) -> Dict[str, List[str]]:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.deep.graph import import_graph, module_name_for
+from repro.lint.deep.graph import import_graph
 from repro.lint.deep.summaries import (
     SUMMARY_VERSION,
     FunctionSummary,
@@ -36,6 +36,7 @@ from repro.lint.deep.summaries import (
     summarize_module,
 )
 from repro.lint.findings import Finding
+from repro.lint.hazards import module_name_for
 from repro.lint.registry import ModuleSource
 
 __all__ = ["DeepAnalysis"]

@@ -1,24 +1,14 @@
 """Per-module intraprocedural summaries for the deep pass.
 
-One hazard scan per module (:class:`_HazardScan`, which DET001, DET002
-and DET004 filter too) extracts, for every function (methods, nested
-defs and defs under ``if`` / ``try`` / ``with`` included):
+Every function summary (methods, nested defs and defs under ``if`` /
+``try`` / ``with`` included) is built from the module's hazard scan
+(:class:`repro.lint.hazards._HazardScan`, which the local rules read
+too) and holds:
 
-* **determinism hazards** — canonical calls that read a clock
-  (``time.time`` and friends, ``datetime.now``; ``time.localtime``,
-  ``gmtime``, ``ctime`` and ``strftime`` only when not handed the time
-  to convert), draw OS entropy
-  (module-level ``random.*``, seedless ``random.Random()``,
-  ``uuid.uuid4``, ``os.urandom``, ``secrets.*``), read the launching
-  environment (``os.getenv``, ``os.environ``, ``os.getpid``, …), or
-  observe hash order (iterating a set).  Import aliases are resolved
-  first — ``from time import time as _wall`` is still a clock read.
-  ``random.Random(seed)`` **with** a seed argument counts as clean:
-  seeded-RNG-in-parameter is the sanctioned pattern;
-* **picklability hazards** — constructing locks / queues / open file
-  handles, touching the warm-pool API (parent-side only, see PROC003),
-  importing :mod:`repro.runtime.pool`, or defining a ``lambda`` (which
-  captures the enclosing frame);
+* **determinism hazards** — the scan's clock, entropy, environment and
+  hash-order sites in the function's own scope;
+* **picklability hazards** — the scan's unpicklable constructors, open
+  file handles and lambdas there;
 * **purity hazards** — writes to module globals: ``global`` +
   assignment, mutating method calls (``.append`` …) on a module-level
   name, and subscript / attribute stores into one;
@@ -36,17 +26,18 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import operator
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.deep.certificate import function_fingerprint
-from repro.lint.deep.graph import (
-    imported_modules,
-    module_name_for,
-    resolve_import_from,
+from repro.lint.deep.graph import imported_modules
+from repro.lint.hazards import (
+    _IMPORTS,
+    _SCOPE_NODES,
+    Hazard,
+    _HazardScan,
+    _Scope,
 )
 from repro.lint.registry import ModuleSource
-from repro.lint.rules_process_safety import POOL_API, POOL_MODULE
 
 __all__ = ["SUMMARY_VERSION", "FunctionSummary", "Hazard",
            "ModuleSummary", "summarize_module"]
@@ -55,58 +46,9 @@ __all__ = ["SUMMARY_VERSION", "FunctionSummary", "Hazard",
 #: extraction below changes, and every cached summary invalidates.  v2:
 #: fingerprints index the parser's lines, not ``str.splitlines()``'s.
 #: v3: a call to a def under a module-level block is a call edge, and a
-#: clock function handed the time to convert reads no clock.
-SUMMARY_VERSION = "lint-deep-summary/v3"
-
-#: ``random`` module functions that drive the shared global RNG.
-UNSEEDED_RANDOM_FNS = frozenset((
-    "random", "randrange", "randint", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "lognormvariate",
-    "expovariate", "betavariate", "gammavariate", "triangular",
-    "vonmisesvariate", "paretovariate", "weibullvariate",
-    "getrandbits", "randbytes", "binomialvariate",
-))
-
-#: Canonical dotted calls that read a wall clock (kind ``clock``).
-CLOCK_CALLS = frozenset((
-    "time.time", "time.time_ns", "time.localtime", "time.gmtime",
-    "time.ctime", "time.strftime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-))
-
-#: Clock calls that only convert when handed a time: the position of
-#: that argument.  With it (and not ``None``) they read no clock.
-TIME_ARGUMENT = {"time.localtime": 0, "time.gmtime": 0, "time.ctime": 0,
-                 "time.strftime": 1}
-
-#: Canonical dotted calls that draw OS entropy (kind ``rng``), beyond
-#: the ``random.*`` global-RNG family handled separately.
-ENTROPY_CALLS = frozenset((
-    "uuid.uuid1", "uuid.uuid4", "os.urandom",
-    "secrets.token_bytes", "secrets.token_hex", "secrets.token_urlsafe",
-    "secrets.randbelow", "secrets.randbits", "secrets.choice",
-))
-
-#: Canonical dotted calls that read the launching environment
-#: (kind ``env``).
-ENV_CALLS = frozenset((
-    "os.getenv", "os.getpid", "os.getppid", "os.getcwd", "os.cpu_count",
-    "os.uname", "socket.gethostname", "platform.node",
-    "platform.platform", "sys.getrecursionlimit",
-))
-
-#: Canonical dotted constructors whose instances do not pickle
-#: (kind ``pickle``).
-UNPICKLABLE_CTORS = frozenset((
-    "threading.Lock", "threading.RLock", "threading.Condition",
-    "threading.Semaphore", "threading.BoundedSemaphore",
-    "threading.Event", "threading.Barrier", "threading.local",
-    "multiprocessing.Lock", "multiprocessing.RLock",
-    "multiprocessing.Queue", "multiprocessing.Pool",
-    "queue.Queue", "queue.LifoQueue", "queue.PriorityQueue",
-    "queue.SimpleQueue",
-))
+#: clock function handed the time to convert reads no clock.  v4: the
+#: warm-pool API and ``repro.runtime.pool`` imports are no hazard.
+SUMMARY_VERSION = "lint-deep-summary/v4"
 
 #: Mutating method names that turn a module-global receiver into a
 #: purity hazard (kind ``global``).
@@ -124,18 +66,6 @@ _TASK_CALLABLES = frozenset((
     "repro.runtime.pmap.parallel_map",
     "repro.runtime.kernel.run_batch",
 ))
-
-
-@dataclasses.dataclass(frozen=True)
-class Hazard:
-    """One local hazard site inside a function."""
-
-    kind: str    # clock | rng | env | order | pickle | global
-    detail: str  # human-readable, e.g. "wall-clock read time.time()"
-    line: int
-
-    def as_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
 
 
 @dataclasses.dataclass
@@ -217,259 +147,6 @@ class ModuleSummary:
             functions={name: FunctionSummary.from_dict(fn)
                        for name, fn in payload["functions"].items()},
         )
-
-
-# -- alias resolution ------------------------------------------------------
-
-
-class _Aliases:
-    """Import bindings of one module, for canonical name resolution."""
-
-    def __init__(self, imports: Sequence[ast.AST], package: str) -> None:
-        #: ``bound name -> dotted module`` from ``import a.b [as c]``.
-        self.modules: Dict[str, str] = {}
-        #: ``bound name -> module.attr`` from ``from m import a [as b]``.
-        self.members: Dict[str, str] = {}
-        for node in imports:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        self.modules[alias.asname] = alias.name
-                    else:
-                        head = alias.name.split(".")[0]
-                        self.modules[head] = head
-            elif isinstance(node, ast.ImportFrom):
-                base = resolve_import_from(node, package)
-                for alias in node.names:
-                    if base:
-                        self.members[alias.asname or alias.name] = \
-                            f"{base}.{alias.name}"
-
-    def binds(self, name: str) -> bool:
-        """Whether an import binds ``name``."""
-        return name in self.modules or name in self.members
-
-    def canonical(self, func: ast.AST) -> Optional[str]:
-        """The canonical dotted name of a call target, or ``None``.
-
-        ``_wall()`` after ``from time import time as _wall`` resolves
-        to ``time.time``; ``t.time()`` after ``import time as t`` to
-        ``time.time``; a plain local name stays itself.
-        """
-        parts: List[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(node.id)
-        parts.reverse()
-        head = parts[0]
-        if head in self.members:
-            parts[0:1] = self.members[head].split(".")
-        elif head in self.modules:
-            parts[0:1] = self.modules[head].split(".")
-        return ".".join(parts)
-
-
-# -- the hazard scan -------------------------------------------------------
-
-
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_IMPORTS = (ast.Import, ast.ImportFrom)
-_LOOPS = (ast.For, ast.AsyncFor)
-_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
-                   ast.GeneratorExp)
-#: The node types each scope is scanned for.
-_SCANNED = (ast.Call, *_LOOPS, *_COMPREHENSIONS, ast.Lambda, *_IMPORTS,
-            *_SCOPE_NODES, ast.ClassDef, ast.Assign, ast.AnnAssign,
-            ast.AugAssign, ast.Global)
-
-
-def _local_bindings(fn: ast.AST, own: Sequence[ast.AST]) -> set:
-    """Parameter and locally assigned names (they shadow globals);
-    ``own`` is ``fn``'s :attr:`_Scope.own`."""
-    bound = set()
-    args = fn.args
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        bound.add(arg.arg)
-    if args.vararg:
-        bound.add(args.vararg.arg)
-    if args.kwarg:
-        bound.add(args.kwarg.arg)
-    declared_global = set()
-    for node in own:
-        if isinstance(node, ast.Global):
-            declared_global.update(node.names)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bound.add(target.id)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            if isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-        elif isinstance(node, _LOOPS):
-            if isinstance(node.target, ast.Name):
-                bound.add(node.target.id)
-    return bound - declared_global
-
-
-def _given_time(call: ast.Call, canonical: str) -> bool:
-    """Whether a :data:`TIME_ARGUMENT` call is handed its time: a
-    positional argument there that is neither ``None`` nor unpacked
-    from ``*args``."""
-    index = TIME_ARGUMENT.get(canonical)
-    if index is None or len(call.args) <= index \
-            or any(isinstance(arg, ast.Starred)
-                   for arg in call.args[:index + 1]):
-        return False
-    given = call.args[index]
-    return not (isinstance(given, ast.Constant) and given.value is None)
-
-
-@dataclasses.dataclass(frozen=True)
-class _Site:
-    """One hazard the scan found, with the node it anchors to."""
-
-    hazard: Hazard
-    #: The call, the iterated expression, the lambda or the import.
-    node: ast.AST
-    #: The call's canonical dotted target (``None`` for other sites).
-    name: Optional[str] = None
-    #: The site is an iterated expression.
-    iterated: bool = False
-
-
-@dataclasses.dataclass
-class _Scope:
-    """One scope of the module: the body, a class body or a function."""
-
-    node: ast.AST
-    #: ``""`` for the module body.
-    qualname: str
-    #: The class a function is defined directly in, for ``self.m``.
-    class_name: Optional[str]
-    #: Its own :data:`_SCANNED` nodes (no nested body), in source order.
-    own: List[ast.AST]
-    #: Parameter and local names (functions only).
-    bound: set
-    sites: List[_Site] = dataclasses.field(default_factory=list)
-
-
-class _HazardScan:
-    """Every scope of one module, each visited once, with its sites.
-
-    Build it as ``module.shared(_HazardScan)``: once per module, for
-    the DET rules and the summary alike.
-    """
-
-    def __init__(self, module: ModuleSource) -> None:
-        self.module_name, _ = module_name_for(module.path)
-        self.aliases = _Aliases(module.nodes(*_IMPORTS),
-                                self.module_name.rpartition(".")[0])
-        #: The module body first, then classes and functions pre-order.
-        self.scopes: List[_Scope] = []
-        self._visit(module, module.tree, "", None)
-
-    def sites(self) -> Iterator[_Site]:
-        for scope in self.scopes:
-            yield from scope.sites
-
-    def _visit(self, module: ModuleSource, node: ast.AST, qualname: str,
-               class_name: Optional[str]) -> None:
-        own = sorted(module.nodes(*_SCANNED, scope=node),
-                     key=operator.attrgetter("lineno", "col_offset"))
-        function = isinstance(node, _SCOPE_NODES)
-        scope = _Scope(node, qualname, class_name, own,
-                       _local_bindings(node, own) if function else set())
-        self.scopes.append(scope)
-        prefix = (f"{qualname}.<locals>." if function
-                  else f"{qualname}." if qualname else "")
-        for child in own:
-            if isinstance(child, ast.Call):
-                self._classify_call(child, scope)
-            elif isinstance(child, _LOOPS):
-                self._classify_iteration(child.iter, scope)
-            elif isinstance(child, _COMPREHENSIONS):
-                for generator in child.generators:
-                    self._classify_iteration(generator.iter, scope)
-            elif isinstance(child, ast.Lambda):
-                scope.sites.append(_Site(Hazard(
-                    "pickle", "lambda capturing the enclosing frame",
-                    child.lineno), child))
-            elif isinstance(child, _IMPORTS):
-                self._classify_import(child, scope)
-            elif isinstance(child, _SCOPE_NODES):
-                self._visit(module, child, prefix + child.name, (
-                    node.name if isinstance(node, ast.ClassDef) else None))
-            elif isinstance(child, ast.ClassDef):
-                self._visit(module, child, prefix + child.name, None)
-
-    def _classify_call(self, call: ast.Call, scope: _Scope) -> None:
-        canonical = self.aliases.canonical(call.func)
-        if canonical is None or self._shadowed(canonical, scope.bound):
-            return
-
-        def add(kind: str, detail: str) -> None:
-            scope.sites.append(_Site(Hazard(kind, detail, call.lineno),
-                                     call, canonical))
-
-        if canonical in CLOCK_CALLS:
-            if not _given_time(call, canonical):
-                add("clock", f"wall-clock read {canonical}()")
-        elif canonical in ENTROPY_CALLS:
-            add("rng", f"OS-entropy draw {canonical}()")
-        elif canonical in ENV_CALLS or canonical.startswith("os.environ."):
-            add("env", f"environment read {canonical}()")
-        elif (canonical.startswith("random.")
-                and canonical[len("random."):] in UNSEEDED_RANDOM_FNS):
-            add("rng", f"global-RNG draw {canonical}()")
-        elif canonical == "random.Random" and not (call.args
-                                                   or call.keywords):
-            add("rng", "seedless random.Random()")
-        elif canonical in UNPICKLABLE_CTORS:
-            add("pickle", f"unpicklable {canonical}() handle")
-        elif canonical == "open":
-            add("pickle", "open file handle")
-        tail = canonical.rpartition(".")[2]
-        if (tail in POOL_API
-                and (canonical == tail
-                     or canonical.startswith(POOL_MODULE + ".")
-                     or canonical.startswith("pool."))):
-            add("pickle", f"warm-pool API call {tail}()")
-
-    def _shadowed(self, canonical: str, bound: set) -> bool:
-        """A canonical match is void when its head is a local binding
-        (a parameter named ``time`` shadows the module)."""
-        head = canonical.split(".")[0]
-        return head in bound and not self.aliases.binds(head)
-
-    def _classify_iteration(self, target: ast.expr, scope: _Scope) -> None:
-        if isinstance(target, (ast.Set, ast.SetComp)):
-            kind, detail = "order", "iteration over a set (hash order)"
-        elif (isinstance(target, ast.Call)
-                and isinstance(target.func, ast.Name)
-                and target.func.id in ("set", "frozenset")):
-            kind, detail = ("order", f"iteration over {target.func.id}() "
-                                     f"(hash order)")
-        elif self.aliases.canonical(target) == "os.environ":
-            kind, detail = "env", "iteration over os.environ"
-        else:
-            return
-        scope.sites.append(_Site(Hazard(kind, detail, target.lineno),
-                                 target, iterated=True))
-
-    def _classify_import(self, node: ast.AST, scope: _Scope) -> None:
-        if isinstance(node, ast.ImportFrom):
-            details = ([f"from {POOL_MODULE} import ..."]
-                       if node.module == POOL_MODULE else [])
-        else:
-            details = [f"import {POOL_MODULE}" for alias in node.names
-                       if alias.name == POOL_MODULE]
-        for detail in details:
-            scope.sites.append(_Site(Hazard("pickle", detail,
-                                            node.lineno), node))
 
 
 # -- summaries -------------------------------------------------------------
@@ -644,7 +321,7 @@ class _ModuleScanner:
 
 def summarize_module(module: ModuleSource) -> ModuleSummary:
     """Extract the :class:`ModuleSummary` of one parsed module, named
-    after its path (:func:`~repro.lint.deep.graph.module_name_for`)."""
+    after its path (:func:`~repro.lint.hazards.module_name_for`)."""
     hazards = module.shared(_HazardScan)
     return ModuleSummary(
         path=module.path, module=hazards.module_name,

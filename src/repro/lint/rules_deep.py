@@ -66,7 +66,7 @@ class TransitiveEnvironmentRule(_DeepRule):
 class TransitivePicklabilityRule(_DeepRule):
     id = "XPROC001"
     summary = ("deep: task transitively closes over unpicklable state "
-               "(locks, open handles, pool objects, nested lambdas)")
+               "(locks, queues, open handles, nested lambdas)")
 
 
 class TransitivePurityRule(_DeepRule):

@@ -25,9 +25,9 @@ the whole class at review time:
   that pass ``batch=`` anywhere (they are explicitly on the batched
   path).
 
-DET001, DET002 and DET004 filter the deep pass's per-module hazard
-scan (:class:`repro.lint.deep.summaries._HazardScan`), whose import
-bindings DET006 reads.
+DET001, DET002 and DET004 filter the per-module hazard scan
+(:class:`repro.lint.hazards._HazardScan`, which the deep pass reads
+too), whose import bindings DET005 and DET006 read.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ import collections
 import pathlib
 from typing import Iterable, Iterator, Type
 
-from repro.lint.deep.summaries import _HazardScan
 from repro.lint.findings import Finding
+from repro.lint.hazards import _HazardScan
 from repro.lint.registry import ModuleSource, Rule, dotted_name
 
 
@@ -147,16 +147,17 @@ class ObserveClockRule(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if "observe" not in pathlib.PurePath(module.path).parts:
             return
+        canonical = module.shared(_HazardScan).aliases.canonical
         for call in module.nodes(ast.Call):
-            dotted = dotted_name(call.func) or ""
-            prefix, _, attr = dotted.rpartition(".")
+            prefix, _, attr = (canonical(call.func) or "").rpartition(".")
             if prefix != "time" or attr not in PROCESS_CLOCK_ATTRS:
                 continue
             yield self.finding(
                 module, call,
-                f"{dotted}() inside repro.observe bypasses the injected "
-                f"clock; take timestamps from the telemetry session's "
-                f"bound clock so traces and dumps stay byte-stable")
+                f"{dotted_name(call.func)}() inside repro.observe "
+                f"bypasses the injected clock; take timestamps from the "
+                f"telemetry session's bound clock so traces and dumps "
+                f"stay byte-stable")
 
 
 def _uses_batch_keyword(module: ModuleSource) -> bool:

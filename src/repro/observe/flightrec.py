@@ -45,7 +45,7 @@ from repro.observe.events import Event
 from repro.observe.tracer import Span
 
 __all__ = ["SCHEMA", "DEFAULT_CAPACITY", "FlightRecorder", "recorder",
-           "dump", "note_failure", "recent_dumps"]
+           "dump", "recent_dumps"]
 
 #: Schema tag of one dumped window.
 SCHEMA = "repro-flightrec/v1"
@@ -202,16 +202,6 @@ def recorder() -> FlightRecorder:
 def dump(reason: str, **context: Any) -> Dict[str, Any]:
     """Dump the process recorder's current window (module-level form)."""
     return recorder().dump(reason, **context)
-
-
-def note_failure(reason: str, **context: Any) -> Dict[str, Any]:
-    """Record a failure dump in the executing process.
-
-    The dump is retained in the recorder's recent ring so parent-side
-    code (or a post-mortem session) can collect it after the exception
-    has propagated; see :func:`recent_dumps`.
-    """
-    return dump(reason, **context)
 
 
 def recent_dumps() -> List[Dict[str, Any]]:

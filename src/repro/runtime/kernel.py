@@ -208,8 +208,7 @@ def _run_trial(trial: Callable[[int], Dict[str, float]], instrument: bool,
             metrics = trial(seed)
         return metrics, tel.summary()
     except BaseException:
-        flightrec.note_failure("trial-failure", seed=seed,
-                               instrument=instrument)
+        flightrec.dump("trial-failure", seed=seed, instrument=instrument)
         raise
 
 

@@ -28,10 +28,6 @@ The registry is safe by construction rather than by convention:
   worker exits (a worker runs no ``atexit`` hooks).  So a pool spawned
   inside a pool worker is torn down before that worker joins its
   children, instead of leaving them idle and the program hung.
-
-Worker-side code must never touch this registry: a task that imports
-:class:`WorkerPool` would manage pools from inside a pool, which the
-``PROC003`` lint rule rejects (see docs/STATIC_ANALYSIS.md).
 """
 
 from __future__ import annotations

@@ -190,8 +190,10 @@ class ResultStore:
         #: the log holds more than once (two writers computed the same
         #: key): what is served when the indexed record does not verify.
         self._spares: Dict[str, List[Span]] = {}
-        #: Bytes of the log consumed into the index so far.
+        #: Bytes of the log consumed into the index so far, and the
+        #: ``(st_dev, st_ino)`` of the file they were read from.
         self._offset = 0
+        self._log_id: Optional[Tuple[int, int]] = None
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -507,15 +509,30 @@ class ResultStore:
 
     def refresh(self) -> int:
         """Index the log lines appended since the last read by their
-        heads; returns the number of new keys indexed."""
+        heads; returns the number of new keys indexed.
+
+        A log that is not the one indexed so far (another file at the
+        path, fewer bytes than were consumed, or no line end where the
+        consumed bytes end) was replaced or rewritten: the index is
+        dropped and the log indexed from its first byte.  Decoded
+        values stay, since they are content-addressed.
+        """
         try:
-            size = os.path.getsize(self.path)
+            stat = os.stat(self.path)
         except OSError:
             return 0
-        if size <= self._offset:
+        log_id = (stat.st_dev, stat.st_ino)
+        if log_id != self._log_id or stat.st_size < self._offset:
+            self._log_id = log_id
+            self._forget()
+        if stat.st_size <= self._offset:
             return 0
         with open(self.path, "rb") as handle:
-            handle.seek(self._offset)
+            if self._offset:
+                handle.seek(self._offset - 1)
+                if handle.read(1) != b"\n":
+                    self._forget()
+                    handle.seek(0)
             data = handle.read()
         # Consume only whole lines; a torn trailing record (possible
         # only on non-POSIX appends) is left for the next refresh.
@@ -547,6 +564,12 @@ class ResultStore:
             rows[key] = span
             added += 1
         return added
+
+    def _forget(self) -> None:
+        """Drop the index (in place: lookups hold it) and the offset."""
+        self._rows.clear()
+        self._spares.clear()
+        self._offset = 0
 
     def _open(self) -> Optional[BinaryIO]:
         """The log opened for reading, or ``None`` when it is gone."""

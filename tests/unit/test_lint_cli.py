@@ -8,9 +8,12 @@ the JSON output pins both the detectors and their formatting.
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(__file__), os.pardir,
@@ -113,3 +116,21 @@ class TestSelfLintGate:
         assert main(["lint", "src/repro", "--fail-on", "warning",
                      "--baseline", "lint-baseline.json"]) == 0
         assert "0 findings" in capsys.readouterr().out
+
+    def test_a_plain_lint_loads_no_deep_module(self):
+        """A lint without ``--deep`` imports none of ``repro.lint.deep``:
+        the local rules read the hazard scan from ``repro.lint.hazards``."""
+        script = ("import sys\n"
+                  "from repro.cli import main\n"
+                  "main(['lint', 'tests/fixtures'])\n"
+                  "print(sorted(name for name in sys.modules\n"
+                  "             if name.startswith('repro.lint.deep')))\n")
+        # The child imports the repro package this process imported.
+        path = os.pathsep.join(filter(None, (
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            os.environ.get("PYTHONPATH"))))
+        run = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,
+                             env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True)
+        assert "5 findings" in run.stdout
+        assert run.stdout.splitlines()[-1] == "[]"

@@ -1,8 +1,8 @@
 """One hazard model for the linter.
 
-DET001, DET002 and DET004 are filters over the deep pass's per-module
-hazard scan, and every line index (pragma text, baseline fingerprints,
-function fingerprints) reads the lines the parser counts.  These tests
+DET001, DET002 and DET004 are filters over the per-module hazard scan
+the deep pass reads too, and every line index (pragma text, baseline
+fingerprints, function fingerprints) reads the lines the parser counts.  These tests
 show it on data — every module of ``src/repro``, ``tests/fixtures`` and
 the frozen corpus — and pin the defects the two hazard models and the
 ``str.splitlines()`` split used to cause.
@@ -21,7 +21,7 @@ from repro.harness.experiment import run_trials
 from repro.lint import LintEngine, discover_sources
 from repro.lint.deep import Certificate, DeepAnalysis, summarize_module
 from repro.lint.deep.certificate import callable_fingerprint
-from repro.lint.deep.summaries import _HazardScan
+from repro.lint.hazards import _HazardScan
 from repro.lint.registry import ModuleSource, default_rules
 
 HERE = os.path.dirname(os.path.abspath(__file__))

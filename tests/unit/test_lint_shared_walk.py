@@ -1,5 +1,5 @@
 """Pins for the cost work in the linter: one walk per module, a linear
-DIV001, one process-safety scan per module.
+DIV001, one hazard scan per module for every rule that reads one.
 
 The digests below were computed before that work landed, from the same
 inputs, so they prove the refactor changed no finding, no certificate
@@ -17,7 +17,15 @@ time stopped counting as clock reads) and the PROC rules lost their
 ``backend='process'`` escalation: with the version string held at v2
 every digest still equals its v2 pin except the edge report and raw
 findings, whose three PROC001/PROC002 errors became warnings and whose
-six PROC messages no longer name a thread fallback.  The digests cover:
+six PROC messages no longer name a thread fallback.  They were re-made
+a third time when ``SUMMARY_VERSION`` became v4, PROC003 and the scan's
+warm-pool hazard retired, and PROC001/PROC002 became filters over the
+hazard scan's scopes: besides the version string, the edge report and
+raw findings lost both PROC003 findings and gained seven PROC001
+findings in ``tasks.py`` (class body, lambda body, decorators and
+defaults), and ``uses_pool`` lost its warm-pool hazard, so its XPROC001
+finding went and the certificates call it picklable.  The fixtures
+report did not move.  The digests cover:
 
 * the JSON report of ``LintEngine(deep=True)`` (less the wall-clock
   ``duration_seconds``) and its determinism certificate, on
@@ -49,7 +57,8 @@ from repro.lint.deep import (
     DeepAnalysis,
     summarize_module,
 )
-from repro.lint.registry import ModuleSource, parser_lines
+from repro.lint.hazards import _HazardScan
+from repro.lint.registry import ModuleSource, default_rules, parser_lines
 from repro.lint.rules_diversity import source_segment
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -236,9 +245,9 @@ EDGE_SOURCES = {
         ".NVersionProgramming([a, b, c], voter=None)\n"
         "seq = t.SequentialAlternatives([a]).SequentialAlternatives([b])\n"
     ),
-    # Map tasks where the process-safety scan must not look (class
-    # bodies, lambda bodies, decorator and default arguments) and where
-    # it must (module level, function bodies).
+    # Map tasks in every scope the process-safety rules read: class
+    # bodies, lambda bodies, decorator and default arguments, module
+    # level and function bodies.
     "edgepkg/tasks.py": (
         "from repro.runtime.pmap import ParallelMap, parallel_map\n"
         "from repro.runtime.pool import get_pool\n"
@@ -335,31 +344,31 @@ PINS = {
     "fixtures.report":
         "16272491c7f34545f326e08e5c5f3ef2e5634bd19360ce867eb8c36e1b9b7f64",
     "fixtures.certificate":
-        "3979e7077438aa52ea59c90b211b708da67626f60128b44b1c7bb5041647562d",
+        "0b4d2f7a8823e7ad5db15b675cce7e1602994c525ee4aac915935a6eaf87d0a3",
     "edge.report":
-        "74dd7e7518783771d5c8af1f76dc7342b5a99ba0b2c67f89bca6d469f873df4a",
+        "aac2360d5ce875cc33460143a8670cabe2dfd31f0b78b152154a0072d6986fad",
     "edge.certificate":
-        "f0fc1c6c09d4c263d265d2712417de82bb2fe99e02e7538b7058e92c95124dea",
+        "8c6d46dc6d2a48f76f2eb8c2fd6ceac3c839d017f6d9b0237bc9ed8fd2943a06",
     "edge.raw_findings":
-        "c6aaf4705e6a413db2497c025cb9081ad898512c8aad703695582a9d0c3a1cde",
+        "6806d4a1455578ba660697e3bbfdf71500bde67ef6df53282d0f1b51c0c27d8e",
     "edge.raw_summaries":
-        "2486002a554520950f083cfc122eaa41192576a31357b32798533475fcdc8c6f",
+        "b10943d7e83e8cd793df53380541cb077d3b9b57a3855f551414731ce3fe9f66",
     # The summaries' fingerprints join the parser's lines with "\n",
     # so CRLF and LF sources certify alike.
     "edge.raw_certificate":
-        "f0fc1c6c09d4c263d265d2712417de82bb2fe99e02e7538b7058e92c95124dea",
+        "8c6d46dc6d2a48f76f2eb8c2fd6ceac3c839d017f6d9b0237bc9ed8fd2943a06",
 }
 
 #: ``ModuleSummary.as_dict()`` digest of every fixture module.
 SUMMARY_PINS = {
     "tests/fixtures/__init__.py":
-        "41660a6c1eb9930184747efc9a2f5c677fc27bcc182fca7c65e0c32631e8f963",
+        "988e9c727fcacb9944118232996b9671a38de3f422adb260c1db39c04b719418",
     "tests/fixtures/deep_helpers.py":
-        "4d4fa845c195d6b706251fb21f2ac4a9b4b5e773499d3c073f1382edaf052aa3",
+        "772d2534d64c55b7259e4462e71e4cc545235eb534846bc5fdd27f812966e5c7",
     "tests/fixtures/deep_planted.py":
-        "49e412b7e12a0be20b6100d33abe47017ee5cc10b2cb447da5c0d92f96131471",
+        "99b939753a9f1a9bb335d8b8ae21de0c2dbd0155888fbe6d15940bea75ca8bf8",
     "tests/fixtures/lint_planted.py":
-        "2180eea50d89adab30a0aa5b7d9b0d269d22306d27cf421e06a947cb041dbce1",
+        "2488b4129b0894793b60aa72ddd8c49114867d539f4ad29cd1cb9ac56023ec24",
 }
 
 
@@ -434,7 +443,7 @@ class TestPinnedOutput:
 
     def test_fixture_summaries_serve_from_an_unchanged_cache(
             self, in_repo):
-        assert SUMMARY_VERSION == "lint-deep-summary/v3"
+        assert SUMMARY_VERSION == "lint-deep-summary/v4"
         got = {}
         for path in sorted(SUMMARY_PINS):
             with open(path, "r", encoding="utf-8") as handle:
@@ -578,3 +587,23 @@ class TestOneWalkPerModule:
         counts = collections.Counter(id(root) for root in roots)
         assert {id(module.tree) for module in parsed} == set(counts)
         assert set(counts.values()) == {1}
+
+    def test_the_proc_rules_walk_nothing_of_their_own(self, monkeypatch):
+        module = ModuleSource.parse("edgepkg/tasks.py",
+                                    EDGE_SOURCES["edgepkg/tasks.py"])
+        module.shared(_HazardScan)  # the module's one walk, and its scan
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a PROC rule walked the tree itself")
+
+        rules = default_rules().rules(["PROC001", "PROC002"])
+        # The patches are undone before pytest renders a failure.
+        with monkeypatch.context() as patched:
+            patched.setattr(ast, "walk", no_walk)
+            patched.setattr(ast, "iter_child_nodes", no_walk)
+            found = sorted((finding.rule, finding.line)
+                           for rule in rules
+                           for finding in rule.check(module))
+        assert found == [("PROC001", line) for line in
+                         (15, 16, 19, 22, 23, 28, 29, 38, 44)] \
+            + [("PROC002", 37), ("PROC002", 39)]

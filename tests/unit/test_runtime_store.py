@@ -161,6 +161,54 @@ class TestTwoTierStore:
         # The reader's miss path notices the grown log and re-reads.
         assert reader.get(key) == "payload"
 
+    @pytest.mark.parametrize("replacement", [1, 24])
+    def test_a_log_replaced_under_an_open_store_is_reindexed(
+            self, tmp_path, replacement):
+        path = tmp_path / "s.jsonl"
+        writer = ResultStore(path)
+        writer.put_many([{"key": f"old-{i:02d}", "value": i}
+                         for i in range(16)])
+        reader = ResultStore(path)
+        assert (reader.entries, reader.get("old-00")) == (16, 0)
+        old_size = path.stat().st_size
+        path.unlink()
+        # Another store writes a new log at the path: one record, far
+        # smaller than what the reader consumed, or more bytes than it
+        # consumed, whose old offset falls inside a line.
+        fresh = [f"fresh-{i:02d}" for i in range(replacement)]
+        ResultStore(path).put_many([{"key": key, "value": key}
+                                    for key in fresh])
+        assert (path.stat().st_size < old_size) == (replacement == 1)
+        assert reader.get(fresh[0]) == fresh[0]
+        assert reader.get_many(fresh) == {key: key for key in fresh}
+        assert reader.get("old-00") == 0  # decoded before, from memory
+        assert reader.get("old-01") is MISS
+        assert reader.serve(["mine"], lambda missing: ["computed"],
+                            task="task", seeds=[None]) == ["computed"]
+        assert reader.entries == replacement + 1
+        assert reader.stats()["corrupt_lines"] == 0
+        assert ResultStore(path).get_many(["mine", *fresh]) == {
+            "mine": "computed", **{key: key for key in fresh}}
+
+    def test_a_log_renamed_over_an_open_store_is_reindexed(self,
+                                                           tmp_path):
+        path = tmp_path / "s.jsonl"
+        keys = [f"key-{i:02d}" for i in range(16)]
+        ResultStore(path).put_many([{"key": key, "value": key}
+                                    for key in keys])
+        reader = ResultStore(path)
+        # The same records in another order plus one more, renamed over
+        # the log: the line where the consumed bytes ended still ends
+        # there, and only the file's identity tells the logs apart.
+        other = tmp_path / "other.jsonl"
+        other.write_bytes(b"".join(reversed(
+            path.read_bytes().splitlines(keepends=True))))
+        ResultStore(other).put("late", "late")
+        os.replace(other, path)
+        assert reader.get("late") == "late"
+        assert reader.get_many(keys) == {key: key for key in keys}
+        assert reader.stats()["corrupt_lines"] == 0
+
     def test_corrupt_lines_are_skipped_not_fatal(self, tmp_path):
         path = tmp_path / "s.jsonl"
         store = ResultStore(path)
