@@ -99,8 +99,8 @@ EXPERIMENT_INDEX = (
      "bench_observe_overhead.py"),
     ("H3", "harness: warm pools amortise spawn; result store makes "
      "re-runs incremental", "bench_h2_pool_reuse.py"),
-    ("H4", "harness: batched trial kernel is byte-identical and an "
-     "order of magnitude faster", "bench_h4_batch_kernel.py"),
+    ("H4", "harness: batched trials are byte-identical and pay the "
+     "store's per-record tax per batch", "bench_h4_batch_kernel.py"),
     ("H5", "harness: delta streaming folds byte-identically with "
      "pinned overhead", "bench_h5_stream_overhead.py"),
     ("H6", "harness: sharded campaigns checkpoint every shard and "
@@ -343,7 +343,6 @@ def _run_live_campaign(args) -> int:
     import time
 
     from repro import observe
-    from repro.observe import flightrec
     from repro.observe.stream import LiveDashboard, TelemetryStream
     from repro.runtime.pool import pool_stats
 
@@ -396,31 +395,65 @@ def _run_live_campaign(args) -> int:
         # without having to win a race against a fast campaign).
         while dash.frames < max(1, args.frames) - 1:
             _emit_frame(_snap(), args.format)
-        report = _campaign_report(box["cells"], monitor, args)
-    if sharded is not None:
-        print(sharded.stats.summary(), file=sys.stderr)
+        report = (None if _shard_summary(sharded)
+                  else _campaign_report(box["cells"], monitor, args))
     verdict = (_evaluate_gate(report, args)
-               if getattr(args, "gate", False) else None)
+               if report is not None and getattr(args, "gate", False)
+               else None)
     if verdict is not None:
         report = dict(report)
         report["verdict"] = verdict
     _emit_frame(dash.frame(final=True, report=report), args.format)
-    if args.flight_out:
-        text = flightrec.recorder().dump_jsonl(
-            "cli-flight-out", command="campaign-live",
-            failure_dumps=len(campaign.flight_records))
-        error = _write_file(args.flight_out, text + "\n")
-        if error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
     if verdict is not None and not verdict["is_accepted"]:
         return GATE_EXIT_REJECTED
     return 0
 
 
+def _shard_summary(sharded) -> bool:
+    """Print a sharded run's accounting to stderr, so report bytes stay
+    identical whether shards were served or executed.  True when
+    ``--max-shards`` stopped the run: it has no complete grid, so it
+    reports nothing and no gate judges it."""
+    if sharded is None:
+        return False
+    print(sharded.stats.summary(), file=sys.stderr)
+    if sharded.stats.truncated:
+        print("campaign stopped by --max-shards; resume with "
+              "--resume to finish", file=sys.stderr)
+    return sharded.stats.truncated
+
+
+def _with_flight_out(args, command: str, run) -> int:
+    """Run ``run(args)`` and, with ``--flight-out PATH``, write the
+    process flight-recorder window to PATH as a ``repro-events-jsonl/v1``
+    log on every exit, a raised one included; a window that cannot be
+    written exits 1."""
+    if not args.flight_out:
+        return run(args)
+    from repro.observe import flightrec
+
+    before = flightrec.recorder().dumps
+    status = 1
+    try:
+        status = run(args)
+    finally:
+        recorder = flightrec.recorder()
+        text = recorder.dump_jsonl("cli-flight-out", command=command,
+                                   failure_dumps=recorder.dumps - before)
+        error = _write_file(args.flight_out, text + "\n")
+        if error:
+            print(f"error: {error}", file=sys.stderr)
+            status = 1
+    return status
+
+
 def _cmd_campaign(args) -> int:
     if getattr(args, "live", False):
-        return _run_live_campaign(args)
+        return _with_flight_out(args, "campaign-live", _run_live_campaign)
+    return _with_flight_out(args, "campaign", _run_campaign)
+
+
+def _run_campaign(args) -> int:
     if args.format == "json" or getattr(args, "shards", None) \
             or getattr(args, "gate", False):
         import json
@@ -435,14 +468,8 @@ def _cmd_campaign(args) -> int:
             monitor = observe.SliMonitor(tel.bus, window=args.window)
             cells = sharded.run() if sharded is not None \
                 else campaign.run()
-        if sharded is not None:
-            # Progress accounting goes to stderr so report bytes stay
-            # identical whether shards were served or executed.
-            print(sharded.stats.summary(), file=sys.stderr)
-            if sharded.stats.truncated:
-                print("campaign stopped by --max-shards; resume with "
-                      "--resume to finish", file=sys.stderr)
-                return 0
+        if _shard_summary(sharded):
+            return 0
         document = _campaign_report(cells, monitor, args)
         verdict = (_evaluate_gate(document, args)
                    if getattr(args, "gate", False) else None)
@@ -476,7 +503,7 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_top(args) -> int:
-    return _run_live_campaign(args)
+    return _with_flight_out(args, "campaign-live", _run_live_campaign)
 
 
 def _cmd_demo(args) -> int:

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Sequence, Union)
+import itertools
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple, Union)
 
-from repro.runtime.kernel import (BatchResult, MetricAccumulator, _run_trial,
-                                  partition, run_batch)
+from repro.runtime.kernel import (BATCH_SCHEMA, BatchResult,
+                                  MetricAccumulator, _run_trial, partition)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.runtime.store import ResultStore
@@ -52,18 +53,16 @@ class Experiment:
             order, so any worker count produces byte-identical results;
             the pool decides whether the trials run serially or on
             worker processes.
-        batch: When set, run the seeds through the **batch kernel**
-            (:mod:`repro.runtime.kernel`): contiguous batches of up to
-            ``batch`` seeds execute as one pure call each, returning
-            one struct-of-arrays :class:`~repro.runtime.kernel.
-            BatchResult` per batch instead of ``batch`` scalar results
-            — ~batch× less pickle volume through the pool and one
-            store key per batch.  Because every trial is a pure
-            function of its seed, any partition (``batch=1``,
-            ``batch=len(seeds)``, ragged tails) yields byte-identical
-            aggregates; :meth:`run` expands batches back to scalar
-            :class:`TrialResult` objects, while :meth:`run_batches` and
-            :meth:`summary` stay compact end to end.
+        batch: When set, run the seeds in contiguous batches of up to
+            ``batch`` seeds (:mod:`repro.runtime.kernel`): each batch is
+            one pool chunk and one
+            :class:`~repro.runtime.kernel.BatchResult`, so a store
+            keeps one record and one key per batch.  Because every
+            trial is a pure function of its seed, any partition
+            (``batch=1``, ``batch=len(seeds)``, ragged tails) yields
+            byte-identical results; :meth:`run` expands batches back to
+            scalar :class:`TrialResult` objects, and :meth:`summary`
+            folds the batches as they are.
         store: Optional :class:`~repro.runtime.store.ResultStore`.
             When set, each unit (a trial, or under ``batch`` a whole
             batch) is looked up by content address — (trial source
@@ -133,8 +132,15 @@ class Experiment:
                     for result in batch.results()]
         self._enforce_certificate()
         seeds = list(self.seeds)
+
+        def execute(missing: Sequence[int]) -> List[TrialResult]:
+            return [TrialResult(seed=seed, metrics=metrics,
+                                telemetry=telemetry)
+                    for seed, (metrics, telemetry)
+                    in zip(missing, self._execute(missing))]
+
         if self.store is None:
-            return self._execute(seeds)
+            return execute(seeds)
         from repro.runtime.store import code_fingerprint
 
         code = code_fingerprint(self.trial)
@@ -143,7 +149,7 @@ class Experiment:
                                code=code)
                 for seed in seeds]
         return self.store.serve(
-            keys, lambda missing: self._execute([seeds[i] for i in missing]),
+            keys, lambda missing: execute([seeds[i] for i in missing]),
             task=task_name, seeds=seeds)
 
     def run_batches(self) -> List[BatchResult]:
@@ -152,30 +158,43 @@ class Experiment:
         Usable with any ``batch`` (``None`` means one batch of all
         seeds).  With a ``store``, each batch is addressed by its
         **batch fingerprint key** — (trial source version,
-        ``instrument``, the batch's seed tuple) — so an unchanged batch
-        is served as one record; ``store.hit``/``store.write`` carry
-        ``trials=len(batch)`` for per-batch accounting in the SLI
-        store-traffic table.
+        :data:`~repro.runtime.kernel.BATCH_SCHEMA`, ``instrument``, the
+        batch's seed tuple) — so an unchanged batch is served as one
+        record; ``store.hit``/``store.write`` carry ``trials=len(batch)``
+        for per-batch accounting in the SLI store-traffic table.
         """
         self._enforce_certificate()
-        batches = partition(self.seeds,
-                            self.batch if self.batch is not None
-                            else max(1, len(self.seeds)))
+        size = self.batch if self.batch is not None \
+            else max(1, len(self.seeds))
+        batches = partition(self.seeds, size)
+
+        def execute(missing: Sequence[Tuple[int, ...]]) -> List[BatchResult]:
+            # Every batch but the partition's last is full, so chunks
+            # of ``size`` seeds are exactly the missing batches.
+            ran = iter(self._execute([seed for batch in missing
+                                      for seed in batch], chunk_size=size))
+            grouped = []
+            for batch in missing:
+                metrics, telemetry = zip(*itertools.islice(ran, len(batch)))
+                grouped.append(BatchResult(
+                    seeds=batch, metrics=metrics,
+                    telemetry=telemetry if self.instrument else None))
+            return grouped
+
         if not batches:
             return []
         if self.store is None:
-            return self._execute_batches(batches)
+            return execute(batches)
         from repro.runtime.store import code_fingerprint
 
         code = code_fingerprint(self.trial)
         task_name = self._task_name()
-        keys = [self.store.key(task_name, (self.instrument, batch),
+        keys = [self.store.key(task_name,
+                               (BATCH_SCHEMA, self.instrument, batch),
                                seed=batch[0], code=code)
                 for batch in batches]
         return self.store.serve(
-            keys,
-            lambda missing: self._execute_batches(
-                [batches[i] for i in missing]),
+            keys, lambda missing: execute([batches[i] for i in missing]),
             task=task_name, seeds=[batch[0] for batch in batches],
             trials=[len(batch) for batch in batches])
 
@@ -183,30 +202,20 @@ class Experiment:
         return (f"{getattr(self.trial, '__module__', '?')}"
                 f".{getattr(self.trial, '__qualname__', 'trial')}")
 
-    def _execute(self, seeds: Sequence[int]) -> List[TrialResult]:
-        """Run ``seeds`` (a sub-sequence on store partial hits), in
-        order, in one pool map, each through the per-trial step batches
-        use (:func:`~repro.runtime.kernel._run_trial`)."""
-        runner = functools.partial(_run_trial, self.trial, self.instrument)
-        ran = self._map(runner, list(seeds))
-        return [TrialResult(seed=seed, metrics=metrics, telemetry=telemetry)
-                for seed, (metrics, telemetry) in zip(seeds, ran)]
-
-    def _execute_batches(self, batches: Sequence[Sequence[int]]
-                         ) -> List[BatchResult]:
-        """Run seed batches, in order, in one pool map.  Each batch is
-        already a coarse unit of work, so it is its own chunk: the pool
-        never re-bundles (and re-pickles) batches."""
-        runner = functools.partial(run_batch, self.trial, self.instrument)
-        return self._map(runner, list(batches), chunk_size=1)
-
-    def _map(self, runner, items, chunk_size=None):
-        """One pool map call, keeping its accounting on the experiment."""
+    def _execute(self, seeds: Sequence[int],
+                 chunk_size: Optional[int] = None
+                 ) -> List[Tuple[Dict[str, float], Optional[Dict[str, Any]]]]:
+        """``(metrics, telemetry digest or None)`` for each of ``seeds``
+        (a sub-sequence on store partial hits), in order: one pool map
+        of :func:`~repro.runtime.kernel._run_trial`, ``chunk_size``
+        seeds per chunk (``None``: the pool's default), its accounting
+        kept on the experiment."""
         from repro.runtime.pmap import ParallelMap
 
+        runner = functools.partial(_run_trial, self.trial, self.instrument)
         pool = ParallelMap(workers=self.workers, stream=self.stream)
         try:
-            return pool.map(runner, items, chunk_size=chunk_size)
+            return pool.map(runner, seeds, chunk_size=chunk_size)
         finally:
             self.pool_stats = pool.stats
             self.flight_records = pool.flight_records
@@ -245,9 +254,10 @@ def summarize(results: Sequence[Union[TrialResult, BatchResult]]
               ) -> Dict[str, float]:
     """Per-metric means (and ``<metric>_stdev``) over trial results.
 
-    Accepts scalar :class:`TrialResult` sequences, struct-of-arrays
+    Accepts scalar :class:`TrialResult` sequences,
     :class:`~repro.runtime.kernel.BatchResult` sequences, or a mix;
-    batched and scalar runs of the same seeds summarize byte-identically.
+    batched and scalar runs of the same seeds summarize byte-identically,
+    because both fold every trial's own metrics dict in seed order.
 
     Trials may report heterogeneous metric sets (e.g. a metric only
     meaningful when a fault actually struck): each metric is averaged
@@ -265,16 +275,10 @@ def summarize(results: Sequence[Union[TrialResult, BatchResult]]
     """
     accumulators: Dict[str, MetricAccumulator] = {}
     for result in results:
-        if isinstance(result, BatchResult):
-            # Struct-of-arrays fast path: fold whole columns; column
-            # insertion order is the batch-wide first-seen key order.
-            for key, column in result.columns.items():
-                accumulator = accumulators.get(key)
-                if accumulator is None:
-                    accumulator = accumulators[key] = MetricAccumulator()
-                accumulator.update(column)
-        else:
-            for key, value in result.metrics.items():
+        trials = (result.metrics if isinstance(result, BatchResult)
+                  else (result.metrics,))
+        for metrics in trials:
+            for key, value in metrics.items():
                 accumulator = accumulators.get(key)
                 if accumulator is None:
                     accumulator = accumulators[key] = MetricAccumulator()

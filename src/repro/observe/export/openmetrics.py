@@ -20,7 +20,7 @@ this to detect format drift).
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.observe.metrics import (
     Counter,
@@ -42,6 +42,15 @@ def _family(name: str, kind: type) -> str:
     return name
 
 
+def _quantiles(name: str, key: LabelKey, metric: Histogram) -> List[str]:
+    lines = []
+    for q in QUANTILES:
+        q_key = key + (("quantile", f"{q:g}"),)
+        lines.append(f"{name}_quantiles{_render_labels(q_key)}"
+                     f" {metric.quantile(q):g}")
+    return lines
+
+
 def render_openmetrics(registry: MetricsRegistry,
                        exclude: Sequence[str] = ()) -> str:
     """The registry as OpenMetrics-compatible exposition text.
@@ -52,36 +61,6 @@ def render_openmetrics(registry: MetricsRegistry,
             ``("repro_runtime_",)``), as in
             :meth:`~repro.observe.metrics.MetricsRegistry.as_dict`.
     """
-    by_name: Dict[str, List[Tuple[LabelKey, object]]] = {}
-    for (name, key), metric in sorted(registry._metrics.items()):
-        if any(name.startswith(prefix) for prefix in exclude):
-            continue
-        by_name.setdefault(name, []).append((key, metric))
-    lines: List[str] = []
-    for name, series in by_name.items():
-        kind = registry._kinds[name]
-        lines.append(f"# TYPE {_family(name, kind)} {kind.__name__.lower()}")
-        for key, metric in series:
-            if isinstance(metric, Histogram):
-                for bound, count in zip(metric.buckets,
-                                        metric.bucket_counts):
-                    bucket_key = key + (("le", f"{bound:g}"),)
-                    lines.append(f"{name}_bucket"
-                                 f"{_render_labels(bucket_key)} {count}")
-                inf_key = key + (("le", "+Inf"),)
-                lines.append(f"{name}_bucket{_render_labels(inf_key)}"
-                             f" {metric.count}")
-                lines.append(f"{name}_sum{_render_labels(key)}"
-                             f" {metric.sum:g}")
-                lines.append(f"{name}_count{_render_labels(key)}"
-                             f" {metric.count}")
-                for q in QUANTILES:
-                    q_key = key + (("quantile", f"{q:g}"),)
-                    lines.append(f"{name}_quantiles"
-                                 f"{_render_labels(q_key)}"
-                                 f" {metric.quantile(q):g}")
-            else:
-                value = metric.value  # type: ignore[union-attr]
-                lines.append(f"{name}{_render_labels(key)} {value:g}")
+    lines = registry._exposition(exclude, family=_family, after=_quantiles)
     lines.append("# EOF")
     return "\n".join(lines)

@@ -24,7 +24,8 @@ reliance on dict iteration order or ``PYTHONHASHSEED``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 LabelKey = Tuple[Tuple[str, str], ...]
 
@@ -334,6 +335,19 @@ class MetricsRegistry:
 
         ``exclude`` drops series by name prefix, as in :meth:`as_dict`.
         """
+        return "\n".join(self._exposition(exclude))
+
+    def _exposition(self, exclude: Sequence[str] = (),
+                    family: Optional[Callable[[str, type], str]] = None,
+                    after: Optional[Callable[..., List[str]]] = None
+                    ) -> List[str]:
+        """The exposition lines of every series not excluded, sorted
+        by ``(name, labels)``: one ``# TYPE`` line per name (naming the
+        family ``family(name, kind)`` when given), then each series'
+        samples, a histogram's followed by ``after(name, labels,
+        histogram)`` when given.  The one walk behind both text
+        formats: OpenMetrics renames counter families and appends
+        quantiles."""
         by_name: Dict[str, List[Tuple[LabelKey, object]]] = {}
         for (name, key), metric in sorted(self._metrics.items()):
             if any(name.startswith(prefix) for prefix in exclude):
@@ -342,7 +356,8 @@ class MetricsRegistry:
         lines: List[str] = []
         for name, series in by_name.items():
             kind = self._kinds[name]
-            lines.append(f"# TYPE {name} {kind.__name__.lower()}")
+            lines.append(f"# TYPE {family(name, kind) if family else name}"
+                         f" {kind.__name__.lower()}")
             for key, metric in series:
                 if isinstance(metric, Histogram):
                     # bucket_counts are maintained cumulatively (every
@@ -360,7 +375,9 @@ class MetricsRegistry:
                                  f" {metric.sum:g}")
                     lines.append(f"{name}_count{_render_labels(key)}"
                                  f" {metric.count}")
+                    if after is not None:
+                        lines.extend(after(name, key, metric))
                 else:
                     value = metric.value  # type: ignore[union-attr]
                     lines.append(f"{name}{_render_labels(key)} {value:g}")
-        return "\n".join(lines)
+        return lines

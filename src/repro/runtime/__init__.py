@@ -18,13 +18,13 @@ single output byte.  Five cooperating pieces:
   pure-trial results keyed on (task, args digest, seed, code version)
   survive process exit, making campaigns and ``repro bench
   --incremental`` skip unchanged work;
-* :mod:`~repro.runtime.kernel` — the batched trial kernel:
-  :func:`run_batch` executes whole seed batches as single pure calls
-  returning struct-of-arrays :class:`BatchResult` records (~B× less
-  pickle volume, one store key per batch), with counter-based seed
-  streams (:func:`trial_seed` / :func:`seed_range`) so any batch
-  partition is byte-identical, and the bit-exact single-pass
-  :class:`MetricAccumulator` behind ``summarize``;
+* :mod:`~repro.runtime.kernel` — the batched trial kernel: a seed
+  batch is one chunk of the trial map and one :class:`BatchResult`
+  record (each trial's own metrics dict, one store key per batch),
+  with counter-based seed streams (:func:`trial_seed` /
+  :func:`seed_range`) so any batch partition is byte-identical, and
+  the bit-exact single-pass :class:`MetricAccumulator` behind
+  ``summarize``;
 * :mod:`~repro.runtime.bench` — the ``repro bench`` runner: the whole
   benchmark suite through the pool, with drift detection against
   ``benchmarks/results/`` and a ``BENCH_harness.json`` timing report.
@@ -38,7 +38,6 @@ from repro.runtime.kernel import (
     BatchResult,
     MetricAccumulator,
     partition,
-    run_batch,
     seed_range,
     trial_seed,
     trial_stream,
@@ -71,7 +70,6 @@ __all__ = [
     "parallel_map",
     "partition",
     "pool_stats",
-    "run_batch",
     "seed_range",
     "shutdown_pools",
     "trial_seed",

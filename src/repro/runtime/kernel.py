@@ -1,20 +1,20 @@
-"""Batched trial kernel: struct-of-arrays execution over seed ranges.
+"""Batched trial kernel: seed batches, counter-based seeds, exact folds.
 
-The scalar harness path pays a fixed per-trial tax that has nothing to
-do with the trial itself: one :class:`~repro.harness.experiment.
-TrialResult` object churned per seed, one content-address key hashed
-and one pickle round-tripped per seed through the pool and the
-:class:`~repro.runtime.store.ResultStore`.  At campaign scale (millions
-of trials, each microseconds of real work) that tax *is* the runtime.
-This module removes it:
+A batch is a chunk of the trial map.  The scalar harness path pays a
+fixed per-trial tax that has nothing to do with the trial itself: one
+content-address key hashed, one lookup and one encoded record per seed
+through the :class:`~repro.runtime.store.ResultStore`.  At campaign
+scale (millions of trials, each microseconds of real work) that tax
+*is* the runtime.  The batched path
+(:meth:`repro.harness.experiment.Experiment.run_batches`) pays it once
+per batch instead:
 
-* :func:`run_batch` executes B seeds as one pure function call and
-  accumulates outcomes into **struct-of-arrays columns** — one compact
-  ``array('d')`` of values plus an ``array('q')`` of trial indices per
-  metric name — instead of B result objects;
-* :class:`BatchResult` is the one record returned per batch: ~B× less
-  pickle volume across a process pool, and one store key per batch
-  instead of one per trial;
+* the seeds of a batch run through the same pool map as the scalar
+  path, one batch per pool chunk, each seed through :func:`_run_trial`;
+* :class:`BatchResult` is the one record kept per batch: the batch's
+  seeds, each trial's own metrics dict and, instrumented, each trial's
+  telemetry digest, so a store serves a batch as one record under one
+  key (pickle memoises the metric names the trials repeat);
 * **counter-based seeding** (:func:`trial_seed`, :func:`trial_stream`,
   :func:`seed_range`) derives every trial's randomness from
   ``stable_int(base_seed, trial_index)`` splitmix-style, so any batch
@@ -23,8 +23,8 @@ This module removes it:
 * :class:`MetricAccumulator` folds values **single-pass** into
   count / exact-sum / exact-sum-of-squares state whose ``mean()`` and
   ``stdev()`` reproduce ``statistics.fmean`` / ``statistics.stdev`` to
-  the last bit, so :func:`repro.harness.experiment.summarize` over
-  batches is byte-identical to the scalar path it replaced.
+  the last bit, which is what :func:`repro.harness.experiment.
+  summarize` folds every trial's metrics through.
 
 The established identity convention generalizes: serial-vs-parallel
 became scalar-vs-batched.  ``summarize(batched) == summarize(scalar)``
@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from array import array
 from fractions import Fraction
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
@@ -50,7 +49,7 @@ from repro.observe import flightrec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.harness.experiment import TrialResult
 
-__all__ = ["BatchResult", "MetricAccumulator", "partition", "run_batch",
+__all__ = ["BATCH_SCHEMA", "BatchResult", "MetricAccumulator", "partition",
            "seed_range", "trial_seed", "trial_stream"]
 
 #: Seed-space size for counter-derived streams; large enough that
@@ -112,82 +111,43 @@ def partition(seeds: Sequence[int], batch: int) -> List[Tuple[int, ...]]:
 # -- the batch record ------------------------------------------------------
 
 
+#: The layout of a stored :class:`BatchResult`, part of every per-batch
+#: store key's args: a record in another layout (the struct-of-arrays
+#: columns of v1) is a cold miss, never served.
+BATCH_SCHEMA = "repro-trial-batch/v2"
+
+
 @dataclasses.dataclass(frozen=True)
 class BatchResult:
-    """One batch of trials as struct-of-arrays columns.
+    """One batch of trials: what the scalar path returns for its seeds.
 
     Attributes:
         seeds: The batch's seeds, in execution order.
-        columns: ``metric name -> array('d')`` of values, keyed in
-            first-seen order (identical to the scalar first-seen key
-            order across the same trials).  Trials may report
-            heterogeneous metric sets, so a column holds one entry per
-            *reporting* trial, aligned with ``rows``.
-        rows: ``metric name -> array('q')`` of trial indices (positions
-            into ``seeds``) that reported the metric, ascending.
+        metrics: Each trial's own ``metric -> value`` dict, one per
+            seed (trials may report heterogeneous metric sets, in any
+            key order).
         telemetry: One per-trial telemetry digest per seed when the
             batch ran instrumented (the same digests the scalar path
             attaches to each :class:`~repro.harness.experiment.
             TrialResult`); ``None`` otherwise.
-        key_orders: ``trial index -> that trial's metric-key order``,
-            recorded only for the (rare) trials whose own dict order
-            diverges from the batch-wide column order, so expansion
-            back to scalar dicts replays each trial's exact insertion
-            order without paying a per-trial tuple for the common case.
-
-    The record pickles ~B× smaller than B ``TrialResult`` objects: two
-    typed arrays per metric instead of B dicts, one object header
-    instead of B.
     """
 
     seeds: Tuple[int, ...]
-    columns: Dict[str, array]
-    rows: Dict[str, array]
+    metrics: Tuple[Dict[str, float], ...]
     telemetry: Optional[Tuple[Dict[str, Any], ...]] = None
-    key_orders: Optional[Dict[int, Tuple[str, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.seeds)
 
-    def trial_metrics(self, index: int) -> Dict[str, float]:
-        """Trial ``index``'s ``metric -> value`` dict, rebuilt with the
-        trial's own key order."""
-        out: Dict[str, float] = {}
-        for key, indices in self.rows.items():
-            # Columns are short per-batch arrays; bisect would win only
-            # for very large B with many sparse metrics.
-            for position, trial in enumerate(indices):
-                if trial == index:
-                    out[key] = self.columns[key][position]
-                    break
-        return self._reorder(index, out)
-
-    def _reorder(self, index: int, metrics: Dict[str, float]
-                 ) -> Dict[str, float]:
-        """Re-key a column-major dict into the trial's own order when
-        the batch recorded a divergence."""
-        order = (self.key_orders or {}).get(index)
-        if order is None:
-            return metrics
-        return {key: metrics[key] for key in order}
-
     def results(self) -> List["TrialResult"]:
-        """The batch expanded to scalar :class:`TrialResult` objects —
-        the compatibility (and identity-test) bridge; hot paths should
-        aggregate the columns directly instead."""
+        """The batch as scalar :class:`TrialResult` objects."""
         from repro.harness.experiment import TrialResult
 
-        metrics: List[Dict[str, float]] = [{} for _ in self.seeds]
-        for key, indices in self.rows.items():
-            column = self.columns[key]
-            for position, trial in enumerate(indices):
-                metrics[trial][key] = column[position]
-        return [TrialResult(seed=seed,
-                            metrics=self._reorder(index, metrics[index]),
-                            telemetry=(self.telemetry[index]
-                                       if self.telemetry is not None
-                                       else None))
-                for index, seed in enumerate(self.seeds)]
+        telemetry = (self.telemetry if self.telemetry is not None
+                     else (None,) * len(self.seeds))
+        return [TrialResult(seed=seed, metrics=metrics, telemetry=digest)
+                for seed, metrics, digest
+                in zip(self.seeds, self.metrics, telemetry)]
 
 
 def _run_trial(trial: Callable[[int], Dict[str, float]], instrument: bool,
@@ -195,9 +155,9 @@ def _run_trial(trial: Callable[[int], Dict[str, float]], instrument: bool,
                                    Optional[Dict[str, Any]]]:
     """Run one seed: ``(metrics, telemetry digest or None)``.
 
-    The per-trial step of the scalar path (its pool task) and of
-    :func:`run_batch`: under ``instrument`` the trial runs in a fresh
-    telemetry session whose summary is the digest.  A raising trial dumps the executing
+    The pool task of the scalar and the batched path alike: under
+    ``instrument`` the trial runs in a fresh telemetry session whose
+    summary is the digest.  A raising trial dumps the executing
     process's flight-recorder window (reason ``trial-failure``) before
     the exception propagates; see :mod:`repro.observe.flightrec`.
     """
@@ -210,48 +170,6 @@ def _run_trial(trial: Callable[[int], Dict[str, float]], instrument: bool,
     except BaseException:
         flightrec.dump("trial-failure", seed=seed, instrument=instrument)
         raise
-
-
-def run_batch(trial: Callable[[int], Dict[str, float]], instrument: bool,
-              seeds: Sequence[int]) -> BatchResult:
-    """Execute one batch of seeds as a single pure function call.
-
-    The kernel of the batched path: runs every seed in order through
-    the scalar path's per-trial step, :func:`_run_trial` (so digests
-    and failure dumps are the scalar path's), and folds the returned
-    metrics into struct-of-arrays columns.  Module-level (and driven
-    through ``functools.partial``) so process pools can pickle it.
-    """
-    seeds = tuple(seeds)
-    columns: Dict[str, array] = {}
-    rows: Dict[str, array] = {}
-    positions: Dict[str, int] = {}
-    key_orders: Dict[int, Tuple[str, ...]] = {}
-    digests: List[Dict[str, Any]] = []
-    for index, seed in enumerate(seeds):
-        metrics, digest = _run_trial(trial, instrument, seed)
-        digests.append(digest)
-        last_position = -1
-        ordered = True
-        for key, value in metrics.items():
-            position = positions.get(key)
-            if position is None:
-                position = positions[key] = len(columns)
-                columns[key] = array("d")
-                rows[key] = array("q")
-            elif position < last_position:
-                # This trial's dict order diverges from the batch-wide
-                # column order; record it so expansion replays the
-                # trial's exact insertion order.
-                ordered = False
-            last_position = position
-            columns[key].append(value)
-            rows[key].append(index)
-        if not ordered:
-            key_orders[index] = tuple(metrics)
-    return BatchResult(seeds=seeds, columns=columns, rows=rows,
-                       telemetry=tuple(digests) if instrument else None,
-                       key_orders=key_orders or None)
 
 
 # -- single-pass, bit-exact metric aggregation -----------------------------
@@ -278,10 +196,6 @@ class MetricAccumulator:
       power-of-two shift — plain shifted integer adds per value, no
       per-add rational normalisation; rationals appear only in the O(1)
       final :meth:`stdev`.
-
-    Both folds are commutative and associative (exact arithmetic), so
-    accumulators can also :meth:`merge` across batches or shards in any
-    order — the same algebra the telemetry snapshot merge relies on.
     """
 
     __slots__ = ("count", "_partials", "_sum_num", "_sum_shift",
@@ -324,37 +238,6 @@ class MetricAccumulator:
         self._sq_num, self._sq_shift = _shifted_add(
             self._sq_num, self._sq_shift,
             numerator * numerator, shift * 2)
-
-    def update(self, values: Sequence[float]) -> None:
-        for value in values:
-            self.add(value)
-
-    def merge(self, other: "MetricAccumulator") -> None:
-        """Fold another accumulator in (shard/batch merge)."""
-        self.count += other.count
-        for value in other._partials:
-            self._merge_partial(value)
-        self._sum_num, self._sum_shift = _shifted_add(
-            self._sum_num, self._sum_shift,
-            other._sum_num, other._sum_shift)
-        self._sq_num, self._sq_shift = _shifted_add(
-            self._sq_num, self._sq_shift,
-            other._sq_num, other._sq_shift)
-
-    def _merge_partial(self, value: float) -> None:
-        partials = self._partials
-        i = 0
-        x = value
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            high = x + y
-            low = y - (high - x)
-            if low:
-                partials[i] = low
-                i += 1
-            x = high
-        partials[i:] = [x]
 
     def mean(self) -> float:
         """``statistics.fmean`` of everything folded in, bit-exact."""

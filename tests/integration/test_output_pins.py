@@ -130,6 +130,14 @@ class TestFullSessionCommands:
     #: differ only inside the ``lint`` row.
     REPORT = \
         "1775e33eae400f99179a14518c6902df5939ae41b384fc244fe4dabeea145650"
+    #: ``metrics microreboot`` in both exposition formats: its
+    #: histograms carry labels, so these pin the walk, the histogram
+    #: lines and OpenMetrics' additions (family names, quantiles,
+    #: ``# EOF``).
+    METRICS_OPENMETRICS = \
+        "2f0a9204b2f885b82d7a790573865c577c2edefa4212083d5d4c69ac01f8e083"
+    METRICS_TEXT = \
+        "7a4fbf3c7e0aeac5d8df642cd6c01db677b9c5473a9da50efcc3952f4d07b2db"
 
     def test_trace(self, capsys):
         assert sha256(run(capsys, ["trace", "nvp", "--requests", "20",
@@ -139,6 +147,12 @@ class TestFullSessionCommands:
         assert sha256(run(capsys, ["metrics", "nvp", "--requests", "20",
                                    "--seed", "3", "--format", "json"])) \
             == self.METRICS
+
+    @pytest.mark.parametrize("fmt", ["openmetrics", "text"])
+    def test_metrics_exposition(self, capsys, fmt):
+        out = run(capsys, ["metrics", "microreboot", "--requests", "20",
+                           "--seed", "3", "--format", fmt])
+        assert sha256(out) == getattr(self, f"METRICS_{fmt.upper()}")
 
     def test_report(self, capsys):
         assert sha256(run(capsys, ["report", "all", "--requests", "20",

@@ -25,15 +25,13 @@ from repro.harness.experiment import (
     summarize,
 )
 from repro.runtime.kernel import (
-    BatchResult,
     MetricAccumulator,
     partition,
-    run_batch,
     seed_range,
     trial_seed,
     trial_stream,
 )
-from repro.runtime.store import MISS, ResultStore
+from repro.runtime.store import MISS, ResultStore, code_fingerprint
 
 SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
@@ -169,32 +167,31 @@ class TestByteIdentity:
         scalar = run_trials(divergent_order_trial, SEEDS)
         batched = run_trials(divergent_order_trial, SEEDS, batch=6)
         assert repr(batched) == repr(scalar)
-        # The divergence really was recorded, not accidentally absent.
+        # Each trial's dict keeps its own key order in the batch.
         (batch,) = Experiment(name="d", trial=divergent_order_trial,
                               seeds=SEEDS,
                               batch=len(SEEDS)).run_batches()
-        assert batch.key_orders
-        assert batch.key_orders[1] == ("b", "a")
-        assert list(batch.trial_metrics(1)) == ["b", "a"]
-        assert list(batch.trial_metrics(2)) == ["a", "b"]
+        assert list(batch.metrics[1]) == ["b", "a"]
+        assert list(batch.metrics[2]) == ["a", "b"]
 
 
 # -- the batch record --
 
 
 class TestBatchResult:
-    def test_columns_are_struct_of_arrays(self):
-        (batch,) = Experiment(name="soa", trial=counter_trial,
+    def test_sparse_metrics_stay_on_their_trials(self):
+        (batch,) = Experiment(name="sparse", trial=counter_trial,
                               seeds=SEEDS, batch=len(SEEDS)).run_batches()
-        assert len(batch) == len(SEEDS)
-        assert set(batch.columns) == {"value", "noise", "rare"}
-        assert batch.columns["value"].typecode == "d"
-        assert batch.rows["rare"].typecode == "q"
+        assert len(batch) == len(batch.metrics) == len(SEEDS)
+        assert batch.telemetry is None
         # Sparse metric: only every third trial reported "rare".
-        assert list(batch.rows["rare"]) == [0, 3, 6, 9, 12, 15]
+        assert [index for index, metrics in enumerate(batch.metrics)
+                if "rare" in metrics] == [0, 3, 6, 9, 12, 15]
+        assert batch.metrics[3] == counter_trial(SEEDS[3])
 
     def test_results_expand_to_scalar_trial_results(self):
-        batch = run_batch(plain_trial, False, SEEDS[:5])
+        (batch,) = Experiment(name="x", trial=plain_trial, seeds=SEEDS[:5],
+                              batch=5).run_batches()
         expanded = batch.results()
         assert all(isinstance(r, TrialResult) for r in expanded)
         assert [r.seed for r in expanded] == list(SEEDS[:5])
@@ -255,6 +252,26 @@ class TestBatchStore:
         assert row["trials_served"] == len(SEEDS)
         assert "trials served" in monitor.render()
 
+    def test_a_record_in_an_older_layout_is_a_cold_miss(self, tmp_path):
+        # Batch records were once struct-of-arrays columns, keyed by
+        # (instrument, batch) alone; such a record must never be served.
+        log = tmp_path / "store.jsonl"
+        old = ResultStore(log, name="unit")
+        experiment = Experiment(name="s", trial=counter_trial, seeds=SEEDS,
+                                batch=4, store=old)
+        code = code_fingerprint(counter_trial)
+        for batch in partition(SEEDS, 4):
+            old.put(old.key(experiment._task_name(), (False, batch),
+                            seed=batch[0], code=code),
+                    "a batch record in an older layout")
+        store = ResultStore(log, name="unit")
+        results = Experiment(name="s", trial=counter_trial, seeds=SEEDS,
+                             batch=4, store=store).run()
+        assert repr(results) == repr(run_trials(counter_trial, SEEDS))
+        stats = store.stats()
+        assert stats["hits"] == 0 and stats["misses"] == 5
+        assert stats["trials_stored"] == len(SEEDS)
+
 
 class TestGetMany:
     def test_get_many_mirrors_get(self, tmp_path):
@@ -291,7 +308,8 @@ class TestMetricAccumulator:
         for count in (1, 2, 7, 100):
             values = self._values(rng, count)
             accumulator = MetricAccumulator()
-            accumulator.update(values)
+            for value in values:
+                accumulator.add(value)
             assert accumulator.mean() == statistics.fmean(values)
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -301,7 +319,8 @@ class TestMetricAccumulator:
         for count in (2, 3, 11, 100):
             values = self._values(rng, count)
             accumulator = MetricAccumulator()
-            accumulator.update(values)
+            for value in values:
+                accumulator.add(value)
             assert accumulator.stdev() == statistics.stdev(values)
 
     def test_single_sample_stdev_is_zero(self):
@@ -309,19 +328,6 @@ class TestMetricAccumulator:
         accumulator.add(3.25)
         assert accumulator.stdev() == 0.0
         assert accumulator.count == 1
-
-    def test_merge_is_order_independent(self):
-        rng = trial_stream(3, 0)
-        values = self._values(rng, 20)
-        whole = MetricAccumulator()
-        whole.update(values)
-        left, right = MetricAccumulator(), MetricAccumulator()
-        left.update(values[:7])
-        right.update(values[7:])
-        right.merge(left)  # merge in the "wrong" order on purpose
-        assert right.count == whole.count
-        assert right.mean() == whole.mean()
-        assert right.stdev() == whole.stdev()
 
     def test_summarize_accepts_mixed_result_kinds(self):
         scalars = run_trials(counter_trial, SEEDS[:8])

@@ -460,6 +460,46 @@ class TestLiveDashboardCommands:
         header = validate_event_log(path.read_text())
         assert header["source"] == "flight-recorder"
 
+    @pytest.mark.parametrize("extra", [
+        ["--format", "json"], ["--format", "text"],
+        ["--format", "json", "--shards", "4", "--max-shards", "2"]],
+        ids=["json", "text", "truncated"])
+    def test_flight_out_without_live(self, tmp_path, capsys, monkeypatch,
+                                     extra):
+        import os
+
+        from repro.observe import flightrec
+        from repro.observe.export.jsonl import validate_event_log
+
+        recorder = flightrec.FlightRecorder()
+        monkeypatch.setattr(flightrec, "_recorder", recorder)
+        monkeypatch.setattr(flightrec, "_recorder_pid", os.getpid())
+        path = tmp_path / "flight.jsonl"
+        if "--shards" in extra:
+            extra = extra + ["--store", str(tmp_path / "ck.jsonl")]
+        assert main(["campaign", "--requests", "10", "--seed", "3",
+                     *extra, "--flight-out", str(path)]) == 0
+        header = validate_event_log(path.read_text())
+        assert header["source"] == "flight-recorder"
+        assert header["flightrec"]["context"] == {"command": "campaign",
+                                                  "failure_dumps": 0}
+        # The dump is the window this process recorded.
+        assert header["flightrec"]["captured"] == recorder.captured
+        assert header["events"] == len(recorder.window())
+
+    def test_truncated_live_run_reports_nothing(self, tmp_path, capsys):
+        store = str(tmp_path / "ck.jsonl")
+        assert main(["campaign", *self.SHARDED, "--store", store,
+                     "--max-shards", "2", "--live", "--gate",
+                     *self.LIVE]) == 0
+        captured = capsys.readouterr()
+        assert "resume with --resume" in captured.err
+        final = self._frames(captured.out)[-1]
+        # As the plain path: a truncated run has no complete grid, so
+        # neither a report nor a verdict.
+        assert final["final"] is True
+        assert final["report"] is None
+
     def test_top_leaves_no_session_installed(self, capsys):
         from repro import observe
 

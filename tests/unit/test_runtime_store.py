@@ -711,8 +711,13 @@ class TestPinnedLogBytes:
 
     SCALAR = \
         "525fdf0e51dbb31c08c5c1c5463045430798a07254aae06c43741b476c4c51b0"
+    #: Re-made once, when a batch record changed from struct-of-arrays
+    #: columns to each trial's own dict and its key's args gained
+    #: ``BATCH_SCHEMA``: only the batch records' keys (with the ids
+    #: derived from them) and payloads moved, not their task, seed,
+    #: trial count or order.
     BATCHED = \
-        "97c593835a1ed36ac8ea9d44479f467d628fad8a65a0fb14d66ec0021acbf8e2"
+        "ea49a5bbf7d181a999cad1aeb52c5a9d4f1c209ea41650373f8ce2f4244e0e90"
 
     @staticmethod
     def _log_digest(path, **knobs):

@@ -230,10 +230,10 @@ class TestStreamedByteIdentity:
 
 
 class TestOneWorkerExperiment:
-    @pytest.mark.parametrize("batch,deltas", [(None, 5), (2, 3)])
+    @pytest.mark.parametrize("batch,deltas", [(None, 5), (2, 5)])
     def test_streams_into_the_live_view(self, batch, deltas):
         # A one-worker experiment hands its map to the pool, batched or
-        # not, so its stream taps a delta per item (a seed, or a batch
+        # not, so its stream taps a delta per seed (a batch is a chunk
         # of seeds) plus a final one, and folds what a plain run holds.
         from repro.harness.experiment import Experiment
 
