@@ -328,99 +328,64 @@ def _emit_frame(frame, fmt: str) -> None:
         print()
 
 
-def _run_live_campaign(args) -> int:
-    """``campaign --live`` / ``top``: stream deltas, refresh a dashboard.
+def _live_frames(args, campaign, sharded, run):
+    """The ``--live`` dashboard around ``run()``: ``(cells, dashboard)``.
 
-    The campaign runs on a worker thread with a
-    :class:`~repro.observe.stream.TelemetryStream` attached; the main
-    thread renders a frame every ``--interval`` seconds from the
-    *live view* (deltas folded in arrival order), then emits a final
-    frame whose embedded report comes from the *canonical* session
-    (each chunk's deltas folded in submission order when it is
-    gathered — byte-identical to a non-streaming run).
+    The matrix runs on a worker thread with the campaign's stream
+    attached; the main thread prints a frame every ``--interval``
+    seconds from the stream's *live view* (deltas folded in arrival
+    order).  The caller emits the final frame, whose embedded report
+    comes from the *canonical* session (each chunk's deltas folded in
+    submission order when it is gathered — byte-identical to a
+    non-streaming run).
     """
+    import dataclasses
     import threading
     import time
 
     from repro import observe
-    from repro.observe.stream import LiveDashboard, TelemetryStream
+    from repro.observe.stream import LiveDashboard
     from repro.runtime.pool import pool_stats
 
     interval = max(0.05, args.interval)
-    # Frames and the final report read events only (see
-    # _campaign_report), so neither session keeps spans or counters.
-    live_view = observe.Telemetry(events_only=True)
-    stream = TelemetryStream(every=args.every, live=live_view)
-    live_monitor = observe.SliMonitor(live_view.bus, window=args.window,
-                                      wall_clock=time.perf_counter)
-    campaign, _ = _build_campaign(args, stream=stream)
-    sharded = _make_sharded(campaign, args)
+    collector = campaign.stream.collector
+    live_view = collector.live
+    dash = LiveDashboard(
+        observe.SliMonitor(live_view.bus, window=args.window,
+                           wall_clock=time.perf_counter),
+        collector=collector, wall_clock=time.perf_counter,
+        cells_total=len(campaign.protectors) * len(campaign.faults),
+        counts=lambda: dict(live_view.bus.counts), pool_info=pool_stats,
+        shards=(None if sharded is None
+                else lambda: dataclasses.asdict(sharded.stats)))
+
+    def _snap():
+        with collector.locked():
+            return dash.frame()
+
     box: dict = {}
-    with observe.session(events_only=True) as tel:
-        monitor = observe.SliMonitor(tel.bus, window=args.window)
-        shard_info = None
-        if sharded is not None:
-            import dataclasses as _dc
 
-            shard_info = lambda: _dc.asdict(sharded.stats)  # noqa: E731
-        dash = LiveDashboard(
-            live_monitor, collector=stream.collector,
-            wall_clock=time.perf_counter,
-            cells_total=len(campaign.protectors) * len(campaign.faults),
-            counts=lambda: dict(live_view.bus.counts),
-            pool_info=pool_stats, shards=shard_info)
+    def _work():
+        try:
+            box["cells"] = run()
+        except BaseException as exc:  # re-raised after join
+            box["error"] = exc
 
-        def _snap():
-            with stream.collector.locked():
-                return dash.frame()
-
-        def _work():
-            try:
-                box["cells"] = (sharded.run() if sharded is not None
-                                else campaign.run())
-            except BaseException as exc:  # re-raised after join
-                box["error"] = exc
-
-        worker = threading.Thread(target=_work, daemon=True,
-                                  name="repro-campaign-live")
-        worker.start()
-        _emit_frame(_snap(), args.format)
-        while worker.is_alive():
-            worker.join(timeout=interval)
-            if worker.is_alive():
-                _emit_frame(_snap(), args.format)
-        if "error" in box:
-            raise box["error"]
-        # Honour --frames as a floor (CI asserts a minimum count
-        # without having to win a race against a fast campaign).
-        while dash.frames < max(1, args.frames) - 1:
+    worker = threading.Thread(target=_work, daemon=True,
+                              name="repro-campaign-live")
+    worker.start()
+    _emit_frame(_snap(), args.format)
+    while worker.is_alive():
+        worker.join(timeout=interval)
+        if worker.is_alive():
             _emit_frame(_snap(), args.format)
-        report = (None if _shard_summary(sharded)
-                  else _campaign_report(box["cells"], monitor, args))
-    verdict = (_evaluate_gate(report, args)
-               if report is not None and getattr(args, "gate", False)
-               else None)
-    if verdict is not None:
-        report = dict(report)
-        report["verdict"] = verdict
-    _emit_frame(dash.frame(final=True, report=report), args.format)
-    if verdict is not None and not verdict["is_accepted"]:
-        return GATE_EXIT_REJECTED
-    return 0
-
-
-def _shard_summary(sharded) -> bool:
-    """Print a sharded run's accounting to stderr, so report bytes stay
-    identical whether shards were served or executed.  True when
-    ``--max-shards`` stopped the run: it has no complete grid, so it
-    reports nothing and no gate judges it."""
-    if sharded is None:
-        return False
-    print(sharded.stats.summary(), file=sys.stderr)
-    if sharded.stats.truncated:
-        print("campaign stopped by --max-shards; resume with "
-              "--resume to finish", file=sys.stderr)
-    return sharded.stats.truncated
+    if "error" in box:
+        raise box["error"]
+    # Honour --frames as a floor (CI asserts a minimum count
+    # without having to win a race against a fast campaign).
+    while dash.frames < max(1, args.frames) - 1:
+        _emit_frame(_snap(), args.format)
+    return box["cells"], dash
 
 
 def _with_flight_out(args, command: str, run) -> int:
@@ -448,62 +413,84 @@ def _with_flight_out(args, command: str, run) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    if getattr(args, "live", False):
-        return _with_flight_out(args, "campaign-live", _run_live_campaign)
-    return _with_flight_out(args, "campaign", _run_campaign)
+    return _with_flight_out(
+        args, "campaign-live" if args.live else "campaign", _run_campaign)
 
 
 def _run_campaign(args) -> int:
-    if args.format == "json" or getattr(args, "shards", None) \
-            or getattr(args, "gate", False):
-        import json
+    """``campaign`` and ``top``: run the matrix and print its report.
 
-        from repro import observe
+    Only the plain text matrix runs with telemetry off.  Every output
+    that reads telemetry (JSON, ``--shards``, ``--gate``, ``--live``
+    and ``--flight-out``) runs the matrix in one events-only session:
+    the report reads the cells and the SLI fold of events, and the
+    flight window holds the events.  Under ``--live`` a dashboard
+    streams while the matrix runs, and its final frame embeds the
+    report a plain JSON run prints.
+    """
+    import json
 
-        campaign, store = _build_campaign(args)
-        sharded = _make_sharded(campaign, args)
-        # The report reads the cells and the SLI fold of events, so the
-        # session keeps events only.
+    from repro import observe
+
+    stream = None
+    if args.live:
+        from repro.observe.stream import TelemetryStream
+
+        # Frames read events only, as the report does.
+        stream = TelemetryStream(every=args.every,
+                                 live=observe.Telemetry(events_only=True))
+    campaign, store = _build_campaign(args, stream=stream)
+    sharded = _make_sharded(campaign, args)
+    run = campaign.run if sharded is None else sharded.run
+    gate = getattr(args, "gate", False)
+    truncated = False
+    report = verdict = None
+    if not (args.live or sharded is not None or gate
+            or args.format == "json" or args.flight_out):
+        cells = run()
+    else:
         with observe.session(events_only=True) as tel:
             monitor = observe.SliMonitor(tel.bus, window=args.window)
-            cells = sharded.run() if sharded is not None \
-                else campaign.run()
-        if _shard_summary(sharded):
-            return 0
-        document = _campaign_report(cells, monitor, args)
-        verdict = (_evaluate_gate(document, args)
-                   if getattr(args, "gate", False) else None)
-        if args.format == "json":
-            if verdict is not None:
-                document = dict(document)
-                document["verdict"] = verdict
-            print(json.dumps(document, sort_keys=True, indent=2,
-                             default=str))
+            if args.live:
+                cells, dash = _live_frames(args, campaign, sharded, run)
+            else:
+                cells = run()
+        if sharded is not None:
+            # On stderr, so report bytes stay identical whether shards
+            # were served or executed.
+            print(sharded.stats.summary(), file=sys.stderr)
+            truncated = sharded.stats.truncated
+        if truncated:
+            # No complete grid: no report, and no gate judges it.
+            print("campaign stopped by --max-shards; resume with "
+                  "--resume to finish", file=sys.stderr)
         else:
-            print(campaign.render_from(
-                cells, title="correct-result rate: technique x "
-                             "fault class"))
-            if verdict is not None:
-                from repro.harness.report import render_verdict
+            report = _campaign_report(cells, monitor, args)
+            if gate:
+                verdict = _evaluate_gate(report, args)
+                report = dict(report, verdict=verdict)
+    if args.live:
+        _emit_frame(dash.frame(final=True, report=report), args.format)
+    elif truncated:
+        pass
+    elif args.format == "json":
+        print(json.dumps(report, sort_keys=True, indent=2, default=str))
+    else:
+        print(campaign.render_from(
+            cells, title="correct-result rate: technique x fault class"))
+        if store is not None:
+            stats = store.stats()
+            print(f"\nresult store: {stats['hits']} hits, "
+                  f"{stats['misses']} misses, {stats['writes']} writes "
+                  f"({args.store})")
+        if verdict is not None:
+            from repro.harness.report import render_verdict
 
-                print()
-                print(render_verdict(verdict))
-        if verdict is not None and not verdict["is_accepted"]:
-            return GATE_EXIT_REJECTED
-        return 0
-    campaign, store = _build_campaign(args)
-    print(campaign.render(
-        title="correct-result rate: technique x fault class"))
-    if store is not None:
-        stats = store.stats()
-        print(f"\nresult store: {stats['hits']} hits, "
-              f"{stats['misses']} misses, {stats['writes']} writes "
-              f"({args.store})")
+            print()
+            print(render_verdict(verdict))
+    if verdict is not None and not verdict["is_accepted"]:
+        return GATE_EXIT_REJECTED
     return 0
-
-
-def _cmd_top(args) -> int:
-    return _with_flight_out(args, "campaign-live", _run_live_campaign)
 
 
 def _cmd_demo(args) -> int:
@@ -923,10 +910,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                               "refresh, final frame embeds the canonical "
                               "report")
         live_args(top)
-        top.set_defaults(func=_cmd_top, live=True, batch=None, store=None,
-                         shards=None, resume=False, max_shards=None,
-                         gate=False, gate_baseline=None, gate_bench=None,
-                         gate_tolerance=0.0)
+        top.set_defaults(func=_cmd_campaign, live=True)
 
     if wanted("bench"):
         from repro.runtime.bench import configure_parser as _configure_bench

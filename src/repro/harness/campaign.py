@@ -270,19 +270,6 @@ class FaultCampaign:
         state["_sources"] = {}
         return state
 
-    def run_cell(self, protector_label: str, fault_label: str
-                 ) -> CampaignCell:
-        """Measure one (protector, fault) combination — served from the
-        attached result store when already measured under the same code
-        version."""
-        if self.store is None:
-            return self._measure(protector_label, fault_label)
-        [cell] = self.store.serve(
-            [self._cell_key(protector_label, fault_label)],
-            lambda missing: [self._measure(protector_label, fault_label)],
-            task="campaign.cell", seeds=[self.seed])
-        return cell
-
     def _cell_key(self, protector_label: str, fault_label: str,
                   store: Optional["ResultStore"] = None) -> str:
         """Content address of one cell: the labels, workload size and

@@ -5,11 +5,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import statistics
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
 
-from repro.runtime.kernel import (BATCH_SCHEMA, BatchResult,
-                                  MetricAccumulator, _run_trial, partition)
+from repro.runtime.kernel import (BATCH_SCHEMA, BatchResult, _run_trial,
+                                  partition)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.runtime.store import ResultStore
@@ -257,34 +258,26 @@ def summarize(results: Sequence[Union[TrialResult, BatchResult]]
     Accepts scalar :class:`TrialResult` sequences,
     :class:`~repro.runtime.kernel.BatchResult` sequences, or a mix;
     batched and scalar runs of the same seeds summarize byte-identically,
-    because both fold every trial's own metrics dict in seed order.
+    because both read every trial's own metrics dict in seed order.
 
     Trials may report heterogeneous metric sets (e.g. a metric only
     meaningful when a fault actually struck): each metric is averaged
-    over the trials that reported it.  The sample standard deviation is
-    reported alongside every mean under ``<metric>_stdev`` (0.0 when
-    only one trial reported the metric).
-
-    Single pass: one :class:`~repro.runtime.kernel.MetricAccumulator`
-    per metric folds count/mean/M2 state as values stream by — no
-    per-key value list is rebuilt — and reproduces the
-    ``statistics.fmean`` / ``statistics.stdev`` floats to the digit
-    (the accumulator keeps exact state; see its docstring).  Keys keep
-    first-seen order, exactly as the two-pass implementation reported
-    them.
+    over the trials that reported it.  The mean is
+    ``statistics.fmean`` and the sample standard deviation, reported
+    alongside it under ``<metric>_stdev``, is ``statistics.stdev`` of
+    the metric's values as floats, in seed order (0.0 when only one
+    trial reported the metric).  Keys keep first-seen order.
     """
-    accumulators: Dict[str, MetricAccumulator] = {}
+    columns: Dict[str, List[float]] = {}
     for result in results:
         trials = (result.metrics if isinstance(result, BatchResult)
                   else (result.metrics,))
         for metrics in trials:
             for key, value in metrics.items():
-                accumulator = accumulators.get(key)
-                if accumulator is None:
-                    accumulator = accumulators[key] = MetricAccumulator()
-                accumulator.add(value)
+                columns.setdefault(key, []).append(float(value))
     out: Dict[str, float] = {}
-    for key, accumulator in accumulators.items():
-        out[key] = accumulator.mean()
-        out[f"{key}_stdev"] = accumulator.stdev()
+    for key, column in columns.items():
+        out[key] = statistics.fmean(column)
+        out[f"{key}_stdev"] = (statistics.stdev(column) if len(column) > 1
+                               else 0.0)
     return out

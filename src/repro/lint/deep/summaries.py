@@ -47,8 +47,9 @@ __all__ = ["SUMMARY_VERSION", "FunctionSummary", "Hazard",
 #: fingerprints index the parser's lines, not ``str.splitlines()``'s.
 #: v3: a call to a def under a module-level block is a call edge, and a
 #: clock function handed the time to convert reads no clock.  v4: the
-#: warm-pool API and ``repro.runtime.pool`` imports are no hazard.
-SUMMARY_VERSION = "lint-deep-summary/v4"
+#: warm-pool API and ``repro.runtime.pool`` imports are no hazard.  v5:
+#: ``run_batch(fn, …)`` no longer makes ``fn`` a task.
+SUMMARY_VERSION = "lint-deep-summary/v5"
 
 #: Mutating method names that turn a module-global receiver into a
 #: purity hazard (kind ``global``).
@@ -57,16 +58,6 @@ _MUTATORS = frozenset((
     "popitem", "remove", "discard", "clear", "sort", "reverse",
     "appendleft", "write",
 ))
-
-#: Call-site shapes whose referenced function becomes a *task* entry
-#: point: first positional argument of these canonical callables.
-_TASK_CALLABLES = frozenset((
-    "run_trials", "parallel_map", "run_batch",
-    "repro.harness.experiment.run_trials",
-    "repro.runtime.pmap.parallel_map",
-    "repro.runtime.kernel.run_batch",
-))
-
 
 @dataclasses.dataclass
 class FunctionSummary:
@@ -310,10 +301,11 @@ class _ModuleScanner:
             func = node.func
             canonical = self.aliases.canonical(func)
             is_map = isinstance(func, ast.Attribute) and func.attr == "map"
-            is_runner = canonical in _TASK_CALLABLES or (
-                canonical is not None
-                and canonical.rpartition(".")[2] in ("run_trials",
-                                                     "parallel_map"))
+            # The first positional argument of ``run_trials`` or
+            # ``parallel_map``, under any import path, is a task.
+            is_runner = (canonical is not None
+                         and canonical.rpartition(".")[2] in ("run_trials",
+                                                              "parallel_map"))
             if (is_map or is_runner) and node.args \
                     and isinstance(node.args[0], ast.Name):
                 self.task_names.add(node.args[0].id)

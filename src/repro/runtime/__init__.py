@@ -22,9 +22,7 @@ single output byte.  Five cooperating pieces:
   batch is one chunk of the trial map and one :class:`BatchResult`
   record (each trial's own metrics dict, one store key per batch),
   with counter-based seed streams (:func:`trial_seed` /
-  :func:`seed_range`) so any batch partition is byte-identical, and
-  the bit-exact single-pass :class:`MetricAccumulator` behind
-  ``summarize``;
+  :func:`seed_range`) so any batch partition is byte-identical;
 * :mod:`~repro.runtime.bench` — the ``repro bench`` runner: the whole
   benchmark suite through the pool, with drift detection against
   ``benchmarks/results/`` and a ``BENCH_harness.json`` timing report.
@@ -36,7 +34,6 @@ lifecycle and the store's key schema and invalidation contract.
 
 from repro.runtime.kernel import (
     BatchResult,
-    MetricAccumulator,
     partition,
     seed_range,
     trial_seed,
@@ -59,7 +56,6 @@ from repro.runtime.store import (
 __all__ = [
     "BatchResult",
     "MISS",
-    "MetricAccumulator",
     "ParallelMap",
     "PoolStats",
     "ResultStore",

@@ -1,4 +1,4 @@
-"""Batched trial kernel: seed batches, counter-based seeds, exact folds.
+"""Batched trial kernel: seed batches and counter-based seeds.
 
 A batch is a chunk of the trial map.  The scalar harness path pays a
 fixed per-trial tax that has nothing to do with the trial itself: one
@@ -19,12 +19,7 @@ per batch instead:
   :func:`seed_range`) derives every trial's randomness from
   ``stable_int(base_seed, trial_index)`` splitmix-style, so any batch
   partition of a seed range — B=1, B=len, ragged tails — yields
-  byte-identical per-seed draws, independent of ``PYTHONHASHSEED``;
-* :class:`MetricAccumulator` folds values **single-pass** into
-  count / exact-sum / exact-sum-of-squares state whose ``mean()`` and
-  ``stdev()`` reproduce ``statistics.fmean`` / ``statistics.stdev`` to
-  the last bit, which is what :func:`repro.harness.experiment.
-  summarize` folds every trial's metrics through.
+  byte-identical per-seed draws, independent of ``PYTHONHASHSEED``.
 
 The established identity convention generalizes: serial-vs-parallel
 became scalar-vs-batched.  ``summarize(batched) == summarize(scalar)``
@@ -36,9 +31,7 @@ H4 (``benchmarks/bench_h4_batch_kernel.py``).
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
-from fractions import Fraction
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple)
 
@@ -49,8 +42,8 @@ from repro.observe import flightrec
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.harness.experiment import TrialResult
 
-__all__ = ["BATCH_SCHEMA", "BatchResult", "MetricAccumulator", "partition",
-           "seed_range", "trial_seed", "trial_stream"]
+__all__ = ["BATCH_SCHEMA", "BatchResult", "partition", "seed_range",
+           "trial_seed", "trial_stream"]
 
 #: Seed-space size for counter-derived streams; large enough that
 #: distinct (base, index) pairs never collide in practice.
@@ -170,101 +163,3 @@ def _run_trial(trial: Callable[[int], Dict[str, float]], instrument: bool,
     except BaseException:
         flightrec.dump("trial-failure", seed=seed, instrument=instrument)
         raise
-
-
-# -- single-pass, bit-exact metric aggregation -----------------------------
-
-
-class MetricAccumulator:
-    """Single-pass count/mean/M2-style accumulator, bit-exact.
-
-    A naive Welford recurrence drifts in the last ulps relative to the
-    ``statistics.fmean`` / ``statistics.stdev`` pair the harness has
-    always reported, which would break the byte-identity contract every
-    EXPERIMENTS.md table relies on.  This accumulator keeps the
-    single-pass O(1)-state shape but folds each value into *exact*
-    state instead:
-
-    * **mean** — Shewchuk partials (the ``math.fsum`` algorithm,
-      streamed), so ``mean()`` equals ``statistics.fmean(values)``
-      exactly;
-    * **M2** — the exact sum and sum-of-squares, so the corrected sum
-      of squared deviations ``Σx² − (Σx)²/n`` is computed without
-      rounding and ``stdev()`` equals ``statistics.stdev(values)``
-      exactly.  Every float is ``mantissa / 2**shift`` exactly, so the
-      exact sums are kept as integer mantissas over a shared
-      power-of-two shift — plain shifted integer adds per value, no
-      per-add rational normalisation; rationals appear only in the O(1)
-      final :meth:`stdev`.
-    """
-
-    __slots__ = ("count", "_partials", "_sum_num", "_sum_shift",
-                 "_sq_num", "_sq_shift")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self._partials: List[float] = []
-        #: Exact Σx = _sum_num / 2**_sum_shift.
-        self._sum_num = 0
-        self._sum_shift = 0
-        #: Exact Σx² = _sq_num / 2**_sq_shift.
-        self._sq_num = 0
-        self._sq_shift = 0
-
-    def add(self, value: float) -> None:
-        """Fold one value in (one pass, no value list retained)."""
-        self.count += 1
-        value = float(value)
-        # Shewchuk's algorithm, as math.fsum runs it: maintain a list
-        # of non-overlapping partials whose exact sum is the running
-        # sum, so the final rounded mean matches fsum's bit for bit.
-        partials = self._partials
-        i = 0
-        x = value
-        for y in partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            high = x + y
-            low = y - (high - x)
-            if low:
-                partials[i] = low
-                i += 1
-            x = high
-        partials[i:] = [x]
-        numerator, denominator = value.as_integer_ratio()
-        shift = denominator.bit_length() - 1
-        self._sum_num, self._sum_shift = _shifted_add(
-            self._sum_num, self._sum_shift, numerator, shift)
-        self._sq_num, self._sq_shift = _shifted_add(
-            self._sq_num, self._sq_shift,
-            numerator * numerator, shift * 2)
-
-    def mean(self) -> float:
-        """``statistics.fmean`` of everything folded in, bit-exact."""
-        return math.fsum(self._partials) / self.count
-
-    def stdev(self) -> float:
-        """``statistics.stdev`` of everything folded in (0.0 for a
-        single sample, matching the harness convention)."""
-        n = self.count
-        if n < 2:
-            return 0.0
-        exact_sum = Fraction(self._sum_num, 1 << self._sum_shift)
-        exact_sq = Fraction(self._sq_num, 1 << self._sq_shift)
-        mss = (exact_sq - exact_sum * exact_sum / n) / (n - 1)
-        try:
-            from statistics import _float_sqrt_of_frac
-        except ImportError:  # pragma: no cover - Python < 3.11
-            return math.sqrt(float(mss))
-        return _float_sqrt_of_frac(mss.numerator, mss.denominator)
-
-
-def _shifted_add(numerator: int, shift: int,
-                 other_numerator: int, other_shift: int
-                 ) -> Tuple[int, int]:
-    """``n/2**s + m/2**t`` as a (numerator, shift) pair — the exact
-    dyadic-rational add behind :class:`MetricAccumulator`."""
-    if other_shift > shift:
-        numerator <<= other_shift - shift
-        shift = other_shift
-    return numerator + (other_numerator << (shift - other_shift)), shift

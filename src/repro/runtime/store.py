@@ -490,21 +490,6 @@ class ResultStore:
             event["trials"] = trials
         self._publish("store.write", **event)
 
-    def get_or_call(self, fn: Callable, *args: Any,
-                    seed: Optional[int] = None,
-                    code: Optional[str] = None,
-                    task_name: Optional[str] = None) -> Any:
-        """``fn(*args)``, served from the store when already computed."""
-        key = self.key(task_name if task_name is not None else fn,
-                       args, seed=seed,
-                       code=code if code is not None
-                       else code_fingerprint(fn))
-        [value] = self.serve(
-            [key], lambda missing: [fn(*args)],
-            task=task_name or getattr(fn, "__qualname__", repr(fn)),
-            seeds=[seed])
-        return value
-
     # -- disk log ----------------------------------------------------------
 
     def refresh(self) -> int:

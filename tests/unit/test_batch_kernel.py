@@ -1,17 +1,15 @@
-"""Batch kernel: scalar-vs-batched byte-identity and exact folding.
+"""Batch kernel: scalar-vs-batched byte-identity.
 
 The batched path's whole contract is that it changes *nothing* but the
 cost: for any batch size — 1, all, ragged tails — ``run_trials`` and
 ``summarize`` reproduce the scalar path byte for byte, including
 instrumented telemetry digests, serial or on worker processes.  Counter-based
 seed streams are pinned across ``PYTHONHASHSEED`` values in a
-subprocess, and the exact single-pass :class:`MetricAccumulator` is
-checked bit for bit against ``statistics.fmean`` / ``statistics.stdev``.
+subprocess.
 """
 
 import os
 import pathlib
-import statistics
 import subprocess
 import sys
 
@@ -25,7 +23,6 @@ from repro.harness.experiment import (
     summarize,
 )
 from repro.runtime.kernel import (
-    MetricAccumulator,
     partition,
     seed_range,
     trial_seed,
@@ -296,38 +293,18 @@ class TestGetMany:
         assert ours.get_many([key])[key] == "from-elsewhere"
 
 
-# -- exact single-pass aggregation --
+# -- summaries --
 
 
 class TestMetricAccumulator:
-    def _values(self, rng, count):
-        return [rng.uniform(-1000, 1000) for _ in range(count)]
-
-    def test_mean_matches_fmean_bit_for_bit(self):
-        rng = trial_stream(1, 0)
-        for count in (1, 2, 7, 100):
-            values = self._values(rng, count)
-            accumulator = MetricAccumulator()
-            for value in values:
-                accumulator.add(value)
-            assert accumulator.mean() == statistics.fmean(values)
-
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="stdev uses exact sqrt only on 3.11+")
-    def test_stdev_matches_statistics_bit_for_bit(self):
-        rng = trial_stream(2, 0)
-        for count in (2, 3, 11, 100):
-            values = self._values(rng, count)
-            accumulator = MetricAccumulator()
-            for value in values:
-                accumulator.add(value)
-            assert accumulator.stdev() == statistics.stdev(values)
+    """``summarize``'s per-metric mean and stdev, which
+    ``tests/property/test_summary_properties.py`` also draws over
+    random trials and batch cuts."""
 
     def test_single_sample_stdev_is_zero(self):
-        accumulator = MetricAccumulator()
-        accumulator.add(3.25)
-        assert accumulator.stdev() == 0.0
-        assert accumulator.count == 1
+        summary = summarize(run_trials(plain_trial, [3]))
+        assert summary == {"value": 6.0, "value_stdev": 0.0,
+                           "tag": 3.0, "tag_stdev": 0.0}
 
     def test_summarize_accepts_mixed_result_kinds(self):
         scalars = run_trials(counter_trial, SEEDS[:8])

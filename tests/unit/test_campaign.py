@@ -89,7 +89,7 @@ class TestCampaign:
     def test_cell_fields(self):
         campaign = FaultCampaign({"retry": retry_protector()},
                                  fault_menu(), requests=10)
-        cell = campaign.run_cell("retry", "none")
+        cell = campaign.matrix()[("retry", "none")]
         assert isinstance(cell, CampaignCell)
         assert cell.requests == 10
         assert cell.survival_rate == cell.correct_rate == 1.0

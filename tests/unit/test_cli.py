@@ -462,8 +462,10 @@ class TestLiveDashboardCommands:
 
     @pytest.mark.parametrize("extra", [
         ["--format", "json"], ["--format", "text"],
-        ["--format", "json", "--shards", "4", "--max-shards", "2"]],
-        ids=["json", "text", "truncated"])
+        ["--format", "text", "--store", "cells.jsonl"],
+        ["--format", "json", "--shards", "4", "--max-shards", "2",
+         "--store", "ck.jsonl"]],
+        ids=["json", "text", "text-store", "truncated"])
     def test_flight_out_without_live(self, tmp_path, capsys, monkeypatch,
                                      extra):
         import os
@@ -471,21 +473,27 @@ class TestLiveDashboardCommands:
         from repro.observe import flightrec
         from repro.observe.export.jsonl import validate_event_log
 
+        monkeypatch.chdir(tmp_path)
+        argv = ["campaign", "--requests", "10", "--seed", "3", *extra]
+        assert main(argv) == 0
+        without = capsys.readouterr().out
+        for log in tmp_path.glob("*.jsonl"):
+            log.unlink()
         recorder = flightrec.FlightRecorder()
         monkeypatch.setattr(flightrec, "_recorder", recorder)
         monkeypatch.setattr(flightrec, "_recorder_pid", os.getpid())
         path = tmp_path / "flight.jsonl"
-        if "--shards" in extra:
-            extra = extra + ["--store", str(tmp_path / "ck.jsonl")]
-        assert main(["campaign", "--requests", "10", "--seed", "3",
-                     *extra, "--flight-out", str(path)]) == 0
+        assert main([*argv, "--flight-out", str(path)]) == 0
+        # The flag adds a window and changes no byte of what is printed.
+        assert capsys.readouterr().out == without
         header = validate_event_log(path.read_text())
         assert header["source"] == "flight-recorder"
         assert header["flightrec"]["context"] == {"command": "campaign",
                                                   "failure_dumps": 0}
-        # The dump is the window this process recorded.
+        # The dump is the window this process recorded, and every
+        # format records one.
         assert header["flightrec"]["captured"] == recorder.captured
-        assert header["events"] == len(recorder.window())
+        assert header["events"] == len(recorder.window()) > 0
 
     def test_truncated_live_run_reports_nothing(self, tmp_path, capsys):
         store = str(tmp_path / "ck.jsonl")

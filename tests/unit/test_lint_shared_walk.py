@@ -25,7 +25,11 @@ raw findings lost both PROC003 findings and gained seven PROC001
 findings in ``tasks.py`` (class body, lambda body, decorators and
 defaults), and ``uses_pool`` lost its warm-pool hazard, so its XPROC001
 finding went and the certificates call it picklable.  The fixtures
-report did not move.  The digests cover:
+report did not move.  They were re-made a fourth time when
+``SUMMARY_VERSION`` became v5 (``run_batch(fn, …)`` no longer makes
+``fn`` a task): only the version string moved, in every certificate
+and summary, since no module here calls ``run_batch``.  The digests
+cover:
 
 * the JSON report of ``LintEngine(deep=True)`` (less the wall-clock
   ``duration_seconds``) and its determinism certificate, on
@@ -344,31 +348,31 @@ PINS = {
     "fixtures.report":
         "16272491c7f34545f326e08e5c5f3ef2e5634bd19360ce867eb8c36e1b9b7f64",
     "fixtures.certificate":
-        "0b4d2f7a8823e7ad5db15b675cce7e1602994c525ee4aac915935a6eaf87d0a3",
+        "5586c308e5df39a27f8d4f2e92cd3f020eb6eded2cadb972fd49b58085d8ad39",
     "edge.report":
         "aac2360d5ce875cc33460143a8670cabe2dfd31f0b78b152154a0072d6986fad",
     "edge.certificate":
-        "8c6d46dc6d2a48f76f2eb8c2fd6ceac3c839d017f6d9b0237bc9ed8fd2943a06",
+        "28615dccf9891715943318381a002f6a55695aec36f5f8e98ada7386d853fac5",
     "edge.raw_findings":
         "6806d4a1455578ba660697e3bbfdf71500bde67ef6df53282d0f1b51c0c27d8e",
     "edge.raw_summaries":
-        "b10943d7e83e8cd793df53380541cb077d3b9b57a3855f551414731ce3fe9f66",
+        "85b83973e4c4360bf3698544e84d16f35b04f11c3ad4095439f3a9fa829986ec",
     # The summaries' fingerprints join the parser's lines with "\n",
     # so CRLF and LF sources certify alike.
     "edge.raw_certificate":
-        "8c6d46dc6d2a48f76f2eb8c2fd6ceac3c839d017f6d9b0237bc9ed8fd2943a06",
+        "28615dccf9891715943318381a002f6a55695aec36f5f8e98ada7386d853fac5",
 }
 
 #: ``ModuleSummary.as_dict()`` digest of every fixture module.
 SUMMARY_PINS = {
     "tests/fixtures/__init__.py":
-        "988e9c727fcacb9944118232996b9671a38de3f422adb260c1db39c04b719418",
+        "28065b0dba1657162440729ced6b1f88873f44de51f779ed18080535b0bf19d5",
     "tests/fixtures/deep_helpers.py":
-        "772d2534d64c55b7259e4462e71e4cc545235eb534846bc5fdd27f812966e5c7",
+        "e9b639bdad60f4cdc0a1ff93f94fe2b82ac34a5e6522e1407e9ebcb677e51e66",
     "tests/fixtures/deep_planted.py":
-        "99b939753a9f1a9bb335d8b8ae21de0c2dbd0155888fbe6d15940bea75ca8bf8",
+        "eb7d51b510e2a5d665d420f822d934b2cd34a12ff7364bf1e97e39c3608fb92d",
     "tests/fixtures/lint_planted.py":
-        "2488b4129b0894793b60aa72ddd8c49114867d539f4ad29cd1cb9ac56023ec24",
+        "db52a651baf5493f18151945f7d5d15678a8d9b14e5a6981c4ebf6027cfd084c",
 }
 
 
@@ -443,7 +447,7 @@ class TestPinnedOutput:
 
     def test_fixture_summaries_serve_from_an_unchanged_cache(
             self, in_repo):
-        assert SUMMARY_VERSION == "lint-deep-summary/v4"
+        assert SUMMARY_VERSION == "lint-deep-summary/v5"
         got = {}
         for path in sorted(SUMMARY_PINS):
             with open(path, "r", encoding="utf-8") as handle:

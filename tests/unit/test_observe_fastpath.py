@@ -43,7 +43,7 @@ def test_two_cli_cells_record_the_pinned_bytes():
         recorder = FlightRecorder()
         recorder.attach(tel)
         for protector, fault in CELLS:
-            campaign.run_cell(protector, fault)
+            campaign._measure(protector, fault)
     assert recorder.captured == 2508
     assert _sha256(tel.snapshot()) == SNAPSHOT_SHA256
     assert _sha256(recorder.window()) == WINDOW_SHA256

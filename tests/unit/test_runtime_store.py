@@ -45,6 +45,14 @@ def seeded_trial(seed):
     return {"value": seed * 2.0, "tag": seed % 3}
 
 
+def serve_add_one(store):
+    """``add_one(1)`` through ``store.serve``, under its own key."""
+    [value] = store.serve([store.key(add_one, (1,), seed=0)],
+                          lambda missing: [add_one(1)],
+                          task="add_one", seeds=[0])
+    return value
+
+
 class TestKeys:
     def test_args_digest_stable_for_common_shapes(self):
         digest = args_digest((1, "a", 2.5, {"k": (3, 4)}))
@@ -118,20 +126,6 @@ class TestTwoTierStore:
         assert store.stats()["hits"] == 2
         assert store.stats()["entries"] == 1
 
-    def test_get_or_call_computes_once(self, tmp_path):
-        store = ResultStore(tmp_path / "s.jsonl")
-        calls = []
-
-        def tracked(x):
-            calls.append(x)
-            return x + 1
-
-        assert store.get_or_call(tracked, 4, seed=1,
-                                 task_name="tracked", code="v1") == 5
-        assert store.get_or_call(tracked, 4, seed=1,
-                                 task_name="tracked", code="v1") == 5
-        assert calls == [4]
-
     def test_values_survive_process_exit(self, tmp_path):
         path = tmp_path / "s.jsonl"
         first = ResultStore(path)
@@ -144,8 +138,7 @@ class TestTwoTierStore:
 
     def test_code_version_invalidates(self, tmp_path):
         store = ResultStore(tmp_path / "s.jsonl")
-        value = store.get_or_call(add_one, 1, seed=0)
-        assert value == 2
+        assert serve_add_one(store) == 2
         # Same name/args/seed, different source: a distinct address.
         key_v2 = store.key(f"{add_one.__module__}.{add_one.__qualname__}",
                            (1,), seed=0,
@@ -290,8 +283,8 @@ class TestTwoTierStore:
     def test_counters_flow_into_telemetry(self, tmp_path):
         with observe.session() as tel:
             store = ResultStore(tmp_path / "s.jsonl", name="unit")
-            store.get_or_call(add_one, 1, seed=0)
-            store.get_or_call(add_one, 1, seed=0)
+            serve_add_one(store)
+            serve_add_one(store)
         metrics = tel.metrics.as_dict()
         assert metrics['repro_runtime_store_hits_total{store="unit"}'] \
             == 1.0
@@ -586,8 +579,8 @@ class TestBatchedPuts:
         with observe.session() as tel:
             store = ResultStore(tmp_path / "q.jsonl", name="hush",
                                 quiet=True)
-            store.get_or_call(add_one, 1, seed=0)
-            store.get_or_call(add_one, 1, seed=0)
+            serve_add_one(store)
+            serve_add_one(store)
             store.put_many([{"key": store.key("t", (9,), seed=0),
                              "value": 9}])
         assert store.stats()["hits"] == 1
@@ -668,17 +661,6 @@ class TestHarnessWiring:
                                workers=3).run()
         assert cold == warm == pooled == plain
         assert store.stats()["writes"] == len(plain)
-
-    def test_campaign_run_cell_uses_store(self, tmp_path):
-        from tests.unit.test_parallel_harness import CAMPAIGN_KWARGS
-        from repro.harness.campaign import FaultCampaign
-
-        store = ResultStore(tmp_path / "c.jsonl")
-        campaign = FaultCampaign(**CAMPAIGN_KWARGS, store=store)
-        cell = campaign.run_cell("retry", "bohrbug")
-        assert campaign.run_cell("retry", "bohrbug") == cell
-        assert store.stats()["writes"] == 1
-        assert store.stats()["hits"] == 1
 
     def test_campaign_code_change_invalidates_cells(self, tmp_path):
         from tests.unit.test_parallel_harness import CAMPAIGN_KWARGS, retry_protector
