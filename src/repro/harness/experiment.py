@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 import statistics
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
                     Sequence, Tuple, Union)
@@ -267,6 +268,10 @@ def summarize(results: Sequence[Union[TrialResult, BatchResult]]
     alongside it under ``<metric>_stdev``, is ``statistics.stdev`` of
     the metric's values as floats, in seed order (0.0 when only one
     trial reported the metric).  Keys keep first-seen order.
+
+    Raises:
+        ValueError: A metric value is ``inf`` or ``nan``; the message
+            names the metric and the value.
     """
     columns: Dict[str, List[float]] = {}
     for result in results:
@@ -277,6 +282,10 @@ def summarize(results: Sequence[Union[TrialResult, BatchResult]]
                 columns.setdefault(key, []).append(float(value))
     out: Dict[str, float] = {}
     for key, column in columns.items():
+        if not all(map(math.isfinite, column)):
+            value = next(v for v in column if not math.isfinite(v))
+            raise ValueError(f"metric {key!r} has a non-finite value "
+                             f"{value!r}")
         out[key] = statistics.fmean(column)
         out[f"{key}_stdev"] = (statistics.stdev(column) if len(column) > 1
                                else 0.0)

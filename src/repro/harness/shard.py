@@ -43,8 +43,8 @@ from typing import (Any, Dict, Iterator, List, Optional, Sequence, Tuple,
 
 from repro._util import stable_int
 from repro.harness.campaign import CampaignCell, FaultCampaign
+from repro.observe import capture as _capture
 from repro.observe import current as _telemetry
-from repro.observe import session as _session
 from repro.observe.stream import make_delta
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -190,17 +190,27 @@ def _run_shard(campaign: FaultCampaign, capture: Capture,
                ) -> Tuple[List[CampaignCell], Optional[Dict[str, Any]]]:
     """Pool task: measure one whole shard, one pickled result.
 
-    Runs the shard inside a private telemetry session when ``capture``
-    is set (an events-only one for :data:`EVENTS_ONLY`) and ships the
-    session's snapshot home with the cells — the shard analogue of the
+    Runs the shard inside a :func:`~repro.observe.capture` when
+    ``capture`` is set (an events-only one for :data:`EVENTS_ONLY`) and
+    ships its snapshot home with the cells — the shard analogue of the
     pool's own chunk capture, but snapshotted here so the snapshot can
     be *checkpointed* alongside the cells and replayed on resume.
     """
     if not capture:
         return [campaign._measure(*pair) for pair in pairs], None
-    with _session(events_only=capture == EVENTS_ONLY) as telemetry:
+    with _capture(events_only=capture == EVENTS_ONLY) as telemetry:
         cells = [campaign._measure(*pair) for pair in pairs]
         return cells, telemetry.snapshot()
+
+
+def _holds_every_event(snapshot: Any) -> bool:
+    """Whether a telemetry snapshot carries as many events as its bus
+    published (False for anything that is not a snapshot)."""
+    try:
+        events = snapshot["events"]
+        return len(events["events"]) == events["published"]
+    except (KeyError, TypeError):
+        return False
 
 
 class ShardedCampaign:
@@ -253,7 +263,10 @@ class ShardedCampaign:
         fingerprint/index/digest/capture mode, but a malformed record
         (hand-edited log, version skew) must degrade to re-execution,
         not a crash.  The capture mode must match exactly: a snapshot
-        kept in one mode never feeds a session of another."""
+        kept in one mode never feeds a session of another.  A captured
+        shard's snapshot must hold every event it published: one
+        checkpointed while shard sessions kept only their last 4,096
+        events would serve a report short of outcomes."""
         return (isinstance(record, dict)
                 and record.get("schema") == SHARD_SCHEMA
                 and record.get("campaign") == self.fingerprint
@@ -262,7 +275,9 @@ class ShardedCampaign:
                 and tuple(record.get("pairs", ())) ==
                     self.plan.shards[index]
                 and len(record.get("cells", ())) ==
-                    len(self.plan.shards[index]))
+                    len(self.plan.shards[index])
+                and (not captured
+                     or _holds_every_event(record.get("snapshot"))))
 
     def _checkpoint(self, index: int,
                     cells: Sequence[CampaignCell],

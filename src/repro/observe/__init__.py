@@ -54,7 +54,9 @@ from repro.observe.stream import (
     TelemetryStream,
 )
 from repro.observe.telemetry import (
+    Capture,
     Telemetry,
+    capture,
     current,
     disable,
     enabled,
@@ -64,6 +66,7 @@ from repro.observe.telemetry import (
 from repro.observe.tracer import Span, Tracer
 
 __all__ = [
+    "Capture",
     "Counter",
     "Event",
     "EventBus",
@@ -79,6 +82,7 @@ __all__ = [
     "Telemetry",
     "TelemetryStream",
     "Tracer",
+    "capture",
     "current",
     "disable",
     "enabled",

@@ -222,3 +222,59 @@ class EventBus:
         self._seq += snapshot["published"]
         for topic, count in snapshot["counts"]:
             self.counts[topic] = self.counts.get(topic, 0) + count
+
+
+class CaptureBus(EventBus):
+    """The bus of a capture session, whose one reader is its snapshot.
+
+    It keeps every event since its last snapshot, uncapped, as the
+    snapshot's own ``[topic, time, seq, payload]`` rows, so
+    :attr:`history` stays empty and no :class:`Event` is built unless a
+    subscriber is there to be handed one.  :meth:`snapshot` hands the
+    rows over and starts a new list; the capture (see
+    :func:`repro.observe.capture`) replaces the whole bus with it, so
+    counts and sequence numbers restart too.
+    """
+
+    def __init__(self, now: Optional[Callable[[], float]] = None) -> None:
+        super().__init__(now, history=0)
+        #: Every event since the last snapshot, as snapshot rows.
+        self.rows: List[List[Any]] = []
+
+    def publish(self, topic: str, **payload: Any) -> Optional[Event]:
+        """Keep one event as a row; an :class:`Event` is built (and
+        returned) only when a subscriber is delivered it."""
+        row = [topic, self._now(), self._seq, payload]
+        self.rows.append(row)
+        self._seq += 1
+        self.counts[topic] = self.counts.get(topic, 0) + 1
+        return self._deliver(row) if self._subscriptions else None
+
+    def _deliver(self, row: List[Any]) -> Event:
+        event = Event(*row)
+        for subscription in self._route(event.topic):
+            subscription.delivered += 1
+            subscription.handler(event)
+        return event
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The :meth:`EventBus.snapshot` document, with every event since
+        the last snapshot; its ``events`` list is the bus's own, handed
+        over rather than copied."""
+        document = super().snapshot()
+        document["events"], self.rows = self.rows, []
+        return document
+
+    def merge(self, snapshot: Dict[str, Any]) -> None:
+        """Fold a snapshot in as :meth:`EventBus.merge` does, keeping
+        its events as rows (a pool nested in a captured chunk merges
+        its own chunks here)."""
+        seq_base = self._seq
+        for topic, time, seq, payload in snapshot["events"]:
+            row = [topic, time, seq + seq_base, dict(payload)]
+            self.rows.append(row)
+            if self._subscriptions:
+                self._deliver(row)
+        self._seq += snapshot["published"]
+        for topic, count in snapshot["counts"]:
+            self.counts[topic] = self.counts.get(topic, 0) + count

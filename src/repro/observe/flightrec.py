@@ -11,13 +11,17 @@ and when something goes wrong the current window is dumped as a
 ``repro-flightrec/v1`` document and attached to the run's records.
 
 Wiring: every :class:`~repro.observe.telemetry.Telemetry` session
-attaches the calling process's recorder on construction — an event-bus
-``"*"`` subscription plus the :attr:`~repro.observe.tracer.Tracer.
-on_finish` tap — so the recorder sees whatever the active session
-sees, including worker-side events *redelivered* by the parent's
-snapshot/delta merges.  The recorder itself never publishes events and
-never appears in snapshots, so it cannot perturb the byte-identity
-contracts of the snapshot/merge and delta-streaming protocols.
+attaches the calling process's recorder when it is first installed —
+an event-bus ``"*"`` subscription plus the :attr:`~repro.observe.
+tracer.Tracer.on_finish` tap — so the recorder sees whatever the
+installed session sees, including worker-side events *redelivered* by
+the parent's snapshot/delta merges.  A session that is never installed
+(a live view that only receives merges) and a
+:class:`~repro.observe.telemetry.Capture` (a chunk's or a shard's,
+whose snapshot the parent merges) attach none, so each event reaches
+the ring once.  The recorder itself never publishes events and never
+appears in snapshots, so it cannot perturb the byte-identity contracts
+of the snapshot/merge and delta-streaming protocols.
 
 Dump triggers wired by the framework (callers may add their own via
 :func:`dump`):
@@ -109,8 +113,9 @@ class FlightRecorder:
     def attach(self, telemetry: Any) -> None:
         """Tap a telemetry session's bus and tracer.
 
-        Called by :class:`~repro.observe.telemetry.Telemetry` itself on
-        construction (and again after a delta-stream reset), so callers
+        Called by :func:`~repro.observe.telemetry.install` on a
+        session's first install (and again after its
+        :meth:`~repro.observe.telemetry.Telemetry.reset`), so callers
         normally never need to.
         """
         telemetry.bus.subscribe("*", self.record_event)

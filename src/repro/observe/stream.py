@@ -8,15 +8,16 @@ telemetry also *stream*: a worker makes **incremental snapshots**
 produced since the previous one, and every receiver folds them with
 the very same commutative merge algebra.
 
-The trick that keeps byte-identity is *partitioning*: after each
-emission the worker session is :meth:`~repro.observe.telemetry.
-Telemetry.reset` (same clock object, fresh tracer/metrics/bus), so the
-sequence of deltas is a partition of the session's content.  Because
-counters and histogram tallies add, gauges merge as accumulated
-deltas, span ids/seqs renumber cumulatively and event seqs shift
-cumulatively, folding the deltas **in emission order** into any
-receiver produces byte-for-byte the state that merging one
-whole-chunk snapshot would have — the property
+The trick that keeps byte-identity is *partitioning*: each emission
+is a :meth:`~repro.observe.telemetry.Capture.snapshot` of the chunk's
+capture, which hands everything over and starts afresh (same clock
+object, fresh tracer/metrics/bus, as :meth:`~repro.observe.telemetry.
+Telemetry.reset` does), so the sequence of deltas is a partition of
+the chunk's content.  Because counters and histogram tallies add,
+gauges merge as accumulated deltas, span ids/seqs renumber
+cumulatively and event seqs shift cumulatively, folding the deltas
+**in emission order** into any receiver produces byte-for-byte the
+state that merging one whole-chunk snapshot would have — the property
 ``tests/unit/test_stream.py`` pins on the serial and process backends.
 (The snapshot/merge caveat carries over: a ``set()``-style gauge
 merges as a net delta; no framework series uses one.)

@@ -21,10 +21,15 @@ bit-identical to an uninstrumented build.  Enable collection with::
 or imperatively with :func:`install` / :func:`disable`.
 
 There is one session slot per process.  The parallel runtime captures
-a worker chunk by opening a :func:`session` around it in the worker
+a worker chunk by opening a :func:`capture` around it in the worker
 process, and no two chunks share a process, so an instrumented trial
 that opens its own per-trial session inside a chunk shadows the chunk
 capture exactly as it shadows an outer session serially.
+
+A :class:`Capture` records only what its snapshot ships (see the
+class).  Every other session taps the process flight ring once it is
+installed; one that is never installed (a live view that only
+receives merges) taps none.
 
 Cross-process aggregation: :meth:`Telemetry.snapshot` freezes all three
 pieces into one picklable document and :meth:`Telemetry.merge` folds it
@@ -33,23 +38,24 @@ ship worker-side telemetry home (see docs/OBSERVABILITY.md).
 
 A session opened with ``events_only=True`` keeps its events and
 nothing else: spans still open, close, tick the clock and reach the
-flight recorder, but the tracer retains none, and counters, gauges and
-histograms are not recorded.  ``repro campaign`` and ``repro top``
-open such sessions, because their outputs read events only; worker
-chunk and shard sessions inherit the mode from the session they
-capture for.
+flight recorder of an installed session, but the tracer retains none,
+and counters, gauges and histograms are not recorded.  ``repro
+campaign`` and ``repro top`` open such sessions, because their outputs
+read events only; worker chunk and shard captures inherit the mode
+from the session they capture for.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import (Any, Callable, ContextManager, Dict, Iterator,
+                    Optional)
 
 from repro.observe import flightrec as _flightrec
-from repro.observe.events import EventBus
+from repro.observe.events import CaptureBus, EventBus
 from repro.observe.metrics import MetricsRegistry
-from repro.observe.tracer import SpanScope, Tracer
+from repro.observe.tracer import SpanScope, TickScope, Tracer
 
 
 class _SeqClock:
@@ -93,14 +99,20 @@ class Telemetry:
             ticking clock.
         enabled: Whether instrumentation sites should record anything.
         events_only: Keep the event bus only.  Spans still open, close,
-            tick the clock and reach the flight recorder, but the
-            tracer retains none (its capacity is 0), and the metrics
-            registry records nothing.  The bus, and so every
-            subscriber, sees exactly what a full session's would.
-            Snapshots keep the usual schema, with no span and no
-            series; merging a full snapshot in redelivers its events
-            and drops the rest.
+            tick the clock and reach the flight recorder (once the
+            session is installed), but the tracer retains none (its
+            capacity is 0), and the metrics registry records nothing.
+            The bus, and so every subscriber, sees exactly what a full
+            session's would.  Snapshots keep the usual schema, with no
+            span and no series; merging a full snapshot in redelivers
+            its events and drops the rest.
+
+    The session taps the calling process's flight ring once it is
+    first :func:`install`-ed (see :mod:`repro.observe.flightrec`).
     """
+
+    #: The bus each fresh set of pieces gets.
+    _Bus = EventBus
 
     def __init__(self, clock: Optional[Any] = None,
                  enabled: bool = True, events_only: bool = False) -> None:
@@ -108,6 +120,8 @@ class Telemetry:
         self._now = _reader(self._clock)
         self.enabled = enabled
         self.events_only = events_only
+        #: Whether the process flight ring taps this session's pieces.
+        self._tapped = False
         self._fresh()
 
     def _fresh(self) -> None:
@@ -116,12 +130,18 @@ class Telemetry:
         if self.events_only:
             self.tracer.capacity = 0
         self.metrics = MetricsRegistry(recording=not self.events_only)
-        self.bus = EventBus(now=self._now)
-        # Always-on flight recorder: every session taps the calling
-        # process's bounded ring (see repro.observe.flightrec).  The
-        # tap never publishes or appears in snapshots, so merge and
-        # delta byte-identity are unaffected.
-        _flightrec.recorder().attach(self)
+        self.bus = self._Bus(now=self._now)
+        if self._tapped:
+            _flightrec.recorder().attach(self)
+
+    def _tap(self) -> None:
+        """Tap the process flight ring, from now on and after every
+        :meth:`reset` (:func:`install` calls this).  The tap never
+        publishes or appears in snapshots, so merge and delta
+        byte-identity are unaffected."""
+        if not self._tapped:
+            self._tapped = True
+            _flightrec.recorder().attach(self)
 
     def bind_clock(self, clock: Any) -> None:
         """Timestamp subsequent spans/events from ``clock.now``.
@@ -155,14 +175,15 @@ class Telemetry:
 
         The clock object (and therefore its position — a ticking
         :class:`_SeqClock` does not restart) carries over, as do the
-        ``enabled`` and ``events_only`` flags, and the process flight
-        recorder is re-tapped.
-        This is the delta-streaming primitive: a worker emits
-        ``snapshot()`` then ``reset()``, so consecutive deltas
-        partition the session's content and folding them in order is
-        byte-identical to merging one whole-session snapshot (see
+        ``enabled`` and ``events_only`` flags, and an installed
+        session's flight recorder tap.
+        This is the delta-streaming primitive: ``snapshot()`` then
+        ``reset()`` (what a :class:`Capture`'s snapshot does by
+        itself) makes consecutive deltas partition the session's
+        content, and folding them in order is byte-identical to
+        merging one whole-session snapshot (see
         :mod:`repro.observe.stream`).  Subscribers of the old bus are
-        dropped — worker capture sessions have none.
+        dropped.
         """
         self._fresh()
 
@@ -221,6 +242,52 @@ class Telemetry:
         }
 
 
+class Capture(Telemetry):
+    """A session whose only reader is the snapshot it hands back.
+
+    The parallel runtime's chunks and the shard engine's shards run in
+    one, and a capture records only what its snapshot ships:
+
+    * it taps no flight ring, even while installed: its events reach
+      the ring of the process that merges its snapshot, once;
+    * its bus (a :class:`~repro.observe.events.CaptureBus`) keeps every
+      event since the last snapshot, uncapped, as the snapshot's rows;
+    * in events-only mode its spans are clock ticks
+      (:class:`~repro.observe.tracer.TickScope`): no tracer keeps them
+      and no ring sees them, so only the clock readings and the
+      ``started`` and id counts a snapshot ships are made.
+
+    :meth:`snapshot` hands everything over and starts afresh, as
+    :meth:`reset` does, so consecutive snapshots are consecutive
+    deltas.  The schema, every event's time and sequence number, and
+    the counts are those of a session that kept all it saw.
+    """
+
+    _Bus = CaptureBus
+
+    def _fresh(self) -> None:
+        super()._fresh()
+        self._ticks = TickScope(self.tracer) if self.events_only else None
+
+    def _tap(self) -> None:
+        """A capture taps no ring (see the class docstring)."""
+
+    def span(self, name: str, **attrs: Any) -> Any:
+        """Record a span, or only its clock ticks in events-only mode."""
+        ticks = self._ticks
+        if ticks is not None:
+            return ticks
+        return SpanScope(self.tracer, name, attrs)
+
+    def snapshot(self) -> Dict[str, Any]:
+        """Hand over what was recorded since the capture opened or last
+        handed over (see :meth:`Telemetry.snapshot`), then start afresh
+        on the same clock."""
+        document = super().snapshot()
+        self._fresh()
+        return document
+
+
 #: The permanently-disabled default session.  Instrumented code holds a
 #: reference only transiently (``tel = current()`` per call), so
 #: installing a real session takes effect on the next invocation.
@@ -239,8 +306,12 @@ def enabled() -> bool:
 
 
 def install(telemetry: Telemetry) -> Telemetry:
-    """Install ``telemetry`` as the current session; returns it."""
+    """Install ``telemetry`` as the current session; returns it.
+
+    The first install taps the process flight ring (a
+    :class:`Capture` never taps it)."""
     global _current
+    telemetry._tap()
     _current = telemetry
     return telemetry
 
@@ -251,9 +322,8 @@ def disable() -> None:
     _current = _DISABLED
 
 
-@contextlib.contextmanager
 def session(clock: Optional[Any] = None,
-            events_only: bool = False) -> Iterator[Telemetry]:
+            events_only: bool = False) -> ContextManager[Telemetry]:
     """Install a fresh :class:`Telemetry` for the duration of a block.
 
     The previously installed session (usually the disabled default) is
@@ -261,7 +331,19 @@ def session(clock: Optional[Any] = None,
     trials.  ``events_only`` opens a session that keeps events only
     (see :class:`Telemetry`).
     """
-    telemetry = Telemetry(clock=clock, events_only=events_only)
+    return _installed(Telemetry(clock=clock, events_only=events_only))
+
+
+def capture(events_only: bool = False) -> ContextManager[Capture]:
+    """Install a fresh :class:`Capture` for the duration of a block,
+    as :func:`session` installs a session.  The block reads its
+    telemetry from :meth:`Capture.snapshot`; ``events_only`` keeps
+    events only (see :class:`Telemetry`)."""
+    return _installed(Capture(events_only=events_only))
+
+
+@contextlib.contextmanager
+def _installed(telemetry: Telemetry) -> Iterator[Any]:
     previous = current()
     install(telemetry)
     try:

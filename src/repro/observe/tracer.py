@@ -124,6 +124,36 @@ class SpanScope:
         self._tracer.finish(span)
 
 
+class TickScope:
+    """Every span of a tracer that keeps none and that nothing taps.
+
+    Such a span is only the readings a kept one would take: one of the
+    clock as it opens and one as it closes, with ``started`` and the
+    next id counting it.  So no :class:`Span`, stack entry or tap call
+    is made.  One scope serves every span of its tracer, nested or not:
+    it holds no per-span state, and a block's writes to its ``attrs``
+    or ``status`` reach no reader.  An events-only capture's spans (see
+    :func:`repro.observe.capture`).
+    """
+
+    __slots__ = ("_tracer", "attrs", "status")
+
+    def __init__(self, tracer: "Tracer") -> None:
+        self._tracer = tracer
+        self.attrs: Dict[str, Any] = {}
+        self.status = OK
+
+    def __enter__(self) -> "TickScope":
+        tracer = self._tracer
+        tracer._now()
+        tracer._next_id += 1
+        tracer.started += 1
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer._now()
+
+
 class Tracer:
     """Records spans with parent/child nesting.
 

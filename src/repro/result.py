@@ -23,7 +23,10 @@ class Outcome:
 
     Attributes:
         value: The produced value; meaningful only when ``error is None``.
-        error: The exception raised by the execution, or ``None`` on success.
+        error: The exception raised by the execution, or ``None`` on
+            success.  :meth:`failure` keeps it without its traceback:
+            the frames would hold the caller (a campaign, its store)
+            alive until the cyclic collector ran.
         producer: Name of the version/component/service that produced this
             outcome; used by adjudicators that disable failing producers.
         cost: Virtual execution cost (time units on the virtual clock).
@@ -51,7 +54,8 @@ class Outcome:
         return self.error is not None
 
     def unwrap(self) -> Any:
-        """Return the value, re-raising the recorded error on failure."""
+        """Return the value, re-raising the recorded error on failure
+        (same type and message; the traceback starts here)."""
         if self.error is not None:
             raise self.error
         return self.value
@@ -66,9 +70,10 @@ class Outcome:
     @classmethod
     def failure(cls, error: BaseException, *, producer: str = "",
                 cost: float = 0.0, attempt: int = 0, **meta: Any) -> "Outcome":
-        """Build a failed outcome carrying the raised exception."""
-        return cls(error=error, producer=producer, cost=cost,
-                   attempt=attempt, meta=dict(meta))
+        """Build a failed outcome carrying the raised exception,
+        without its traceback frames."""
+        return cls(error=error.with_traceback(None), producer=producer,
+                   cost=cost, attempt=attempt, meta=dict(meta))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.ok:

@@ -32,16 +32,18 @@ acceleration of it.
 
 **Telemetry capture.**  When the parent has a telemetry session
 installed at the moment a chunk is submitted, the chunk runs inside a
-fresh session in its worker (:func:`repro.observe.session`) and ships
-its :meth:`~repro.observe.telemetry.Telemetry.snapshot` back with the
-results; the parent merges the snapshots strictly in submission order,
-so the merged telemetry of a pooled run is byte-identical to the serial
-run's (workload series — pool self-metrics ``repro_runtime_*`` are
-backend-dependent by nature; see docs/OBSERVABILITY.md).  The enabled
-check happens per chunk, not per pool, so a session installed while a
-long campaign is already fanned out still captures the remaining
-chunks.  The same read takes the session's ``events_only`` flag, and
-the chunk's session keeps what the parent keeps.
+fresh capture in its worker (:func:`repro.observe.capture`: a session
+that records only what its snapshot ships, and taps no flight ring)
+and ships its :meth:`~repro.observe.telemetry.Capture.snapshot` back
+with the results; the parent merges the snapshots strictly in
+submission order, so the merged telemetry of a pooled run is
+byte-identical to the serial run's (workload series — pool
+self-metrics ``repro_runtime_*`` are backend-dependent by nature; see
+docs/OBSERVABILITY.md).  The enabled check happens per chunk, not per
+pool, so a session installed while a long campaign is already fanned
+out still captures the remaining chunks.  The same read takes the
+session's ``events_only`` flag, and the chunk's capture keeps what the
+parent keeps.
 
 **Delta streaming.**  Pass a :class:`~repro.observe.stream.
 TelemetryStream` as ``stream=`` and captured chunks also tap their
@@ -56,8 +58,9 @@ protocol.  A chunk that times out or fails hands nothing back, so only
 its serial rerun, which writes straight into the session, is counted.
 After the rerun, finished or failed, the process flight recorder's
 window (:mod:`repro.observe.flightrec`) is dumped into
-:attr:`ParallelMap.flight_records`; a worker's records never reach the
-parent's ring, so the window holds the rerun's records.
+:attr:`ParallelMap.flight_records`; a chunk's records reach the
+parent's ring only through the fold, so the window holds the rerun's
+records.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ import pickle
 from typing import (Any, Callable, Iterable, List, Optional, Sequence, Tuple,
                     TypeVar)
 
+from repro.observe import capture as _capture
 from repro.observe import current as _telemetry
 from repro.observe import flightrec as _flightrec
-from repro.observe import session as _session
 from repro.observe.stream import TelemetryStream, make_delta
 from repro.runtime.pool import get_pool as _get_pool
 from repro.runtime.pool import retire_pool as _retire_pool
@@ -126,13 +129,13 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
     """Run one contiguous slice of items — in a worker or the parent.
 
     With no ``capture`` the items run in the caller's session.  With
-    one they run in a fresh session (keeping events only when
-    ``events_only`` is set) that makes a ``repro-delta/v1`` document
-    every ``every`` items and a final one for the tail, each covering
-    the telemetry since the previous one.  A streamed chunk also hands
-    each delta to ``put`` as it is made (the live view's tap).
-    Returns ``(results, deltas)``.  Module-level so the process
-    backend can pickle it.
+    one they run in a fresh :func:`~repro.observe.capture` (keeping
+    events only when ``events_only`` is set) that makes a
+    ``repro-delta/v1`` document every ``every`` items and a final one
+    for the tail, each covering the telemetry since the previous one.
+    A streamed chunk also hands each delta to ``put`` as it is made
+    (the live view's tap).  Returns ``(results, deltas)``.
+    Module-level so the process backend can pickle it.
     """
     if capture is None:
         return [fn(item) for item in chunk], []
@@ -147,12 +150,11 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
         if put is not None:
             put(delta)
 
-    with _session(events_only=events_only) as telemetry:
+    with _capture(events_only=events_only) as telemetry:
         for item in chunk:
             results.append(fn(item))
             if every and len(results) % every == 0:
                 emit(False)
-                telemetry.reset()
         emit(True)
     return results, deltas
 
@@ -393,8 +395,9 @@ class ParallelMap:
         The chunk handed no deltas back, so none are folded (the rerun
         writes straight into the installed session).  Once the rerun
         has finished or raised, the flight recorder's window is dumped
-        into :attr:`flight_records`: a worker's records stay in the
-        worker's ring, so only the rerun can explain the failure.
+        into :attr:`flight_records`: the failed chunk's capture taps no
+        ring and handed nothing back, so only the rerun can explain the
+        failure.
         """
         self.stats.serial_retries += 1
         if capture is not None:

@@ -96,7 +96,9 @@ class EnvironmentPerturbation(Technique):
     def _recover(self, args, env_snapshot, state_snapshot,
                  original: BaseException) -> RxReport:
         used: List[str] = []
-        failures: List[BaseException] = [original]
+        # Each error is kept without its frames, which would hold this
+        # frame and so the list itself.
+        failures: List[BaseException] = [original.with_traceback(None)]
         for perturbation in self.menu:
             self.env.restore(env_snapshot)
             if state_snapshot is not None:
@@ -106,7 +108,7 @@ class EnvironmentPerturbation(Technique):
             try:
                 value = self.operation(*args, env=self.env)
             except self.detects as exc:
-                failures.append(exc)
+                failures.append(exc.with_traceback(None))
                 continue
             self.recoveries += 1
             self.healing_log.append(perturbation)

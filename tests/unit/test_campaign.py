@@ -1,5 +1,7 @@
 """Unit tests for the fault-injection campaign harness."""
 
+import gc
+
 import pytest
 
 from repro.faults.development import Bohrbug, Heisenbug, InputRegion
@@ -93,3 +95,38 @@ class TestCampaign:
         assert isinstance(cell, CampaignCell)
         assert cell.requests == 10
         assert cell.survival_rate == cell.correct_rate == 1.0
+
+
+class TestNoFramesOutliveARun:
+    """Failures keep their errors without traceback frames, so an
+    in-process ``repro campaign`` run leaves nothing for the cyclic
+    collector to find: the frames held the campaign, its store and the
+    pattern objects alive until the collector ran."""
+
+    def test_no_failure_holds_a_traceback_after_a_run(self, capsys):
+        from repro.cli import main
+        from repro.exceptions import AllAlternativesFailedError
+        from repro.result import Outcome
+
+        gc.collect()
+        before = {id(obj) for obj in gc.get_objects()
+                  if isinstance(obj, BaseException)}
+        gc.disable()
+        try:
+            assert main(["campaign", "--format", "json", "--requests",
+                         "20", "--seed", "3"]) == 0
+            live = gc.get_objects()
+            failed = [obj for obj in live if isinstance(obj, Outcome)
+                      and obj.error is not None]
+            listed = [error for obj in live
+                      if isinstance(obj, AllAlternativesFailedError)
+                      for error in obj.failures]
+            errors = [obj for obj in live if isinstance(obj, BaseException)
+                      and id(obj) not in before]
+            framed = [error for error in
+                      [outcome.error for outcome in failed] + listed + errors
+                      if error.__traceback__ is not None]
+            del live
+        finally:
+            gc.enable()
+        assert framed == []

@@ -1,5 +1,7 @@
 """Unit tests for the experiment harness."""
 
+import math
+
 import pytest
 
 from repro.faults.malicious import AttackPayload
@@ -43,6 +45,16 @@ class TestExperiment:
         summary = summarize(results)
         assert summary["x"] == 2.0
         assert summary["x_stdev"] == pytest.approx(2.8284271247461903)
+
+    @pytest.mark.parametrize("values", [
+        [math.inf], [math.nan], [math.inf, 1.0], [math.nan, 1.0]])
+    def test_summarize_names_a_non_finite_metric(self, values):
+        results = run_trials(lambda s: {"ok": 1.0, "x": values[s]},
+                             seeds=range(len(values)))
+        with pytest.raises(ValueError,
+                           match=r"metric 'x' has a non-finite value "
+                                 r"(inf|nan)"):
+            summarize(results)
 
     def test_summarize_single_trial_stdev_is_zero(self):
         assert summarize(run_trials(lambda s: {"x": 3.0},

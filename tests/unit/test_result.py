@@ -30,6 +30,15 @@ class TestOutcome:
         with pytest.raises(SimulatedFailure):
             Outcome.failure(exc).unwrap()
 
+    def test_failure_keeps_the_error_without_its_frames(self):
+        try:
+            raise SimulatedFailure("boom")
+        except SimulatedFailure as exc:
+            out = Outcome.failure(exc)
+        assert out.error.__traceback__ is None
+        with pytest.raises(SimulatedFailure, match="^boom$"):
+            out.unwrap()
+
     def test_meta_kwargs_captured(self):
         out = Outcome.success(1, args=(3,), expressed=(4,))
         assert out.meta["args"] == (3,)
@@ -58,6 +67,7 @@ class TestRunToOutcome:
         out = run_to_outcome(boom, expected=SimulatedFailure)
         assert out.failed
         assert isinstance(out.error, SimulatedFailure)
+        assert out.error.__traceback__ is None
 
     def test_unexpected_exception_propagates(self):
         def boom():
