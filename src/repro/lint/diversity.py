@@ -102,6 +102,15 @@ def shingles(tokens: List[str],
                      for i in range(len(tokens) - k + 1))
 
 
+def jaccard(shingles_a: FrozenSet[Tuple[str, ...]],
+            shingles_b: FrozenSet[Tuple[str, ...]]) -> float:
+    """``|a ∩ b| / |a ∪ b|`` of two shingle sets; 1.0 when both are
+    empty."""
+    shared = len(shingles_a & shingles_b)
+    union = len(shingles_a) + len(shingles_b) - shared
+    return (shared / union) if union else 1.0
+
+
 def similarity(source_a: str, source_b: str,
                k: int = DEFAULT_SHINGLE_SIZE) -> float:
     """Structural similarity of two sources in ``[0, 1]``.
@@ -110,14 +119,8 @@ def similarity(source_a: str, source_b: str,
     token-identical sources (renames included), and independent of
     ``PYTHONHASHSEED`` because only set cardinalities are compared.
     """
-    shingles_a = shingles(normalize_tokens(source_a), k)
-    shingles_b = shingles(normalize_tokens(source_b), k)
-    if not shingles_a and not shingles_b:
-        return 1.0
-    union = len(shingles_a | shingles_b)
-    if union == 0:
-        return 1.0
-    return len(shingles_a & shingles_b) / union
+    return jaccard(shingles(normalize_tokens(source_a), k),
+                   shingles(normalize_tokens(source_b), k))
 
 
 def diversity(source_a: str, source_b: str,
@@ -131,6 +134,12 @@ class _Normalizer(ast.NodeTransformer):
 
     Attribute names survive (``.map`` vs ``.execute`` is a semantic
     difference); local naming and literal values do not.
+
+    It renames and retags nodes but never adds or drops one, so equal
+    fingerprints imply equal node-type shapes, and DIV001 fingerprints
+    only functions whose shape another shares
+    (``repro.lint.rules_diversity._shape``).  A normalizer that dropped
+    nodes (docstrings, say) would break that key.
     """
 
     def visit_Name(self, node: ast.Name):

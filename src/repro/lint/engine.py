@@ -232,7 +232,8 @@ class LintEngine:
                     line=line, col=0,
                     message=f"file does not parse: {exc}"), ""))
                 continue
-            modules.append(module)
+            if self.deep:  # the only reader of a module past its rules
+                modules.append(module)
             collected.extend(self._raw_findings(module))
         if self.deep:
             collected.extend(self._deep_findings(modules))

@@ -2,23 +2,25 @@
 
 Redundancy only pays when the versions are diverse (§4, Brilliant et
 al.): near-clone implementations fail on the same inputs, and the voter
-confidently picks the shared wrong answer.  DIV001 fingerprints every
-sizeable function in a module — normalized AST hash first, token-
-shingle Jaccard similarity second — and flags pairs whose similarity
-exceeds the threshold as correlated-fault risk, reporting the pairwise
-score so reviewers can judge how much diversity actually exists.
+confidently picks the shared wrong answer.  DIV001 scores every pair of
+sizeable functions in a module — normalized AST hash first, for the
+functions whose shape another shares, token-shingle Jaccard similarity
+second — and flags pairs whose similarity exceeds the threshold as
+correlated-fault risk, reporting the pairwise score so reviewers can
+judge how much diversity actually exists.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from typing import Iterable, Iterator, List, Optional, Tuple, Type
 
 from repro.lint.diversity import (
     ast_fingerprint,
+    jaccard,
     normalize_tokens,
     shingles,
-    similarity,
 )
 from repro.lint.findings import Finding
 from repro.lint.registry import ModuleSource, Rule
@@ -74,18 +76,40 @@ def module_functions(module: ModuleSource) -> List[
     return out
 
 
+def _shape(node: ast.AST) -> Tuple[type, ...]:
+    """The node types of a def's subtree in breadth-first order, less
+    the def's own decorators.
+
+    A function of the tree :func:`~repro.lint.diversity.ast_fingerprint`
+    hashes: that is the normalized re-parse of the def's segment, which
+    starts at ``def`` and so holds none of the def's own decorators (a
+    nested def keeps its), and ``_Normalizer`` renames and retags nodes
+    but never adds or drops one.  So equal fingerprints imply equal
+    shapes: a function whose shape no other function has cannot share
+    its fingerprint.  A normalizer that dropped nodes (docstrings, say)
+    would break this key.
+    """
+    decorators = node.decorator_list
+    todo = [child for child in ast.iter_child_nodes(node)
+            if child not in decorators]
+    for child in todo:
+        todo.extend(ast.iter_child_nodes(child))
+    return (type(node), *map(type, todo))
+
+
 def pairwise_similarity(sources: List[str]) -> List[List[float]]:
     """The full similarity matrix over a version set's sources.
 
     Symmetric with a unit diagonal; entry ``[i][j]`` is
-    :func:`repro.lint.diversity.similarity` of sources ``i`` and ``j``.
+    :func:`repro.lint.diversity.similarity` of sources ``i`` and ``j``,
+    from shingle sets built once per source.
     """
-    n = len(sources)
+    sets = [shingles(normalize_tokens(source)) for source in sources]
+    n = len(sets)
     matrix = [[1.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            score = similarity(sources[i], sources[j])
-            matrix[i][j] = matrix[j][i] = score
+            matrix[i][j] = matrix[j][i] = jaccard(sets[i], sets[j])
     return matrix
 
 
@@ -100,22 +124,30 @@ class NearCloneRule(Rule):
         self.threshold = threshold
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        functions = []
+        candidates = []
         for qualname, node, segment in module_functions(module):
             tokens = normalize_tokens(segment)
-            if len(tokens) < MIN_TOKENS:
-                continue
-            functions.append((qualname, node, shingles(tokens),
-                              ast_fingerprint(segment)))
+            if len(tokens) >= MIN_TOKENS:
+                candidates.append((qualname, node, segment,
+                                   shingles(tokens)))
+        if len(candidates) < 2:
+            return
+        # Only functions of one shape can share a fingerprint (see
+        # _shape); the rest keep None, which equals no fingerprint.
+        shapes = [_shape(node) for _, node, _, _ in candidates]
+        counts = Counter(shapes)
+        functions = [
+            (qualname, node, sh,
+             ast_fingerprint(segment) if counts[shape] > 1 else None)
+            for (qualname, node, segment, sh), shape
+            in zip(candidates, shapes)]
 
         for i, (name_a, node_a, sh_a, fp_a) in enumerate(functions):
             for name_b, node_b, sh_b, fp_b in functions[i + 1:]:
                 if fp_a is not None and fp_a == fp_b:
                     score = 1.0
                 else:
-                    shared = len(sh_a & sh_b)
-                    union = len(sh_a) + len(sh_b) - shared
-                    score = (shared / union) if union else 1.0
+                    score = jaccard(sh_a, sh_b)
                 if score >= self.threshold:
                     yield self.finding(
                         module, node_b,

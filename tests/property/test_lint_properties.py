@@ -6,6 +6,7 @@ the linter is catching ``PYTHONHASHSEED`` dependence — itself stable
 across hash seeds.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from repro.lint import (
     pairwise_similarity,
     similarity,
 )
+from repro.lint.rules_diversity import _shape
 
 #: Statement templates over two identifier slots and one constant slot.
 _TEMPLATES = (
@@ -84,11 +86,14 @@ def test_identical_sources_score_one(steps):
 @given(steps_strategy)
 @settings(max_examples=60, deadline=None)
 def test_renaming_does_not_create_diversity(steps):
-    """A rename-only "independent version" is not diverse at all."""
+    """A rename-only "independent version" is not diverse at all, and
+    shares the shape DIV001 fingerprints by."""
     original = render(steps, "left", "right")
     renamed = render(steps, "first", "second")
     assert similarity(original, renamed) == 1.0
     assert ast_fingerprint(original) == ast_fingerprint(renamed)
+    assert _shape(ast.parse(original).body[0]) == \
+        _shape(ast.parse(renamed).body[0])
 
 
 @given(st.lists(steps_strategy, min_size=1, max_size=4))

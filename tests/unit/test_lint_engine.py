@@ -1,6 +1,8 @@
 """Unit tests for the lint engine: discovery, suppression, reporting."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -10,11 +12,13 @@ from repro.lint import (
     Finding,
     LintEngine,
     at_least,
+    default_rules,
     discover_files,
     render_json,
     render_text,
     severity_rank,
 )
+from repro.lint.registry import ModuleSource, Rule
 
 HASHY = "def f(n):\n    return hash(n)\n"
 
@@ -76,6 +80,47 @@ class TestRun:
         assert [f.rule for f in report.findings] == ["E000"]
         assert report.findings[0].severity == "error"
         assert report.exit_code("error") == 1
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_only_a_deep_run_keeps_modules_past_their_rules(
+            self, tmp_path, monkeypatch, deep):
+        for name in ("a.py", "b.py", "c.py"):
+            (tmp_path / name).write_text(HASHY)
+        parsed, alive = [], []
+        parse = ModuleSource.parse.__func__
+
+        def tracked(cls, path, source):
+            module = parse(cls, path, source)
+            parsed.append(weakref.ref(module))
+            return module
+
+        class Probe(Rule):
+            """Counts the parsed modules alive once every local rule
+            has checked one (ids sort the rules)."""
+            id = "TST001"
+
+            def check(self, module):
+                alive.append(sum(ref() is not None for ref in parsed))
+                return ()
+
+        monkeypatch.setattr(ModuleSource, "parse", classmethod(tracked))
+        registry = default_rules()
+        registry.register(Probe())
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            report = LintEngine(registry, deep=deep).run([str(tmp_path)])
+            assert [ref() for ref in parsed] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
+        if deep:
+            assert alive == [1, 2, 3]
+            assert report.deep["modules"] == 3
+        else:
+            assert alive == [1, 1, 1]
+            assert report.deep is None
+        assert report.counts_by_rule() == {"DET003": 3}
 
     def test_exit_codes_respect_fail_on(self, tmp_path):
         (tmp_path / "w.py").write_text(HASHY)

@@ -1,10 +1,29 @@
 """Unit tests for the individual lint rule families."""
 
+import ast
+import os
 import textwrap
 
 import pytest
 
-from repro.lint import LintEngine
+from repro.lint import LintEngine, discover_sources, pairwise_similarity
+from repro.lint import rules_diversity
+from repro.lint.diversity import (
+    ast_fingerprint,
+    normalize_tokens,
+    shingles,
+    similarity,
+)
+from repro.lint.registry import ModuleSource
+from repro.lint.rules_diversity import (
+    MIN_TOKENS,
+    NearCloneRule,
+    _shape,
+    module_functions,
+)
+
+REPO = os.path.normpath(os.path.join(os.path.dirname(__file__),
+                                     os.pardir, os.pardir))
 
 
 def findings(source, select=None):
@@ -519,6 +538,94 @@ def {name}({arg}):
 """
 
 
+#: One function written twice: an ``elif`` chain against nested
+#: ``else: if``, redundant parentheses and one-line suites.  The
+#: normalized ASTs are equal; the token streams are far apart.
+ELIF_CHAIN = """
+def classify(value, limit):
+    \"\"\"Bucket a reading against its limit.\"\"\"
+    if value < 0:
+        label = "negative"
+    elif value == 0:
+        label = "zero"
+    elif value < limit:
+        label = "small"
+    else:
+        label = "large"
+    history.append((label, value))
+    return label, value * 2 + limit
+"""
+
+NESTED_ELSE = """
+def bucket(amount, bound):
+    \"\"\"Bucket a reading against its limit.\"\"\"
+    if (amount < 0): label = "negative"
+    else:
+        if (amount == 0): label = "zero"
+        else:
+            if amount < (bound): label = "small"
+            else: label = "large"
+    history.append(((label), amount))
+    return (label, (amount * 2) + bound)
+"""
+
+#: A small def nested in the functions below, decorated on one side.
+NESTED_DEF = """
+def outer(items, scale):
+    {decorator}def inner(item):
+        return item * scale + len(items)
+    ordered = sorted(items, key=inner)
+    for index, item in enumerate(ordered):
+        if item > scale:
+            ordered[index] = inner(item) - scale
+    return ordered, inner(scale)
+"""
+
+
+def near_clones(source, threshold=0.9):
+    """DIV001's own findings, before pragmas and baseline."""
+    module = ModuleSource.parse("<memory>", textwrap.dedent(source))
+    return list(NearCloneRule(threshold).check(module))
+
+
+def top_shape(source):
+    return _shape(ast.parse(textwrap.dedent(source)).body[0])
+
+
+def reference_check(rule, module):
+    """DIV001 with every candidate fingerprinted, shapes unused."""
+    functions = []
+    for qualname, node, segment in module_functions(module):
+        tokens = normalize_tokens(segment)
+        if len(tokens) < MIN_TOKENS:
+            continue
+        functions.append((qualname, node, shingles(tokens),
+                          ast_fingerprint(segment)))
+    for i, (name_a, node_a, sh_a, fp_a) in enumerate(functions):
+        for name_b, node_b, sh_b, fp_b in functions[i + 1:]:
+            if fp_a is not None and fp_a == fp_b:
+                score = 1.0
+            else:
+                shared = len(sh_a & sh_b)
+                union = len(sh_a) + len(sh_b) - shared
+                score = (shared / union) if union else 1.0
+            if score >= rule.threshold:
+                yield rule.finding(
+                    module, node_b,
+                    f"'{name_b}' is a near-clone of '{name_a}' "
+                    f"(similarity {score:.2f}, diversity "
+                    f"{1 - score:.2f}): correlated-fault risk — "
+                    f"diversify the implementation or merge the "
+                    f"duplicates")
+
+
+@pytest.fixture(scope="module")
+def repo_modules():
+    sources, _ = discover_sources([os.path.join(REPO, "src", "repro"),
+                                   os.path.join(REPO, "tests", "fixtures")])
+    return [ModuleSource.parse(path, source) for path, source in sources]
+
+
 class TestNearClones:
     def test_renamed_clone_pair_is_flagged_with_score(self):
         src = (BIG_BODY.format(name="checksum_a", arg="payload")
@@ -551,6 +658,90 @@ def get_b(self):
     return self.a
 """
         assert rule_ids(src, select=["DIV001"]) == []
+
+    def test_formatting_only_clones_score_one(self):
+        assert similarity(ELIF_CHAIN, NESTED_ELSE) < 0.9
+        result = near_clones(ELIF_CHAIN + NESTED_ELSE)
+        assert len(result) == 1
+        assert "'bucket' is a near-clone of 'classify' " \
+            "(similarity 1.00" in result[0].message
+
+    def test_a_decorator_on_one_side_only(self):
+        # The def's own decorators are outside its segment, so neither
+        # the fingerprint nor the shape sees them.
+        decorated = NESTED_ELSE.replace(
+            "\ndef ", "\n@functools.lru_cache(maxsize=None)\ndef ")
+        result = near_clones(ELIF_CHAIN + decorated)
+        assert len(result) == 1
+        assert "(similarity 1.00" in result[0].message
+        # A nested def's decorators are inside it: both see them.
+        plain = NESTED_DEF.format(decorator="")
+        nested = NESTED_DEF.format(decorator="@staticmethod\n    ")
+        assert top_shape(plain) != top_shape(nested)
+        assert ast_fingerprint(plain) != ast_fingerprint(nested)
+        result = near_clones(plain + nested.replace("outer", "other"),
+                             threshold=0.5)
+        assert len(result) == 1
+        score = similarity(plain, nested)
+        assert score < 1.0
+        assert f"(similarity {score:.2f}" in result[0].message
+
+    def test_same_shape_with_another_attribute_is_scored_by_jaccard(
+            self):
+        extend = NESTED_ELSE.replace(".append", ".extend")
+        assert top_shape(ELIF_CHAIN) == top_shape(extend)
+        assert ast_fingerprint(ELIF_CHAIN) != ast_fingerprint(extend)
+        assert near_clones(ELIF_CHAIN + extend) == []
+        score = similarity(ELIF_CHAIN, extend)
+        [result] = near_clones(ELIF_CHAIN + extend, threshold=score)
+        assert f"(similarity {score:.2f}" in result.message
+        assert score < 0.9
+
+    def test_only_functions_sharing_a_shape_are_fingerprinted(
+            self, monkeypatch):
+        calls = []
+
+        def counted(segment):
+            calls.append(segment)
+            return ast_fingerprint(segment)
+
+        monkeypatch.setattr(rules_diversity, "ast_fingerprint", counted)
+        distinct = (BIG_BODY.format(name="checksum", arg="payload")
+                    + ELIF_CHAIN + NESTED_DEF.format(decorator=""))
+        assert near_clones(distinct) == []
+        assert calls == []
+        assert len(near_clones(distinct + NESTED_ELSE)) == 1
+        assert len(calls) == 2
+        assert calls[0].startswith("def classify(")
+        assert calls[1].startswith("def bucket(")
+
+    @pytest.mark.parametrize("threshold", [0.9, 0.5])
+    def test_matches_fingerprinting_every_function(self, repo_modules,
+                                                   threshold):
+        rule = NearCloneRule(threshold)
+        for module in repo_modules:
+            assert list(rule.check(module)) == \
+                list(reference_check(rule, module)), module.path
+
+
+class TestPairwiseSimilarity:
+    def test_each_source_is_tokenized_once(self, monkeypatch):
+        sources = [ELIF_CHAIN, NESTED_ELSE,
+                   NESTED_DEF.format(decorator=""),
+                   BIG_BODY.format(name="checksum", arg="payload")]
+        calls = []
+
+        def counted(source):
+            calls.append(source)
+            return normalize_tokens(source)
+
+        monkeypatch.setattr(rules_diversity, "normalize_tokens", counted)
+        matrix = pairwise_similarity(sources)
+        assert calls == sources
+        for i, source_a in enumerate(sources):
+            for j, source_b in enumerate(sources):
+                expected = 1.0 if i == j else similarity(source_a, source_b)
+                assert matrix[i][j] == expected
 
 
 class TestPragmas:
