@@ -333,11 +333,10 @@ def _live_frames(args, campaign, sharded, run):
 
     The matrix runs on a worker thread with the campaign's stream
     attached; the main thread prints a frame every ``--interval``
-    seconds from the stream's *live view* (deltas folded in arrival
-    order).  The caller emits the final frame, whose embedded report
-    comes from the *canonical* session (each chunk's deltas folded in
-    submission order when it is gathered — byte-identical to a
-    non-streaming run).
+    seconds from the stream's *live view*, which the pool offers each
+    chunk's deltas as the session folds them (a one-worker run's chunk
+    offers one per cell as it runs).  The caller emits the final frame,
+    whose embedded report comes from the session.
     """
     import dataclasses
     import threading
@@ -348,19 +347,19 @@ def _live_frames(args, campaign, sharded, run):
     from repro.runtime.pool import pool_stats
 
     interval = max(0.05, args.interval)
-    collector = campaign.stream.collector
-    live_view = collector.live
+    stream = campaign.stream
+    live_view = stream.live
     dash = LiveDashboard(
         observe.SliMonitor(live_view.bus, window=args.window,
                            wall_clock=time.perf_counter),
-        collector=collector, wall_clock=time.perf_counter,
+        stream=stream, wall_clock=time.perf_counter,
         cells_total=len(campaign.protectors) * len(campaign.faults),
         counts=lambda: dict(live_view.bus.counts), pool_info=pool_stats,
         shards=(None if sharded is None
                 else lambda: dataclasses.asdict(sharded.stats)))
 
     def _snap():
-        with collector.locked():
+        with stream.locked():
             return dash.frame()
 
     box: dict = {}
@@ -437,8 +436,7 @@ def _run_campaign(args) -> int:
         from repro.observe.stream import TelemetryStream
 
         # Frames read events only, as the report does.
-        stream = TelemetryStream(every=args.every,
-                                 live=observe.Telemetry(events_only=True))
+        stream = TelemetryStream(live=observe.Telemetry(events_only=True))
     campaign, store = _build_campaign(args, stream=stream)
     sharded = _make_sharded(campaign, args)
     run = campaign.run if sharded is None else sharded.run
@@ -832,9 +830,6 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             "--frames", type=int, default=0, metavar="N",
             help="emit at least N frames (a floor, not a cap — lets CI "
                  "assert a frame count without racing the campaign)")
-        sub_parser.add_argument(
-            "--every", type=int, default=1, metavar="K",
-            help="items a worker executes between delta emissions")
         sub_parser.add_argument(
             "--window", type=int, default=256,
             help="SLI sliding-window size, in samples")

@@ -193,8 +193,8 @@ class FaultCampaign:
             normally, strict :class:`~repro.exceptions.
             CertificationError` when ``batch=`` / ``store=`` is set.
         stream: Optional :class:`~repro.observe.stream.TelemetryStream`
-            handed to the pool so captured cells stream telemetry
-            deltas home while the matrix runs (the ``repro campaign
+            handed to the pool, which offers it each cell chunk's
+            telemetry deltas as they are folded (the ``repro campaign
             --live`` dashboard).  Consulted parent-side only — workers
             get a copy without it, like ``store``/``certify``.
 
@@ -257,11 +257,11 @@ class FaultCampaign:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The store is consulted (and written) parent-side only, the
-        # certificate is enforced before fan-out, and the stream's
-        # transport is handed to workers by the pool itself; pool
-        # workers get a copy without any of them so fan-out never
-        # depends on them being picklable.  Keys are derived
-        # parent-side too, so the source memo stays home.
+        # certificate is enforced before fan-out, and the stream is
+        # offered deltas where they are folded; pool workers get a
+        # copy without any of them so fan-out never depends on them
+        # being picklable.  Keys are derived parent-side too, so the
+        # source memo stays home.
         state = dict(self.__dict__)
         state["store"] = None
         state["certify"] = None

@@ -87,12 +87,6 @@ class Experiment:
             touches the RNG, the clock, or the trial itself, so a
             certified run is byte-identical to the same run without
             ``certify=``.
-        stream: Optional :class:`~repro.observe.stream.TelemetryStream`
-            handed to the pool: with an outer session installed,
-            captured chunks stream incremental telemetry deltas home
-            while trials run (the ``repro top`` live view) instead of
-            one snapshot per chunk at the end.  The folded session is
-            byte-identical either way.
 
     After a :meth:`run` that executes trials, :attr:`pool_stats` holds
     the last map call's :class:`~repro.runtime.pmap.PoolStats` and
@@ -108,7 +102,6 @@ class Experiment:
     batch: Optional[int] = None
     store: Optional["ResultStore"] = None
     certify: Optional[Any] = None
-    stream: Optional[Any] = None
 
     def __post_init__(self) -> None:
         self.pool_stats: Optional[Any] = None
@@ -215,7 +208,7 @@ class Experiment:
         from repro.runtime.pmap import ParallelMap
 
         runner = functools.partial(_run_trial, self.trial, self.instrument)
-        pool = ParallelMap(workers=self.workers, stream=self.stream)
+        pool = ParallelMap(workers=self.workers)
         try:
             return pool.map(runner, seeds, chunk_size=chunk_size)
         finally:
@@ -244,12 +237,11 @@ def run_trials(trial: Callable[[int], Dict[str, float]],
                seeds: Sequence[int], workers: int = 1,
                batch: Optional[int] = None,
                store: Optional["ResultStore"] = None,
-               certify: Optional[Any] = None,
-               stream: Optional[Any] = None) -> List[TrialResult]:
+               certify: Optional[Any] = None) -> List[TrialResult]:
     """Run ``trial`` over seeds (functional form of :class:`Experiment`)."""
     return Experiment(name="trials", trial=trial, seeds=tuple(seeds),
                       workers=workers, batch=batch,
-                      store=store, certify=certify, stream=stream).run()
+                      store=store, certify=certify).run()
 
 
 def summarize(results: Sequence[Union[TrialResult, BatchResult]]

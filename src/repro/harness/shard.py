@@ -356,7 +356,7 @@ class ShardedCampaign:
             return
         stream = self.campaign.stream
         if stream is not None:
-            stream.collector.offer(
+            stream.offer(
                 make_delta(("shard", index), 0, snapshot, final=True))
         telemetry.merge(snapshot)
         self.stats.deltas_folded += 1

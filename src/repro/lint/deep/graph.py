@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import os
+import warnings
 from typing import Dict, Iterable, List, Sequence, Set
 
 from repro.lint.hazards import module_name_for, resolve_import_from
@@ -77,7 +78,8 @@ def import_closure(path: str, limit: int = 512) -> List[str]:
     import root and follow the ones that exist on disk, breadth-first
     and alphabetically, up to ``limit`` files.  This is how ``repro
     certify`` scopes its analysis: the target module plus everything it
-    can reach, nothing else.
+    can reach, nothing else.  Each file is parsed with its warnings
+    ignored: the analysis parses it again and reports them there.
     """
     first = os.path.abspath(path)
     _, root = module_name_for(first)
@@ -88,7 +90,9 @@ def import_closure(path: str, limit: int = 512) -> List[str]:
         name, _ = module_name_for(current)
         package = name.rpartition(".")[0]
         try:
-            with open(current, "r", encoding="utf-8") as handle:
+            with open(current, "r", encoding="utf-8") as handle, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
                 tree = ast.parse(handle.read(), filename=current)
         except (OSError, SyntaxError, ValueError):
             continue

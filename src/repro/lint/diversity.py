@@ -25,6 +25,7 @@ import io
 import textwrap
 import token as token_module
 import tokenize
+import warnings
 from typing import FrozenSet, List, Optional, Tuple
 
 #: Shingle width for :func:`similarity`; 4 tokens balances sensitivity
@@ -172,12 +173,17 @@ def ast_fingerprint(source: str) -> Optional[str]:
     """A hash of the normalized AST, or ``None`` when unparsable.
 
     Two sources share a fingerprint iff they are the same program up to
-    renaming and literal values — the strongest clone signal.
+    renaming and literal values — the strongest clone signal.  The
+    parse keeps its warnings (an invalid escape sequence's) to itself:
+    DIV001 fingerprints segments of a module whose own parse has
+    already reported them under the module's path.
     """
     import hashlib
 
     try:
-        tree = ast.parse(textwrap.dedent(source))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            tree = ast.parse(textwrap.dedent(source))
     except (SyntaxError, IndentationError, ValueError):
         return None
     normalized = ast.dump(_Normalizer().visit(tree))

@@ -22,9 +22,9 @@ per-technique health, the body of ``repro report``) and
 text, JSONL event logs).  All four pieces snapshot into picklable
 documents and merge deterministically, which is how the parallel
 runtime ships worker telemetry back to the parent session; an attached
-:class:`~repro.observe.stream.TelemetryStream` also taps it out
-incrementally for the ``repro top`` live dashboard.  Every process also
-keeps an always-on bounded flight recorder
+:class:`~repro.observe.stream.TelemetryStream` is offered each snapshot
+as the session folds it, which feeds the ``repro top`` live dashboard.
+Every process also keeps an always-on bounded flight recorder
 (:mod:`~repro.observe.flightrec`) whose window is dumped on chunk
 timeouts, serial retries and trial failures.
 
@@ -50,7 +50,6 @@ from repro.observe.metrics import (
 from repro.observe.sli import SliMonitor, parse_report
 from repro.observe.stream import (
     LiveDashboard,
-    StreamCollector,
     TelemetryStream,
 )
 from repro.observe.telemetry import (
@@ -77,7 +76,6 @@ __all__ = [
     "MetricsRegistry",
     "SliMonitor",
     "Span",
-    "StreamCollector",
     "Subscription",
     "Telemetry",
     "TelemetryStream",

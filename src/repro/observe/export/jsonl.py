@@ -13,8 +13,11 @@ counts in the metrics dump stay exact regardless.
 :class:`ValueError` on any schema violation, matching the rigor of the
 Chrome exporter's :func:`~repro.observe.export.chrome.
 validate_chrome_trace`.  The flight recorder
-(:mod:`repro.observe.flightrec`) reuses :func:`event_record` and the
-same header convention for its crash dumps.
+(:mod:`repro.observe.flightrec`) gives its crash dumps the same header
+convention and renders their record lines with the same
+``_render_line``; the records themselves come from
+:meth:`~repro.observe.flightrec.FlightRecorder.window`, not from
+:func:`event_record`.
 """
 
 from __future__ import annotations

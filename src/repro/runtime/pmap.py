@@ -45,22 +45,21 @@ out still captures the remaining chunks.  The same read takes the
 session's ``events_only`` flag, and the chunk's capture keeps what the
 parent keeps.
 
-**Delta streaming.**  Pass a :class:`~repro.observe.stream.
-TelemetryStream` as ``stream=`` and captured chunks also tap their
-telemetry out *incrementally*: a ``repro-delta/v1`` document every
-``stream.every`` items, each put into the stream's sink as it is made,
-which an optional live view folds in arrival order for the ``repro
-top`` dashboard.  One chunk runner serves both: a captured chunk is a
-streamed chunk with no sink and no interim deltas.  Either way every
-chunk hands all its deltas back with its results, and the parent folds
-them in emission order, which is byte-identical to the merge-at-end
-protocol.  A chunk that times out or fails hands nothing back, so only
-its serial rerun, which writes straight into the session, is counted.
-After the rerun, finished or failed, the process flight recorder's
-window (:mod:`repro.observe.flightrec`) is dumped into
-:attr:`ParallelMap.flight_records`; a chunk's records reach the
-parent's ring only through the fold, so the window holds the rerun's
-records.
+**Delta streaming.**  A captured chunk hands its snapshots back as
+``repro-delta/v1`` documents, and the parent folds them in emission
+order.  Pass a :class:`~repro.observe.stream.TelemetryStream` as
+``stream=`` and the fold also offers each delta to the stream, in the
+same submission order, for the ``repro top`` live view.  A worker chunk
+is captured exactly as without a stream, one delta for the whole
+chunk; a chunk run in this process (the serial backend) offers a delta
+after each item as it runs, so a one-worker live view moves item by
+item.  A chunk that times out or fails hands nothing back, so only its
+serial rerun, which writes straight into the session, is counted, and
+the stream sees neither.  After the rerun, finished or failed, the
+process flight recorder's window (:mod:`repro.observe.flightrec`) is
+dumped into :attr:`ParallelMap.flight_records`; a chunk's records
+reach the parent's ring only through the fold, so the window holds the
+rerun's records.
 """
 
 from __future__ import annotations
@@ -105,10 +104,11 @@ class PoolStats:
     dropped_snapshots: int = 0
     #: 1 when this call was served by an already-warm shared executor.
     pool_reuses: int = 0
-    #: Chunks that ran with delta streaming (a subset of
-    #: ``captured_chunks``).
+    #: Captured chunks whose deltas a stream was offered (all of
+    #: ``captured_chunks`` when the map has a stream).
     streamed_chunks: int = 0
-    #: Streamed chunks' deltas folded into the installed session.
+    #: Deltas folded into the installed session by a map with a
+    #: stream.
     deltas_merged: int = 0
     #: Flight-recorder dumps attached to this call (see
     #: :attr:`ParallelMap.flight_records`).
@@ -120,8 +120,8 @@ _COUNTED = ("tasks", "chunks", "serial_retries", "timeouts",
             "captured_chunks", "dropped_snapshots", "pool_reuses",
             "streamed_chunks", "deltas_merged", "flight_dumps")
 
-#: A chunk's capture: ``(events_only, put, origin, every)`` or None.
-_Capture = Optional[Tuple[bool, Any, Any, Optional[int]]]
+#: A chunk's capture: ``(events_only, origin, put)`` or None.
+_Capture = Optional[Tuple[bool, int, Optional[Callable[[Any], None]]]]
 
 
 def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
@@ -130,16 +130,17 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
 
     With no ``capture`` the items run in the caller's session.  With
     one they run in a fresh :func:`~repro.observe.capture` (keeping
-    events only when ``events_only`` is set) that makes a
-    ``repro-delta/v1`` document every ``every`` items and a final one
-    for the tail, each covering the telemetry since the previous one.
-    A streamed chunk also hands each delta to ``put`` as it is made
-    (the live view's tap).  Returns ``(results, deltas)``.
-    Module-level so the process backend can pickle it.
+    events only when ``events_only`` is set) that makes a final
+    ``repro-delta/v1`` document from ``origin`` when the chunk ends.
+    With a ``put`` (an in-process chunk of a map with a stream) the
+    chunk also makes a delta after each item and hands every delta to
+    ``put`` as it is made; each delta covers the telemetry since the
+    previous one.  Returns ``(results, deltas)``.  Module-level so the
+    process backend can pickle it.
     """
     if capture is None:
         return [fn(item) for item in chunk], []
-    events_only, put, origin, every = capture
+    events_only, origin, put = capture
     results: List[R] = []
     deltas: List[Any] = []
 
@@ -153,7 +154,7 @@ def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
     with _capture(events_only=events_only) as telemetry:
         for item in chunk:
             results.append(fn(item))
-            if every and len(results) % every == 0:
+            if put is not None:
                 emit(False)
         emit(True)
     return results, deltas
@@ -181,11 +182,11 @@ class ParallelMap:
         timeout: Per-chunk deadline in (real) seconds; an overdue chunk
             is re-run serially in the parent.  ``None`` waits forever.
         stream: Optional :class:`~repro.observe.stream.TelemetryStream`.
-            When set and telemetry is enabled, captured chunks put
-            incremental ``repro-delta/v1`` snapshots into the stream
-            while they run (live dashboards fold them in arrival
-            order).  The session folds the deltas each chunk hands
-            back, as it does without a stream.
+            When set and telemetry is enabled, the stream is offered
+            every ``repro-delta/v1`` document the session folds, in
+            the same order, and an in-process chunk's as it makes them
+            (see the module docstring).  The session folds exactly
+            what it folds without a stream.
     """
 
     def __init__(self, workers: Optional[int] = None,
@@ -254,9 +255,9 @@ class ParallelMap:
         so a streaming consumer (the sharded campaign engine, which
         submits one shard per chunk and checkpoints each as it lands)
         keeps peak memory O(chunk), not O(items).  Closing the
-        generator early deactivates the stream and releases the
-        executor; with a warm shared pool, chunks already submitted may
-        still complete in the background.
+        generator early releases the executor; with a warm shared
+        pool, chunks already submitted may still complete in the
+        background.
 
         The serial backend runs the whole task list as its single
         chunk, exactly as :meth:`map` does — callers that need
@@ -282,14 +283,7 @@ class ParallelMap:
         if warm.warm:
             self.stats.pool_reuses = 1
         pool = warm.acquire()
-        stream = self.stream
-        epoch: Optional[int] = None
-        put: Any = None
         try:
-            if stream is not None:
-                # Activation is per map call (an epoch); origins are
-                # (epoch, chunk_index).
-                epoch, put = stream.activate(backend)
             pending: collections.deque = collections.deque()
             submitted = 0
             while submitted < len(chunks) or pending:
@@ -299,7 +293,7 @@ class ParallelMap:
                     # session installed mid-campaign captures (and
                     # streams) whatever chunks are submitted from then
                     # on, keeping what that session keeps.
-                    capture = self._capture(put, (epoch, submitted))
+                    capture = self._capture(submitted)
                     try:
                         future = pool.submit(_run_chunk, fn,
                                              chunks[submitted], capture)
@@ -337,8 +331,6 @@ class ParallelMap:
                 yield chunk_results
             self._report()
         finally:
-            if put is not None:
-                stream.deactivate()
             if warm.broken():
                 # A warm pool that lost a worker must not be reused;
                 # drop it so the next call respawns cleanly.
@@ -346,45 +338,45 @@ class ParallelMap:
 
     # -- capture and fold --------------------------------------------------
 
-    def _capture(self, put: Any, origin: Any) -> _Capture:
+    def _capture(self, origin: int,
+                 put: Optional[Callable[[Any], None]] = None) -> _Capture:
         """Count and return a chunk's capture, read from the installed
-        session at submission: streamed into ``put`` when there is a
-        stream, captured when there is none, ``None`` with no
-        session."""
+        session at submission (``None`` with no session)."""
         tel = _telemetry()
         if not tel.enabled:
             return None
         self.stats.captured_chunks += 1
-        if put is None:
-            return tel.events_only, None, None, None
-        self.stats.streamed_chunks += 1
-        return tel.events_only, put, origin, self.stream.every
+        if self.stream is not None:
+            self.stats.streamed_chunks += 1
+        return tel.events_only, origin, put
 
     def _run_serial(self, fn: Callable[[T], R],
                     tasks: Sequence[T]) -> List[R]:
         """The serial backend: the whole task list as one chunk, run in
-        the parent's session, or streamed when there is a stream and a
-        session (live views update without a pool)."""
+        the parent's session, or captured with a delta per item when
+        there is a stream and a session (live views update without a
+        pool)."""
         if self.stream is None or not _telemetry().enabled:
             return _run_chunk(fn, tasks)[0]
-        epoch, put = self.stream.activate("serial")
-        try:
-            capture = self._capture(put, (epoch, 0))
-            results, deltas = _run_chunk(fn, tasks, capture)
-            self._fold(capture, deltas)
-        finally:
-            self.stream.deactivate()
+        capture = self._capture(0, self.stream.offer)
+        results, deltas = _run_chunk(fn, tasks, capture)
+        self._fold(capture, deltas)
         return results
 
     def _fold(self, capture: _Capture, deltas: List[Any]) -> None:
         """Merge the deltas one finished chunk handed back into the
-        installed session, in emission order."""
+        installed session, in emission order, offering each to the
+        stream unless the chunk offered it as it was made."""
         tel = _telemetry()
         if capture is None or not tel.enabled:
             return
+        stream = self.stream
+        _, _, put = capture
         for delta in deltas:
+            if stream is not None and put is None:
+                stream.offer(delta)
             tel.merge(delta["snapshot"])
-        if capture[1] is not None:
+        if stream is not None:
             self.stats.deltas_merged += len(deltas)
 
     def _retry_serial(self, fn: Callable[[T], R], chunk: Sequence[T],

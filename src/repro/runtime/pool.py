@@ -178,12 +178,7 @@ def retire_pool(pool: WorkerPool, wait: bool = False) -> None:
 
 
 def shutdown_pools(wait: bool = True) -> int:
-    """Shut every registry pool down; returns how many were warm.
-
-    Also tears down the shared telemetry-stream manager (the helper
-    process backing delta queues on the process backend), so one call
-    releases every long-lived runtime resource.
-    """
+    """Shut every registry pool down; returns how many were warm."""
     with _registry_lock:
         _guard_fork()
         pools = list(_registry.values())
@@ -192,8 +187,6 @@ def shutdown_pools(wait: bool = True) -> int:
     for pool in pools:
         warm += pool.warm
         pool.shutdown(wait=wait)
-    from repro.observe.stream import shutdown_stream_manager
-    shutdown_stream_manager()
     return warm
 
 

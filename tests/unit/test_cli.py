@@ -45,7 +45,7 @@ class TestOneCommandParser:
          "--max-shards", "4", "--gate", "--gate-baseline", "b.json",
          "--gate-bench", "h.json", "--gate-tolerance", "0.1"],
         ["campaign", "--live", "--interval", "0.2", "--frames", "2",
-         "--every", "3", "--window", "16", "--flight-out", "f.jsonl"],
+         "--window", "16", "--flight-out", "f.jsonl"],
         ["top"], ["top", "--workers", "3", "--format", "json"],
         ["bench", "--quick", "--workers", "2", "--only", "h4",
          "--only", "c1", "--incremental", "--json", "b.json"],

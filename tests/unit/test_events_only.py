@@ -149,7 +149,7 @@ class TestWorkersInherit:
     @pytest.mark.parametrize("events_only", [False, True])
     def test_chunks_keep_what_the_parent_keeps(self, backend, workers,
                                                streamed, events_only):
-        stream = TelemetryStream(every=2) if streamed else None
+        stream = TelemetryStream() if streamed else None
         with observe.session(events_only=events_only) as tel:
             pool = ParallelMap(workers=workers, stream=stream)
             modes = pool.map(probe, range(8), chunk_size=3)

@@ -342,3 +342,76 @@ class TestFingerprint:
         line = "    return hash(n)"
         assert a.fingerprint(line) == b.fingerprint(line)
         assert a.fingerprint(line) != a.fingerprint("other text")
+
+
+#: Two same-shape functions whose regex literals hold an invalid escape
+#: sequence, which the parser warns about (``SyntaxWarning`` on 3.12+,
+#: ``DeprecationWarning`` before), on lines 7 and 18.
+ESCAPED = '''import re
+
+
+def parse_alpha(text, limit):
+    total = 0
+    for line in text.splitlines():
+        match = re.search("\\(\\d+\\)", line)
+        if match and total < limit:
+            total += int(match.group(0)[1:-1])
+        else:
+            total -= 1
+    return total
+
+
+def parse_beta(words, bound):
+    count = 0
+    for item in words.splitlines():
+        found = re.search("\\(\\d+\\)", item)
+        if found and count < bound:
+            count += int(found.group(0)[1:-1])
+        else:
+            count -= 1
+    return count
+'''
+
+
+class TestParseWarnings:
+    """A linted module's own parse warnings are reported once each,
+    under its path: DIV001's fingerprint re-parse and ``certify``'s
+    import closure keep theirs to themselves."""
+
+    @staticmethod
+    def _run(argv, capsys, action):
+        import warnings
+
+        from repro.cli import main
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main(argv)
+        escapes = sorted((w.filename, w.lineno) for w in caught
+                         if "invalid escape sequence" in str(w.message))
+        return code, capsys.readouterr().out, escapes
+
+    @pytest.mark.parametrize("command", [
+        ["lint", "--select", "DIV001", "--format", "json"], ["certify"]],
+        ids=["lint", "certify"])
+    def test_each_warning_once_under_the_module_path(self, tmp_path,
+                                                     capsys, command):
+        path = tmp_path / "mod.py"
+        path.write_text(ESCAPED)
+        argv = [command[0], str(path), *command[1:]]
+        code, out, escapes = self._run(argv, capsys, "always")
+        assert escapes == [(str(path), 7), (str(path), 18)]
+        # Findings, exit code and certificate are what a run that
+        # ignores every warning reports.
+        quiet_code, quiet_out, _ = self._run(argv, capsys, "ignore")
+        assert code == quiet_code == 0
+        if command[0] == "lint":
+            findings = json.loads(out)["findings"]
+            assert findings == json.loads(quiet_out)["findings"]
+            assert [(f["rule"], f["line"]) for f in findings] == \
+                [("DIV001", 15)]
+        else:
+            assert out == quiet_out
+            assert out.splitlines() == [
+                f"mod:{name}: deterministic=yes, picklable=yes, pure=yes"
+                for name in ("parse_alpha", "parse_beta")]

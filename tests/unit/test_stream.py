@@ -1,14 +1,17 @@
-"""Delta-snapshot streaming: schemas, the collector, and byte-identity.
+"""Delta-snapshot streaming: schemas, the stream, and byte-identity.
 
 The contract under test (see docs/OBSERVABILITY.md): a streamed map
 call's canonical session — the ``repro-delta/v1`` documents each chunk
 hands back, folded in emission order — is byte-identical to the plain
 captured run, serial or on processes, and a chunk that fails in its worker
-adds nothing to it.  Workload costs are dyadic and every trial binds
-the session to its environment's virtual clock, the same discipline as
-``test_parallel_telemetry``.
+adds nothing to it.  The stream is offered the deltas the session
+folds, in the same order, so its live view holds the session's
+history; it starts no process of its own.  Workload costs are dyadic
+and every trial binds the session to its environment's virtual clock,
+the same discipline as ``test_parallel_telemetry``.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -16,10 +19,11 @@ import pytest
 from repro import observe
 from repro.environment import SimEnvironment
 from repro.observe.stream import (DELTA_SCHEMA, FRAME_SCHEMA,
-                                  LiveDashboard, StreamCollector,
-                                  TelemetryStream, make_delta,
-                                  validate_delta, validate_frame)
+                                  LiveDashboard, TelemetryStream,
+                                  make_delta, validate_delta,
+                                  validate_frame)
 from repro.runtime.pmap import ParallelMap
+from repro.runtime.pool import get_pool, shutdown_pools
 
 #: Pool self-metrics are backend- and transport-dependent by design;
 #: the byte-identity contract covers the workload series only.
@@ -54,12 +58,9 @@ def flaky_trial(seed):
     return stream_trial(seed)
 
 
-def event_trial(seed):
-    """An experiment trial that publishes one event."""
-    tel = observe.current()
-    if tel.enabled:
-        tel.publish("trial.done", seed=seed)
-    return {"value": float(seed)}
+def _history(tel):
+    """A session's event history, row for row."""
+    return [(e.topic, e.time, e.seq, e.payload) for e in tel.bus.history]
 
 
 def _fingerprint(tel):
@@ -67,7 +68,7 @@ def _fingerprint(tel):
     return (
         tel.metrics.render_prometheus(exclude=EXCLUDE),
         [span.to_dict() for span in tel.tracer.spans],
-        [(e.topic, e.time, e.seq, e.payload) for e in tel.bus.history],
+        _history(tel),
     )
 
 
@@ -119,29 +120,31 @@ class TestDeltaSchema:
             validate_delta(bad)
 
 
-# -- the collector -----------------------------------------------------
+# -- the stream as a collector -----------------------------------------
 
 
 class TestStreamCollector:
+    """What a stream does with a delta: validate, count, fold live."""
+
     def test_invalid_deltas_are_counted_not_raised(self):
-        collector = StreamCollector()
-        collector.offer({"schema": "garbage"})
-        assert collector.stats() == {"received": 0, "folded_live": 0,
-                                     "invalid": 1}
+        stream = TelemetryStream()
+        stream.offer({"schema": "garbage"})
+        assert stream.stats() == {"received": 0, "folded_live": 0,
+                                  "invalid": 1}
 
     def test_live_view_folds_in_arrival_order(self):
         live = observe.Telemetry()
-        collector = StreamCollector(live=live)
-        # Arrival order != emission order: the live view keeps arrival.
-        collector.offer(make_delta((1, 0), 1,
-                                   _snapshot("live_total", topic="second"),
-                                   final=True))
-        collector.offer(make_delta((1, 0), 0,
-                                   _snapshot("live_total", topic="first")))
+        stream = TelemetryStream(live=live)
+        # The live view folds deltas in the order they are offered.
+        stream.offer(make_delta(0, 1,
+                                _snapshot("live_total", topic="second"),
+                                final=True))
+        stream.offer(make_delta(0, 0,
+                                _snapshot("live_total", topic="first")))
         assert live.metrics.value("live_total") == 2
         assert [event.topic for event in live.bus.history] == \
             ["second", "first"]
-        assert collector.stats()["folded_live"] == 2
+        assert stream.stats()["folded_live"] == 2
 
 
 # -- streamed byte-identity --------------------------------------------
@@ -151,62 +154,55 @@ class TestStreamedByteIdentity:
     def test_streamed_folds_identical_across_backends(self):
         plain, _ = _run("serial")
         expected = _fingerprint(plain)
-        for backend in ("serial", "process"):
-            tel, pool = _run(backend, stream=TelemetryStream(every=2))
+        # A worker chunk ships one delta; the in-process chunk makes
+        # one per item plus the tail.
+        for backend, deltas in (("serial", 10), ("process", 3)):
+            tel, pool = _run(backend, stream=TelemetryStream())
             assert _fingerprint(tel) == expected, backend
             assert pool.stats.streamed_chunks == pool.stats.chunks
-            assert pool.stats.deltas_merged >= pool.stats.chunks
-            # The tap saw every delta the session folded.
-            assert pool.stream.collector.received == \
-                pool.stats.deltas_merged
+            assert pool.stats.deltas_merged == deltas, backend
+            # The stream was offered every delta the session folded.
+            assert pool.stream.received == pool.stats.deltas_merged
 
     def test_serial_streamed_path_counts_one_chunk(self):
-        stream = TelemetryStream(every=2)
+        stream = TelemetryStream()
         tel, pool = _run("serial", stream=stream)
         assert pool.stats.chunks == 1
         assert pool.stats.captured_chunks == 1
         assert pool.stats.streamed_chunks == 1
-        # 9 items at every=2 -> 4 interim deltas + the final tail one.
-        assert pool.stats.deltas_merged == 5
+        # 9 items -> 9 per-item deltas + the final tail one.
+        assert pool.stats.deltas_merged == 10
 
     def test_stream_is_reusable_across_map_calls(self):
-        stream = TelemetryStream(every=2)
+        stream = TelemetryStream()
         first, pool = _run("process", stream=stream)
         second, _ = _run("process", stream=stream)
         assert _fingerprint(first) == _fingerprint(second)
-        assert stream.collector.received == 2 * pool.stats.deltas_merged
-
-    def test_activate_twice_raises(self):
-        for backend in ("serial", "process"):
-            stream = TelemetryStream()
-            stream.activate(backend)
-            try:
-                with pytest.raises(RuntimeError, match="already active"):
-                    stream.activate(backend)
-            finally:
-                stream.deactivate()
-            stream.activate(backend)  # reusable once deactivated
-            stream.deactivate()
-
-    def test_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TelemetryStream(every=0)
+        assert stream.received == 2 * pool.stats.deltas_merged
 
     def test_live_view_sees_the_same_workload_totals(self):
         live = observe.Telemetry()
-        stream = TelemetryStream(every=2, live=live)
-        tel, _ = _run("process", stream=stream)
-        # Arrival order is nondeterministic, so histories may differ —
-        # but the folded totals are commutative and must agree.
+        tel, _ = _run("process", stream=TelemetryStream(live=live))
         assert live.metrics.value("stream_trials_total") == \
             tel.metrics.value("stream_trials_total")
         assert live.bus.counts == tel.bus.counts
 
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_live_view_holds_the_session_history(self, backend):
+        # Deltas reach the live view in the order the session folds
+        # them, so it records the same history, whichever worker
+        # finished first.
+        for _ in range(5):
+            live = observe.Telemetry()
+            tel, _ = _run(backend, stream=TelemetryStream(live=live))
+            assert len(_history(tel)) == 9
+            assert _history(live) == _history(tel)
+            assert _fingerprint(live) == _fingerprint(tel)
+
     def test_chunk_failing_in_its_worker_adds_nothing(self):
         plain, _ = _run("serial")
         live = observe.Telemetry()
-        pool = ParallelMap(workers=3,
-                           stream=TelemetryStream(every=1, live=live))
+        pool = ParallelMap(workers=3, stream=TelemetryStream(live=live))
         with observe.session() as tel:
             results = pool.map(flaky_trial, list(range(9)), chunk_size=3)
         assert results == [seed * 2 for seed in range(9)]
@@ -214,41 +210,31 @@ class TestStreamedByteIdentity:
         assert pool.stats.serial_retries == 1
         assert pool.stats.dropped_snapshots == 1
         assert _fingerprint(tel) == _fingerprint(plain)
-        # The live view kept the failed attempt's interim delta (seed
-        # 3's); the two good chunks sent 3 interim + 1 final each.
-        assert pool.stats.deltas_merged == 8
-        assert pool.stream.collector.received == 9
-        assert live.bus.counts["stream.tick"] == 7
+        # Only the two good chunks' deltas reach the live view: the
+        # failed attempt handed nothing back, and its rerun wrote
+        # straight into the session.
+        assert pool.stats.deltas_merged == 2
+        assert pool.stream.received == 2
+        assert live.bus.counts["stream.tick"] == 6
         assert tel.bus.counts["stream.tick"] == 9
 
     def test_disabled_session_streams_nothing(self):
-        pool = ParallelMap(workers=2, stream=TelemetryStream(every=2))
+        pool = ParallelMap(workers=2, stream=TelemetryStream())
         results = pool.map(stream_trial, list(range(6)), chunk_size=3)
         assert results == [seed * 2 for seed in range(6)]
         assert pool.stats.streamed_chunks == 0
         assert pool.stats.deltas_merged == 0
 
 
-class TestOneWorkerExperiment:
-    @pytest.mark.parametrize("batch,deltas", [(None, 5), (2, 5)])
-    def test_streams_into_the_live_view(self, batch, deltas):
-        # A one-worker experiment hands its map to the pool, batched or
-        # not, so its stream taps a delta per seed (a batch is a chunk
-        # of seeds) plus a final one, and folds what a plain run holds.
-        from repro.harness.experiment import Experiment
-
-        def run(stream):
-            with observe.session(events_only=True) as tel:
-                Experiment(name="live", trial=event_trial, seeds=range(4),
-                           workers=1, batch=batch, stream=stream).run()
-            return [(e.topic, e.time, e.seq, e.payload)
-                    for e in tel.bus.history]
-
-        stream = TelemetryStream(every=1)
-        streamed = run(stream)
-        assert stream.collector.stats()["received"] == deltas
-        assert streamed == run(None)
-        assert len(streamed) == 4
+class TestNoHelperProcess:
+    def test_streamed_map_leaves_only_the_pool_workers(self):
+        # A stream is fed in the process that folds the deltas, so a
+        # streamed map leaves no process alive but the pool's workers.
+        shutdown_pools()
+        _run("process", stream=TelemetryStream(live=observe.Telemetry()))
+        workers = set(get_pool(3)._executor._processes)
+        assert {child.pid for child in multiprocessing.active_children()} \
+            == workers
 
 
 class TestHashSeedStability:
@@ -262,7 +248,7 @@ class TestHashSeedStability:
             "sys.path.insert(0, {here!r});"
             "from test_stream import _run, _fingerprint, EXCLUDE;"
             "from repro.observe.stream import TelemetryStream;"
-            "tel, _ = _run('process', stream=TelemetryStream(every=2));"
+            "tel, _ = _run('process', stream=TelemetryStream());"
             "print(tel.metrics.render_prometheus(exclude=EXCLUDE))"
         ).format(src=str(pathlib.Path(__file__).resolve()
                          .parents[2] / "src"),
@@ -282,18 +268,18 @@ class TestHashSeedStability:
 
 
 class TestLiveDashboard:
-    def _dashboard(self, collector=None):
+    def _dashboard(self, stream=None):
         from repro.observe.sli import SliMonitor
 
         live = observe.Telemetry()
         monitor = SliMonitor(live.bus, window=16)
         live.bus.publish("unit.outcome", pattern="nvp", ok=True)
-        return LiveDashboard(monitor, collector=collector,
+        return LiveDashboard(monitor, stream=stream,
                              cells_total=4,
                              counts=lambda: dict(live.bus.counts))
 
     def test_frames_validate_and_number_sequentially(self):
-        dash = self._dashboard(collector=StreamCollector())
+        dash = self._dashboard(stream=TelemetryStream())
         first = dash.frame()
         second = dash.frame()
         validate_frame(first)
