@@ -20,11 +20,12 @@ without writing code:
   (availability, failure rate, recovery-latency percentiles, wall
   trials/sec), with optional Chrome-trace and OpenMetrics exports and
   pool fan-out;
-* ``top`` — the live campaign dashboard: run the injection matrix with
-  delta streaming and render a refreshing per-technique table while
-  cells execute (``--format json`` emits one ``repro-top-frame/v1``
-  document per refresh; the final frame embeds the canonical report,
-  byte-identical to a non-streaming ``campaign --format json`` run);
+* ``top`` — the live campaign dashboard: run the injection matrix and
+  render a refreshing per-technique table, read from the run's own
+  telemetry session, as cells finish (``--format json`` emits one
+  ``repro-top-frame/v2`` document per refresh; the final frame embeds
+  the canonical report, byte-identical to a plain ``campaign --format
+  json`` run);
 * ``bench`` — run the benchmark suite through the deterministic
   parallel runtime (warm worker pool, prewarmed before timing), check
   for results drift, and write ``BENCH_harness.json`` timings;
@@ -101,8 +102,9 @@ EXPERIMENT_INDEX = (
      "re-runs incremental", "bench_h2_pool_reuse.py"),
     ("H4", "harness: batched trials are byte-identical and pay the "
      "store's per-record tax per batch", "bench_h4_batch_kernel.py"),
-    ("H5", "harness: delta streaming folds byte-identically with "
-     "pinned overhead", "bench_h5_stream_overhead.py"),
+    ("H5", "harness: a live campaign reads its own session: plain "
+     "reports and records, pinned disabled path",
+     "bench_h5_stream_overhead.py"),
     ("H6", "harness: sharded campaigns checkpoint every shard and "
      "resume byte-identically", "bench_h6_shard_resume.py"),
 )
@@ -165,7 +167,7 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
-def _build_campaign(args, stream=None):
+def _build_campaign(args):
     """The demo injection matrix shared by ``campaign`` and ``top``.
 
     Returns ``(campaign, store)``.  The factories are module-level
@@ -192,7 +194,7 @@ def _build_campaign(args, stream=None):
         protectors=DEMO_PROTECTORS, faults=DEMO_FAULTS,
         requests=args.requests, seed=args.seed,
         workers=args.workers, batch=getattr(args, "batch", None),
-        store=store, stream=stream)
+        store=store)
     return campaign, store
 
 
@@ -249,9 +251,9 @@ def _campaign_report(cells, monitor, args) -> dict:
 
     Fully deterministic for a given campaign configuration: the cells
     are pure functions of their labels and the base seed, and the
-    monitor carries no wall clock, so a streaming run's final frame
-    embeds this byte-for-byte equal to a non-streaming run's output
-    (the CI observe-smoke job pins exactly that).  It reads no span and
+    monitor carries no wall clock, so a live run's final frame embeds
+    this byte-for-byte equal to a plain run's output (the CI
+    observe-smoke job pins exactly that).  It reads no span and
     no counter, which is why the sessions that feed it keep events
     only.
     """
@@ -281,11 +283,6 @@ def _render_frame_text(frame) -> str:
             + (f", {elapsed:.1f}s elapsed" if elapsed is not None else "")
             + (f", {tps:.1f} trials/sec" if tps is not None else ""))
     lines = [head]
-    stream = frame["stream"]
-    if stream is not None:
-        lines.append(f"stream: {stream['received']} deltas received, "
-                     f"{stream['folded_live']} folded live, "
-                     f"{stream['invalid']} invalid")
     pools = frame["pool"] or []
     for pool in pools:
         lines.append(f"pool: {pool['backend']}x{pool['workers']} "
@@ -328,18 +325,20 @@ def _emit_frame(frame, fmt: str) -> None:
         print()
 
 
-def _live_frames(args, campaign, sharded, run):
+def _live_frames(args, tel, campaign, sharded, run):
     """The ``--live`` dashboard around ``run()``: ``(cells, dashboard)``.
 
-    The matrix runs on a worker thread with the campaign's stream
-    attached; the main thread prints a frame every ``--interval``
-    seconds from the stream's *live view*, which the pool offers each
-    chunk's deltas as the session folds them (a one-worker run's chunk
-    offers one per cell as it runs).  The caller emits the final frame,
-    whose embedded report comes from the session.
+    The dashboard reads the session ``tel`` that the matrix runs in:
+    its SLI monitor subscribes to the session's bus beside the
+    report's, and one ``campaign.cell`` subscription counts cells and,
+    once ``--interval`` seconds have passed since the last frame,
+    prints the next one, on the thread that runs the matrix.  So a
+    frame is drawn when a cell finishes (a pooled chunk's cells finish
+    when the chunk is gathered), at most once per interval.  The first
+    frame is printed before the matrix starts; the caller prints the
+    final one, whose embedded report comes from the report's monitor.
     """
     import dataclasses
-    import threading
     import time
 
     from repro import observe
@@ -347,44 +346,32 @@ def _live_frames(args, campaign, sharded, run):
     from repro.runtime.pool import pool_stats
 
     interval = max(0.05, args.interval)
-    stream = campaign.stream
-    live_view = stream.live
     dash = LiveDashboard(
-        observe.SliMonitor(live_view.bus, window=args.window,
+        observe.SliMonitor(tel.bus, window=args.window,
                            wall_clock=time.perf_counter),
-        stream=stream, wall_clock=time.perf_counter,
+        wall_clock=time.perf_counter,
         cells_total=len(campaign.protectors) * len(campaign.faults),
-        counts=lambda: dict(live_view.bus.counts), pool_info=pool_stats,
+        pool_info=pool_stats,
         shards=(None if sharded is None
                 else lambda: dataclasses.asdict(sharded.stats)))
+    last = time.perf_counter()
 
-    def _snap():
-        with stream.locked():
-            return dash.frame()
+    def _cell(_event):
+        nonlocal last
+        dash.cells_done += 1
+        now = time.perf_counter()
+        if now - last >= interval:
+            last = now
+            _emit_frame(dash.frame(), args.format)
 
-    box: dict = {}
-
-    def _work():
-        try:
-            box["cells"] = run()
-        except BaseException as exc:  # re-raised after join
-            box["error"] = exc
-
-    worker = threading.Thread(target=_work, daemon=True,
-                              name="repro-campaign-live")
-    worker.start()
-    _emit_frame(_snap(), args.format)
-    while worker.is_alive():
-        worker.join(timeout=interval)
-        if worker.is_alive():
-            _emit_frame(_snap(), args.format)
-    if "error" in box:
-        raise box["error"]
+    _emit_frame(dash.frame(), args.format)
+    tel.bus.subscribe("campaign.cell", _cell)
+    cells = run()
     # Honour --frames as a floor (CI asserts a minimum count
     # without having to win a race against a fast campaign).
     while dash.frames < max(1, args.frames) - 1:
-        _emit_frame(_snap(), args.format)
-    return box["cells"], dash
+        _emit_frame(dash.frame(), args.format)
+    return cells, dash
 
 
 def _with_flight_out(args, command: str, run) -> int:
@@ -423,21 +410,15 @@ def _run_campaign(args) -> int:
     that reads telemetry (JSON, ``--shards``, ``--gate``, ``--live``
     and ``--flight-out``) runs the matrix in one events-only session:
     the report reads the cells and the SLI fold of events, and the
-    flight window holds the events.  Under ``--live`` a dashboard
-    streams while the matrix runs, and its final frame embeds the
-    report a plain JSON run prints.
+    flight window holds the events.  Under ``--live`` a dashboard reads
+    the same session while the matrix runs, and its final frame embeds
+    the report a plain JSON run prints.
     """
     import json
 
     from repro import observe
 
-    stream = None
-    if args.live:
-        from repro.observe.stream import TelemetryStream
-
-        # Frames read events only, as the report does.
-        stream = TelemetryStream(live=observe.Telemetry(events_only=True))
-    campaign, store = _build_campaign(args, stream=stream)
+    campaign, store = _build_campaign(args)
     sharded = _make_sharded(campaign, args)
     run = campaign.run if sharded is None else sharded.run
     gate = getattr(args, "gate", False)
@@ -450,7 +431,8 @@ def _run_campaign(args) -> int:
         with observe.session(events_only=True) as tel:
             monitor = observe.SliMonitor(tel.bus, window=args.window)
             if args.live:
-                cells, dash = _live_frames(args, campaign, sharded, run)
+                cells, dash = _live_frames(args, tel, campaign, sharded,
+                                           run)
             else:
                 cells = run()
         if sharded is not None:
@@ -761,6 +743,20 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """The ``type=`` of a count option: an integer of at least 1, so an
+    out-of-range value is a usage error (exit 2) naming the option."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
 #: The subcommands, in the order ``repro --help`` lists them.
 COMMANDS = ("tables", "techniques", "experiments", "recommend", "campaign",
             "top", "bench", "lint", "certify", "demo", "trace", "metrics",
@@ -825,13 +821,14 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         """Flags shared by ``campaign --live`` and ``top``."""
         sub_parser.add_argument(
             "--interval", type=float, default=1.0,
-            help="seconds between dashboard refreshes")
+            help="minimum seconds between dashboard frames; a frame is "
+                 "drawn when a cell finishes")
         sub_parser.add_argument(
             "--frames", type=int, default=0, metavar="N",
             help="emit at least N frames (a floor, not a cap — lets CI "
                  "assert a frame count without racing the campaign)")
         sub_parser.add_argument(
-            "--window", type=int, default=256,
+            "--window", type=_positive_int, default=256,
             help="SLI sliding-window size, in samples")
         sub_parser.add_argument(
             "--flight-out", metavar="PATH", default=None,
@@ -841,12 +838,14 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if wanted("campaign"):
         campaign = sub.add_parser(
             "campaign", help="run a technique x fault-class injection matrix")
-        campaign.add_argument("--requests", type=int, default=120)
+        campaign.add_argument("--requests", type=_positive_int,
+                              default=120)
         campaign.add_argument("--seed", type=int, default=7)
-        campaign.add_argument("--workers", type=int, default=1,
+        campaign.add_argument("--workers", type=_positive_int, default=1,
                               help="fan cells out over N worker processes: "
                                    "cells byte-identical to serial at any N")
-        campaign.add_argument("--batch", type=int, default=None, metavar="B",
+        campaign.add_argument("--batch", type=_positive_int, default=None,
+                              metavar="B",
                               help="cells per pool chunk: coarser units, "
                                    "~B× less pickle traffic, byte-identical "
                                    "matrix for any B")
@@ -859,10 +858,11 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                                    "document (deterministic; what a live "
                                    "run's final frame embeds)")
         campaign.add_argument("--live", action="store_true",
-                              help="stream telemetry deltas and refresh a "
-                                   "dashboard while the matrix runs "
-                                   "(equivalent to 'repro top')")
-        campaign.add_argument("--shards", type=int, default=None, metavar="N",
+                              help="refresh a dashboard, read from the "
+                                   "run's telemetry session, as cells "
+                                   "finish (equivalent to 'repro top')")
+        campaign.add_argument("--shards", type=_positive_int, default=None,
+                              metavar="N",
                               help="partition the matrix into N deterministic "
                                    "shards, each one pool work unit; with "
                                    "--store every finished shard is "
@@ -871,8 +871,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                               help="serve already-checkpointed shards from "
                                    "the --store log and execute only the "
                                    "remainder (byte-identical report)")
-        campaign.add_argument("--max-shards", type=int, default=None,
-                              metavar="K",
+        campaign.add_argument("--max-shards", type=_positive_int,
+                              default=None, metavar="K",
                               help="stop after K completed shards "
                                    "(deterministic interruption, for tests "
                                    "and the CI resume smoke)")
@@ -893,15 +893,15 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if wanted("top"):
         top = sub.add_parser(
-            "top", help="live campaign dashboard: stream telemetry deltas "
-                        "and refresh per-technique SLIs while cells run")
-        top.add_argument("--requests", type=int, default=120)
+            "top", help="live campaign dashboard: refresh per-technique "
+                        "SLIs as cells finish")
+        top.add_argument("--requests", type=_positive_int, default=120)
         top.add_argument("--seed", type=int, default=7)
-        top.add_argument("--workers", type=int, default=2,
+        top.add_argument("--workers", type=_positive_int, default=2,
                          help="pool workers for the campaign under watch")
         top.add_argument("--format", choices=("text", "json"),
                          default="text",
-                         help="json: one repro-top-frame/v1 document per "
+                         help="json: one repro-top-frame/v2 document per "
                               "refresh, final frame embeds the canonical "
                               "report")
         live_args(top)
@@ -1022,7 +1022,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                             help="scenario to report on, or 'all'")
         report.add_argument("--requests", type=int, default=50)
         report.add_argument("--seed", type=int, default=7)
-        report.add_argument("--window", type=int, default=256,
+        report.add_argument("--window", type=_positive_int, default=256,
                             help="sliding-window size per technique, "
                                  "in samples")
         report.add_argument("--format", choices=("text", "json"),

@@ -192,11 +192,6 @@ class FaultCampaign:
             :class:`~repro.lint.deep.certificate.CertificationWarning`
             normally, strict :class:`~repro.exceptions.
             CertificationError` when ``batch=`` / ``store=`` is set.
-        stream: Optional :class:`~repro.observe.stream.TelemetryStream`
-            handed to the pool, which offers it each cell chunk's
-            telemetry deltas as they are folded (the ``repro campaign
-            --live`` dashboard).  Consulted parent-side only — workers
-            get a copy without it, like ``store``/``certify``.
 
     After a :meth:`run` that executes cells, :attr:`pool_stats` holds
     the map call's :class:`~repro.runtime.pmap.PoolStats` and
@@ -212,8 +207,7 @@ class FaultCampaign:
                  workers: int = 1,
                  batch: Optional[int] = None,
                  store: Optional["ResultStore"] = None,
-                 certify: Optional[Any] = None,
-                 stream: Optional[Any] = None) -> None:
+                 certify: Optional[Any] = None) -> None:
         if not protectors:
             raise ValueError("a campaign needs protectors")
         if not faults:
@@ -232,7 +226,6 @@ class FaultCampaign:
         self.batch = batch
         self.store = store
         self.certify = certify
-        self.stream = stream
         self.pool_stats: Optional[Any] = None
         self.flight_records: List[Any] = []
         #: Source digests of the oracle and factories, read once per
@@ -256,16 +249,14 @@ class FaultCampaign:
             context="fault campaign")
 
     def __getstate__(self) -> Dict[str, Any]:
-        # The store is consulted (and written) parent-side only, the
-        # certificate is enforced before fan-out, and the stream is
-        # offered deltas where they are folded; pool workers get a
-        # copy without any of them so fan-out never depends on them
-        # being picklable.  Keys are derived parent-side too, so the
-        # source memo stays home.
+        # The store is consulted (and written) parent-side only and
+        # the certificate is enforced before fan-out; pool workers get
+        # a copy without either so fan-out never depends on them being
+        # picklable.  Keys are derived parent-side too, so the source
+        # memo stays home.
         state = dict(self.__dict__)
         state["store"] = None
         state["certify"] = None
-        state["stream"] = None
         state["flight_records"] = []
         state["_sources"] = {}
         return state
@@ -347,7 +338,7 @@ class FaultCampaign:
         order, in one pool map (``batch`` cells per chunk)."""
         from repro.runtime.pmap import ParallelMap
 
-        pool = ParallelMap(workers=self.workers, stream=self.stream)
+        pool = ParallelMap(workers=self.workers)
         try:
             return pool.map(self._run_pair, pairs, chunk_size=self.batch)
         finally:

@@ -45,7 +45,6 @@ from repro._util import stable_int
 from repro.harness.campaign import CampaignCell, FaultCampaign
 from repro.observe import capture as _capture
 from repro.observe import current as _telemetry
-from repro.observe.stream import make_delta
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.runtime.store import ResultStore
@@ -219,8 +218,7 @@ class ShardedCampaign:
     Args:
         campaign: The campaign to execute.  Its own ``store`` is
             ignored here (cells are addressed through the checkpoint
-            ``store`` below); its ``stream`` is consulted for the live
-            dashboard fold.
+            ``store`` below).
         shards: Target shard count (clamped to the grid size).
         store: Optional checkpoint :class:`ResultStore`.  Opened
             ``quiet=True`` by callers who need report byte-identity —
@@ -345,19 +343,13 @@ class ShardedCampaign:
             campaign.pool_stats = pool.stats
             campaign.flight_records = pool.flight_records
 
-    def _fold(self, index: int, snapshot: Optional[Dict[str, Any]],
+    def _fold(self, snapshot: Optional[Dict[str, Any]],
               telemetry: Any) -> None:
-        """Merge one shard's snapshot into the parent session, first
-        offering it as a ``repro-delta/v1`` document to the live view
-        of an attached stream (so ``--live`` dashboards see served
-        shards too).  Always in plan order, which is what makes resumed
-        and uninterrupted telemetry byte-identical."""
+        """Merge one shard's snapshot, executed or served, into the
+        parent session.  Always in plan order, which is what makes
+        resumed and uninterrupted telemetry byte-identical."""
         if snapshot is None or not telemetry.enabled:
             return
-        stream = self.campaign.stream
-        if stream is not None:
-            stream.offer(
-                make_delta(("shard", index), 0, snapshot, final=True))
         telemetry.merge(snapshot)
         self.stats.deltas_folded += 1
 
@@ -410,7 +402,7 @@ class ShardedCampaign:
                     cells = tuple(raw_cells)
                     self.stats.shards_executed += 1
                     self.stats.cells_executed += len(cells)
-                self._fold(index, snapshot, telemetry)
+                self._fold(snapshot, telemetry)
                 if not was_served and self.store is not None:
                     self._checkpoint(index, cells, snapshot, capture)
                 # Note: the payload must not say whether the shard was

@@ -21,9 +21,9 @@ per-technique health, the body of ``repro report``) and
 :mod:`~repro.observe.export` (Chrome trace-event JSON, OpenMetrics
 text, JSONL event logs).  All four pieces snapshot into picklable
 documents and merge deterministically, which is how the parallel
-runtime ships worker telemetry back to the parent session; an attached
-:class:`~repro.observe.stream.TelemetryStream` is offered each snapshot
-as the session folds it, which feeds the ``repro top`` live dashboard.
+runtime ships worker telemetry back to the parent session.  The
+``repro top`` live dashboard (:class:`~repro.observe.stream.
+LiveDashboard`) reads that session as one more subscriber of its bus.
 Every process also keeps an always-on bounded flight recorder
 (:mod:`~repro.observe.flightrec`) whose window is dumped on chunk
 timeouts, serial retries and trial failures.
@@ -48,10 +48,7 @@ from repro.observe.metrics import (
     MetricsRegistry,
 )
 from repro.observe.sli import SliMonitor, parse_report
-from repro.observe.stream import (
-    LiveDashboard,
-    TelemetryStream,
-)
+from repro.observe.stream import LiveDashboard
 from repro.observe.telemetry import (
     Capture,
     Telemetry,
@@ -78,7 +75,6 @@ __all__ = [
     "Span",
     "Subscription",
     "Telemetry",
-    "TelemetryStream",
     "Tracer",
     "capture",
     "current",

@@ -16,12 +16,11 @@ an event-bus ``"*"`` subscription plus the :attr:`~repro.observe.
 tracer.Tracer.on_finish` tap — so the recorder sees whatever the
 installed session sees, including worker-side events *redelivered* by
 the parent's snapshot/delta merges.  A session that is never installed
-(a live view that only receives merges) and a
-:class:`~repro.observe.telemetry.Capture` (a chunk's or a shard's,
-whose snapshot the parent merges) attach none, so each event reaches
-the ring once.  The recorder itself never publishes events and never
-appears in snapshots, so it cannot perturb the byte-identity contracts
-of the snapshot/merge and delta-streaming protocols.
+and a :class:`~repro.observe.telemetry.Capture` (a chunk's or a
+shard's, whose snapshot the parent merges) attach none, so each event
+reaches the ring once.  The recorder itself never publishes events and
+never appears in snapshots, so it cannot perturb the byte-identity
+contract of the snapshot/merge protocol.
 
 Dump triggers wired by the framework (callers may add their own via
 :func:`dump`):
@@ -114,9 +113,7 @@ class FlightRecorder:
         """Tap a telemetry session's bus and tracer.
 
         Called by :func:`~repro.observe.telemetry.install` on a
-        session's first install (and again after its
-        :meth:`~repro.observe.telemetry.Telemetry.reset`), so callers
-        normally never need to.
+        session's first install, so callers normally never need to.
         """
         telemetry.bus.subscribe("*", self.record_event)
         telemetry.tracer.on_finish = self.record_span

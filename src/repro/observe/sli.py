@@ -158,8 +158,8 @@ class SliMonitor:
 
         With a wall clock, the first attach also starts the wall span:
         :meth:`trials_per_sec` counts from here, so outcomes handed
-        over in bursts (a live view's deltas) are not credited to the
-        span of the bursts alone.
+        over in bursts (a pooled chunk's, redelivered when the chunk is
+        folded) are not credited to the span of the bursts alone.
         """
         if self._wall_clock is not None and self._wall_first is None:
             self._wall_first = self._wall_clock()

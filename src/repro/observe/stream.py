@@ -1,61 +1,42 @@
-"""Delta-snapshot telemetry streaming (``repro-delta/v1``).
+"""Delta documents and live-dashboard frames.
 
-The snapshot/merge protocol ships a chunk's telemetry home as
-snapshots that the parent folds into its session.  This module names
-each folded snapshot a **delta** and lets a :class:`TelemetryStream`
-see the deltas too, so a live view (the ``repro top`` dashboard) can
-follow a map call while it runs.
+The snapshot/merge protocol ships a chunk's telemetry home as a
+snapshot that the parent folds into its session.  This module names
+each shipped snapshot a **delta** (``repro-delta/v1``, built by
+:func:`make_delta` and checked by :func:`validate_delta`): a captured
+chunk of :class:`~repro.runtime.pmap.ParallelMap` hands back exactly
+one, covering the whole chunk, and the parent folds the deltas into
+its session in submission order, so a pooled session is byte-identical
+to a serial one.
 
-The trick that keeps byte-identity is *partitioning*: each delta is a
-:meth:`~repro.observe.telemetry.Capture.snapshot` of the chunk's
-capture, which hands everything over and starts afresh (same clock
-object, fresh tracer/metrics/bus, as :meth:`~repro.observe.telemetry.
-Telemetry.reset` does), so the sequence of deltas is a partition of
-the chunk's content.  Because counters and histogram tallies add,
-gauges merge as accumulated deltas, span ids/seqs renumber
-cumulatively and event seqs shift cumulatively, folding the deltas
-**in emission order** into any receiver produces byte-for-byte the
-state that merging one whole-chunk snapshot would have — the property
-``tests/unit/test_stream.py`` pins on the serial and process backends.
-(The snapshot/merge caveat carries over: a ``set()``-style gauge
-merges as a net delta; no framework series uses one.)
-
-:class:`~repro.runtime.pmap.ParallelMap` folds every chunk's deltas
-into the installed session in submission order, and hands a stream
-each delta in that same order, so the stream's live view records the
-session's history row for row.  When the stream sees a delta depends
-on where the chunk ran:
-
-* a **worker chunk** is captured exactly as it is without a stream: it
-  ships one delta with its results, and the stream is offered it when
-  the parent gathers and folds the chunk;
-* an **in-process chunk** (the serial backend) offers a delta after
-  each item as it runs, and a final one for its tail, so a one-worker
-  live view moves item by item;
-* the **shard engine** offers each shard's snapshot as it folds it.
-
-A chunk that fails or times out hands nothing back, and its serial
-rerun writes straight into the session, so the live view gets nothing
-from either.  Everything is offered from the process that folds: a
-stream starts no process or thread, and nothing crosses to a worker.
+It also builds the frames of the ``repro top`` dashboard
+(:class:`LiveDashboard`, ``repro-top-frame/v2``).  A dashboard reads
+the session itself: its SLI monitor is one more subscriber of the
+installed session's bus, so it sees every event the session records,
+in the session's order.  A worker chunk's events reach it when the
+parent gathers and folds the chunk, a shard's when the shard engine
+folds the shard's snapshot (a served one too), and a serial run's as
+they are published.  A chunk that fails in its worker hands nothing
+back; its serial rerun publishes straight into the session, so the
+dashboard sees the rerun's events and nothing of the failed attempt.
+Nothing in the runtime or the harness knows a dashboard is there.
 """
 
 from __future__ import annotations
 
-import contextlib
-import threading
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.observe.sli import SCHEMA as _SLI_SCHEMA
 
 __all__ = ["DELTA_SCHEMA", "FRAME_SCHEMA", "make_delta", "validate_delta",
-           "TelemetryStream", "LiveDashboard", "validate_frame"]
+           "LiveDashboard", "validate_frame"]
 
-#: Schema tag of one streamed delta document.
+#: Schema tag of one delta document.
 DELTA_SCHEMA = "repro-delta/v1"
 
 #: Schema tag of one live-dashboard frame (``repro top --format json``).
-FRAME_SCHEMA = "repro-top-frame/v1"
+#: v2 drops v1's ``stream`` section.
+FRAME_SCHEMA = "repro-top-frame/v2"
 
 #: Keys every delta document must carry.
 _DELTA_KEYS = frozenset(("schema", "origin", "seq", "final", "snapshot"))
@@ -67,10 +48,9 @@ def make_delta(origin: Any, seq: int, snapshot: Dict[str, Any],
 
     Args:
         origin: Emitting chunk's identity (the runtime uses the chunk's
-            index in its map call, the shard engine ``("shard",
-            index)``).
-        seq: Emission index within the origin, starting at 0; folding
-            in ``seq`` order is the byte-identity contract.
+            index in its map call).
+        seq: Emission index within the origin, starting at 0 (a
+            captured chunk emits one delta, seq 0).
         snapshot: A :meth:`~repro.observe.telemetry.Telemetry.snapshot`
             document covering everything since the previous emission.
         final: True on the origin's last delta (emitted just before
@@ -99,93 +79,26 @@ def validate_delta(document: Dict[str, Any]) -> None:
         raise ValueError("delta seq must be a non-negative integer")
 
 
-class TelemetryStream:
-    """A map call's deltas, offered as they are folded, into a live
-    view.
-
-    Pass one to :class:`~repro.runtime.pmap.ParallelMap` (or through
-    ``FaultCampaign(stream=)``) to follow a map call while it runs::
-
-        live = observe.Telemetry()
-        stream = TelemetryStream(live=live)
-        campaign = FaultCampaign(..., workers=4, stream=stream)
-        with observe.session():
-            campaign.run()      # live fills as chunks are folded
-
-    :meth:`offer` validates each delta and folds it into the optional
-    live view.  The stream is thread-safe, for the dashboard thread
-    that reads it while the map runs, and reusable across map calls.
-    The session never reads it: it folds the deltas each chunk hands
-    back whether or not a stream is attached.
-
-    Args:
-        live: Optional live-view :class:`~repro.observe.telemetry.
-            Telemetry`, folded in the order deltas are offered.
-    """
-
-    def __init__(self, live: Optional[Any] = None) -> None:
-        #: Optional live-view Telemetry.
-        self.live = live
-        # Reentrant: dashboards snapshot frames under locked() while
-        # the frame builder calls stats() on the same stream.
-        self._lock = threading.RLock()
-        #: Tallies (all-time for this stream).
-        self.received = 0
-        self.folded_live = 0
-        self.invalid = 0
-
-    @contextlib.contextmanager
-    def locked(self) -> Iterator[None]:
-        """Hold the intake lock (dashboard reads of the live view)."""
-        with self._lock:
-            yield
-
-    def offer(self, delta: Dict[str, Any]) -> None:
-        """Count one delta and fold it into the live view."""
-        try:
-            validate_delta(delta)
-        except ValueError:
-            with self._lock:
-                self.invalid += 1
-            return
-        with self._lock:
-            self.received += 1
-            if self.live is not None:
-                self.live.merge(delta["snapshot"])
-                self.folded_live += 1
-
-    def stats(self) -> Dict[str, int]:
-        """JSON-friendly tallies for dashboards and tests."""
-        with self._lock:
-            return {"received": self.received,
-                    "folded_live": self.folded_live,
-                    "invalid": self.invalid}
-
-
 class LiveDashboard:
-    """Builds ``repro-top-frame/v1`` frames for the live dashboard.
+    """Builds ``repro-top-frame/v2`` frames for the live dashboard.
 
-    One frame is a self-contained JSON document: progress, stream and
-    pool accounting, flight-recorder state, and the monitor's full SLI
+    One frame is a self-contained JSON document: progress, pool
+    accounting, flight-recorder state, and the monitor's full SLI
     report.  ``repro top`` renders frames as a refreshing table;
     ``--format json`` prints one frame per line for CI, and the final
-    frame additionally embeds the canonical (non-streaming-identical)
-    campaign report under ``"report"``.
+    frame additionally embeds the canonical campaign report under
+    ``"report"``.
 
     Args:
         monitor: The :class:`~repro.observe.sli.SliMonitor` the frame's
-            SLI section reads from (typically attached to the live
-            view).
-        stream: The :class:`TelemetryStream` whose tallies fill the
-            ``"stream"`` section.
+            SLI section reads from (the CLI attaches it to the
+            installed session's bus).
         wall_clock: Injected wall clock for ``elapsed_sec`` (e.g.
             ``time.perf_counter``); without one the field stays
             ``None``.  The observe package never reads a process clock
             itself (DET005).
         cells_total: Expected ``campaign.cell`` count for the progress
             section.
-        counts: Zero-arg callable returning an event-topic -> count
-            mapping (usually the live bus's ``counts``) for progress.
         pool_info: Zero-arg callable returning pool accounting (e.g.
             :func:`repro.runtime.pool.pool_stats`).
         shards: Zero-arg callable returning sharded-run accounting (a
@@ -196,19 +109,20 @@ class LiveDashboard:
     """
 
     def __init__(self, monitor: Any,
-                 stream: Optional[TelemetryStream] = None,
                  wall_clock: Optional[Callable[[], float]] = None,
                  cells_total: Optional[int] = None,
-                 counts: Optional[Callable[[], Dict[str, int]]] = None,
                  pool_info: Optional[Callable[[], Any]] = None,
                  shards: Optional[Callable[[], Dict[str, Any]]] = None
                  ) -> None:
         self.monitor = monitor
-        self.stream = stream
         self._wall = wall_clock
         self._start = wall_clock() if wall_clock is not None else None
         self.cells_total = cells_total
-        self._counts = counts
+        #: ``campaign.cell`` events seen so far, counted by the
+        #: caller's subscription: a merge adds to the bus's ``counts``
+        #: only after it has delivered its events, so a frame drawn
+        #: during a merge would read a stale count there.
+        self.cells_done = 0
         self._pool_info = pool_info
         self._shards = shards
         self.frames = 0
@@ -218,7 +132,6 @@ class LiveDashboard:
         """Build the next frame (``seq`` increments per call)."""
         from repro.observe import flightrec
 
-        counts = self._counts() if self._counts is not None else {}
         recorder = flightrec.recorder()
         document: Dict[str, Any] = {
             "schema": FRAME_SCHEMA,
@@ -227,10 +140,7 @@ class LiveDashboard:
             "elapsed_sec": (self._wall() - self._start
                             if self._wall is not None else None),
             "trials_per_sec": self.monitor.trials_per_sec(),
-            "cells": {"done": counts.get("campaign.cell", 0),
-                      "total": self.cells_total},
-            "stream": (self.stream.stats()
-                       if self.stream is not None else None),
+            "cells": {"done": self.cells_done, "total": self.cells_total},
             "pool": (self._pool_info()
                      if self._pool_info is not None else None),
             "flight": {"captured": recorder.captured,
@@ -248,13 +158,13 @@ class LiveDashboard:
 
 #: Keys every frame must carry.
 _FRAME_KEYS = frozenset(("schema", "seq", "final", "elapsed_sec",
-                         "trials_per_sec", "cells", "stream", "pool",
-                         "flight", "sli"))
+                         "trials_per_sec", "cells", "pool", "flight",
+                         "sli"))
 
 
 def validate_frame(document: Dict[str, Any]) -> None:
     """Raise :class:`ValueError` unless ``document`` is a well-formed
-    ``repro-top-frame/v1`` dashboard frame."""
+    ``repro-top-frame/v2`` dashboard frame."""
     if not isinstance(document, dict) or \
             document.get("schema") != FRAME_SCHEMA:
         raise ValueError(f"not a {FRAME_SCHEMA} document")

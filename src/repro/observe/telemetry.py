@@ -28,8 +28,7 @@ capture exactly as it shadows an outer session serially.
 
 A :class:`Capture` records only what its snapshot ships (see the
 class).  Every other session taps the process flight ring once it is
-installed; one that is never installed (a live view that only
-receives merges) taps none.
+installed; one that is never installed taps none.
 
 Cross-process aggregation: :meth:`Telemetry.snapshot` freezes all three
 pieces into one picklable document and :meth:`Telemetry.merge` folds it
@@ -131,14 +130,11 @@ class Telemetry:
             self.tracer.capacity = 0
         self.metrics = MetricsRegistry(recording=not self.events_only)
         self.bus = self._Bus(now=self._now)
-        if self._tapped:
-            _flightrec.recorder().attach(self)
 
     def _tap(self) -> None:
-        """Tap the process flight ring, from now on and after every
-        :meth:`reset` (:func:`install` calls this).  The tap never
-        publishes or appears in snapshots, so merge and delta
-        byte-identity are unaffected."""
+        """Tap the process flight ring once (:func:`install` calls
+        this).  The tap never publishes or appears in snapshots, so
+        merge and delta byte-identity are unaffected."""
         if not self._tapped:
             self._tapped = True
             _flightrec.recorder().attach(self)
@@ -169,23 +165,6 @@ class Telemetry:
         """Increment a counter when enabled."""
         if self.enabled:
             self.metrics.inc(name, amount, **labels)
-
-    def reset(self) -> None:
-        """Replace all three pieces with fresh, empty ones.
-
-        The clock object (and therefore its position — a ticking
-        :class:`_SeqClock` does not restart) carries over, as do the
-        ``enabled`` and ``events_only`` flags, and an installed
-        session's flight recorder tap.
-        This is the delta-streaming primitive: ``snapshot()`` then
-        ``reset()`` (what a :class:`Capture`'s snapshot does by
-        itself) makes consecutive deltas partition the session's
-        content, and folding them in order is byte-identical to
-        merging one whole-session snapshot (see
-        :mod:`repro.observe.stream`).  Subscribers of the old bus are
-        dropped.
-        """
-        self._fresh()
 
     # -- snapshot / merge --------------------------------------------------
 
@@ -257,10 +236,12 @@ class Capture(Telemetry):
       and no ring sees them, so only the clock readings and the
       ``started`` and id counts a snapshot ships are made.
 
-    :meth:`snapshot` hands everything over and starts afresh, as
-    :meth:`reset` does, so consecutive snapshots are consecutive
-    deltas.  The schema, every event's time and sequence number, and
-    the counts are those of a session that kept all it saw.
+    :meth:`snapshot` hands everything over and starts afresh with a
+    fresh tracer, registry and bus on the same clock (whose position
+    carries over), so consecutive snapshots are consecutive deltas:
+    folding them in order is byte-identical to merging one snapshot
+    of the whole.  The schema, every event's time and sequence number,
+    and the counts are those of a session that kept all it saw.
     """
 
     _Bus = CaptureBus

@@ -45,21 +45,17 @@ out still captures the remaining chunks.  The same read takes the
 session's ``events_only`` flag, and the chunk's capture keeps what the
 parent keeps.
 
-**Delta streaming.**  A captured chunk hands its snapshots back as
-``repro-delta/v1`` documents, and the parent folds them in emission
-order.  Pass a :class:`~repro.observe.stream.TelemetryStream` as
-``stream=`` and the fold also offers each delta to the stream, in the
-same submission order, for the ``repro top`` live view.  A worker chunk
-is captured exactly as without a stream, one delta for the whole
-chunk; a chunk run in this process (the serial backend) offers a delta
-after each item as it runs, so a one-worker live view moves item by
-item.  A chunk that times out or fails hands nothing back, so only its
-serial rerun, which writes straight into the session, is counted, and
-the stream sees neither.  After the rerun, finished or failed, the
-process flight recorder's window (:mod:`repro.observe.flightrec`) is
-dumped into :attr:`ParallelMap.flight_records`; a chunk's records
-reach the parent's ring only through the fold, so the window holds the
-rerun's records.
+**Deltas and failures.**  A captured chunk hands its snapshot back as
+one ``repro-delta/v1`` document, and the parent folds it into the
+installed session when it gathers the chunk, so a subscriber of the
+session's bus sees a worker chunk's events then, and a serial run's as
+they are published.  A chunk that times out or fails hands nothing
+back, so only its serial rerun, which writes straight into the
+session, is counted.  After the rerun, finished or failed, the process
+flight recorder's window (:mod:`repro.observe.flightrec`) is dumped
+into :attr:`ParallelMap.flight_records`; a chunk's records reach the
+parent's ring only through the fold, so the window holds the rerun's
+records.
 """
 
 from __future__ import annotations
@@ -75,7 +71,7 @@ from typing import (Any, Callable, Iterable, List, Optional, Sequence, Tuple,
 from repro.observe import capture as _capture
 from repro.observe import current as _telemetry
 from repro.observe import flightrec as _flightrec
-from repro.observe.stream import TelemetryStream, make_delta
+from repro.observe.stream import make_delta
 from repro.runtime.pool import get_pool as _get_pool
 from repro.runtime.pool import retire_pool as _retire_pool
 
@@ -104,12 +100,6 @@ class PoolStats:
     dropped_snapshots: int = 0
     #: 1 when this call was served by an already-warm shared executor.
     pool_reuses: int = 0
-    #: Captured chunks whose deltas a stream was offered (all of
-    #: ``captured_chunks`` when the map has a stream).
-    streamed_chunks: int = 0
-    #: Deltas folded into the installed session by a map with a
-    #: stream.
-    deltas_merged: int = 0
     #: Flight-recorder dumps attached to this call (see
     #: :attr:`ParallelMap.flight_records`).
     flight_dumps: int = 0
@@ -118,46 +108,28 @@ class PoolStats:
 #: The :class:`PoolStats` fields a map call reports as counters.
 _COUNTED = ("tasks", "chunks", "serial_retries", "timeouts",
             "captured_chunks", "dropped_snapshots", "pool_reuses",
-            "streamed_chunks", "deltas_merged", "flight_dumps")
+            "flight_dumps")
 
-#: A chunk's capture: ``(events_only, origin, put)`` or None.
-_Capture = Optional[Tuple[bool, int, Optional[Callable[[Any], None]]]]
+#: A chunk's capture: ``(events_only, origin)`` or None.
+_Capture = Optional[Tuple[bool, int]]
 
 
 def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
-               capture: _Capture = None) -> Tuple[List[R], List[Any]]:
-    """Run one contiguous slice of items — in a worker or the parent.
-
-    With no ``capture`` the items run in the caller's session.  With
-    one they run in a fresh :func:`~repro.observe.capture` (keeping
-    events only when ``events_only`` is set) that makes a final
-    ``repro-delta/v1`` document from ``origin`` when the chunk ends.
-    With a ``put`` (an in-process chunk of a map with a stream) the
-    chunk also makes a delta after each item and hands every delta to
-    ``put`` as it is made; each delta covers the telemetry since the
-    previous one.  Returns ``(results, deltas)``.  Module-level so the
-    process backend can pickle it.
+               capture: _Capture) -> Tuple[List[R], Any]:
+    """Run one contiguous slice of items in a worker, inside a fresh
+    :func:`~repro.observe.capture` when ``capture`` is set (keeping
+    events only when ``events_only`` is).  Returns ``(results,
+    delta)``: the capture's one snapshot as a ``repro-delta/v1``
+    document from ``origin``, or ``None`` with no capture.
+    Module-level so the process backend can pickle it.
     """
     if capture is None:
-        return [fn(item) for item in chunk], []
-    events_only, origin, put = capture
-    results: List[R] = []
-    deltas: List[Any] = []
-
-    def emit(final: bool) -> None:
-        delta = make_delta(origin, len(deltas), telemetry.snapshot(),
-                           final=final)
-        deltas.append(delta)
-        if put is not None:
-            put(delta)
-
+        return [fn(item) for item in chunk], None
+    events_only, origin = capture
     with _capture(events_only=events_only) as telemetry:
-        for item in chunk:
-            results.append(fn(item))
-            if put is not None:
-                emit(False)
-        emit(True)
-    return results, deltas
+        results = [fn(item) for item in chunk]
+        return results, make_delta(origin, 0, telemetry.snapshot(),
+                                   final=True)
 
 
 def _picklable(*objects: Any) -> bool:
@@ -181,23 +153,15 @@ class ParallelMap:
             inputs never materialise a future per chunk up front.
         timeout: Per-chunk deadline in (real) seconds; an overdue chunk
             is re-run serially in the parent.  ``None`` waits forever.
-        stream: Optional :class:`~repro.observe.stream.TelemetryStream`.
-            When set and telemetry is enabled, the stream is offered
-            every ``repro-delta/v1`` document the session folds, in
-            the same order, and an in-process chunk's as it makes them
-            (see the module docstring).  The session folds exactly
-            what it folds without a stream.
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 timeout: Optional[float] = None,
-                 stream: Optional[TelemetryStream] = None) -> None:
+                 timeout: Optional[float] = None) -> None:
         if timeout is not None and timeout <= 0:
             raise ValueError("timeout must be positive")
         self.workers = max(1, workers if workers is not None
                            else (os.cpu_count() or 1))
         self.timeout = timeout
-        self.stream = stream
         self.stats = PoolStats()
         #: Flight-recorder dump documents produced by the most recent
         #: :meth:`map` call (one per chunk timeout / serial retry).
@@ -249,8 +213,8 @@ class ParallelMap:
         order, as chunks are gathered.
 
         Every :meth:`map` guarantee holds per chunk — ordered gather,
-        retry-once-serial, telemetry capture and delta streaming at the
-        moment each chunk is merged — but the parent holds only the
+        retry-once-serial, telemetry capture and its fold at the
+        moment each chunk is gathered — but the parent holds only the
         in-flight window of results instead of the whole output list,
         so a streaming consumer (the sharded campaign engine, which
         submits one shard per chunk and checkpoints each as it lands)
@@ -272,7 +236,7 @@ class ParallelMap:
         self.flight_records = []
         if backend == "serial":
             if tasks:
-                results = self._run_serial(fn, tasks)
+                results = [fn(item) for item in tasks]
                 self.stats.chunks = 1
                 yield results
             return
@@ -290,9 +254,9 @@ class ParallelMap:
                 while (submitted < len(chunks)
                        and len(pending) < self.workers * 2):
                     # The enabled check is per chunk, not per pool: a
-                    # session installed mid-campaign captures (and
-                    # streams) whatever chunks are submitted from then
-                    # on, keeping what that session keeps.
+                    # session installed mid-campaign captures whatever
+                    # chunks are submitted from then on, keeping what
+                    # that session keeps.
                     capture = self._capture(submitted)
                     try:
                         future = pool.submit(_run_chunk, fn,
@@ -310,7 +274,7 @@ class ParallelMap:
                 # land before chunk i+1's even when i+1 finished first.
                 index, capture, future = pending.popleft()
                 try:
-                    chunk_results, deltas = future.result(
+                    chunk_results, delta = future.result(
                         timeout=self.timeout)
                 except concurrent.futures.TimeoutError:
                     future.cancel()
@@ -327,7 +291,7 @@ class ParallelMap:
                         fn, chunks[index], index, "chunk-serial-retry",
                         capture)
                 else:
-                    self._fold(capture, deltas)
+                    self._fold(delta)
                 yield chunk_results
             self._report()
         finally:
@@ -338,53 +302,29 @@ class ParallelMap:
 
     # -- capture and fold --------------------------------------------------
 
-    def _capture(self, origin: int,
-                 put: Optional[Callable[[Any], None]] = None) -> _Capture:
+    def _capture(self, origin: int) -> _Capture:
         """Count and return a chunk's capture, read from the installed
         session at submission (``None`` with no session)."""
         tel = _telemetry()
         if not tel.enabled:
             return None
         self.stats.captured_chunks += 1
-        if self.stream is not None:
-            self.stats.streamed_chunks += 1
-        return tel.events_only, origin, put
+        return tel.events_only, origin
 
-    def _run_serial(self, fn: Callable[[T], R],
-                    tasks: Sequence[T]) -> List[R]:
-        """The serial backend: the whole task list as one chunk, run in
-        the parent's session, or captured with a delta per item when
-        there is a stream and a session (live views update without a
-        pool)."""
-        if self.stream is None or not _telemetry().enabled:
-            return _run_chunk(fn, tasks)[0]
-        capture = self._capture(0, self.stream.offer)
-        results, deltas = _run_chunk(fn, tasks, capture)
-        self._fold(capture, deltas)
-        return results
-
-    def _fold(self, capture: _Capture, deltas: List[Any]) -> None:
-        """Merge the deltas one finished chunk handed back into the
-        installed session, in emission order, offering each to the
-        stream unless the chunk offered it as it was made."""
+    @staticmethod
+    def _fold(delta: Any) -> None:
+        """Merge the delta one finished chunk handed back (``None``
+        for an uncaptured chunk) into the installed session."""
         tel = _telemetry()
-        if capture is None or not tel.enabled:
-            return
-        stream = self.stream
-        _, _, put = capture
-        for delta in deltas:
-            if stream is not None and put is None:
-                stream.offer(delta)
+        if delta is not None and tel.enabled:
             tel.merge(delta["snapshot"])
-        if stream is not None:
-            self.stats.deltas_merged += len(deltas)
 
     def _retry_serial(self, fn: Callable[[T], R], chunk: Sequence[T],
                       index: int, reason: str, capture: _Capture
                       ) -> List[R]:
         """Parent-side rerun of a timed-out or failed chunk.
 
-        The chunk handed no deltas back, so none are folded (the rerun
+        The chunk handed no delta back, so none is folded (the rerun
         writes straight into the installed session).  Once the rerun
         has finished or raised, the flight recorder's window is dumped
         into :attr:`flight_records`: the failed chunk's capture taps no
@@ -395,7 +335,7 @@ class ParallelMap:
         if capture is not None:
             self.stats.dropped_snapshots += 1
         try:
-            return _run_chunk(fn, chunk)[0]
+            return [fn(item) for item in chunk]
         finally:
             self.flight_records.append(_flightrec.dump(
                 reason, chunk=index, backend=self.stats.backend,

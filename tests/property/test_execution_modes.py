@@ -13,7 +13,12 @@ that disagrees and names the section that diverged.
 The budget is fixed and the draw derandomized, so every run checks
 the same modes.  Whole-report identity across modes is not claimed
 here: the SLI section's ``throughput`` and ``window_span`` count
-clock ticks, which move with the chunking.
+clock ticks, which move with the chunking.  It is claimed between a
+drawn ``--live`` mode and the same mode without ``--live`` (its plain
+twin), because the dashboard only subscribes to the session the
+report reads.  Running those twins costs about 0.4 s: the test takes
+2.3 s against 1.9 s without them (median of three runs each on a
+2-vCPU host).
 """
 
 import contextlib
@@ -108,3 +113,9 @@ def test_every_mode_reports_the_plain_cells(mode):
     got = _report(mode)
     assert got["cells"] == plain["cells"], \
         f"section 'cells' differs: {mode} against plain --workers 1"
+    if mode.live:
+        twin = _report(dataclasses.replace(mode, live=False))
+        differs = sorted(key for key in got.keys() | twin.keys()
+                         if got.get(key) != twin.get(key))
+        assert not differs, \
+            f"section(s) {differs} differ: {mode} against its plain twin"

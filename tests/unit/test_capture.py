@@ -5,7 +5,7 @@ The parallel map's chunks and the shard engine's shards run in an
 taps no flight ring, its bus keeps every event since the last snapshot
 as the snapshot's rows, and an events-only capture's spans are clock
 ticks.  Installed sessions tap the ring; a session that is never
-installed (the ``--live`` view) taps none.
+installed taps none.
 """
 
 import contextlib
@@ -137,9 +137,7 @@ class TestCapture:
             observe.install(view)
             observe.install(view)
             view.publish("unit.published")
-            view.reset()
-            view.publish("unit.after_reset")
-        assert ring.captured == 2
+        assert ring.captured == 1
 
 
 def run_campaign(*mode):
@@ -203,16 +201,17 @@ class TestSliAcrossChunkings:
 
 
 class TestFlightRingCount:
-    """The parent's ring records each event once, in every mode: the
-    live view's fold and in-process captures add nothing to what the
-    canonical merge records.  The serial run keeps
-    ``TestFlightWindow``'s pin, spans included."""
+    """The parent's ring records each event once, in every mode, and a
+    live run records exactly what its plain twin at the same worker
+    count does: the dashboard only subscribes to the session.  The
+    serial runs keep ``TestFlightWindow``'s pin, spans included; a
+    pooled run's chunks ship no span to the events-only session."""
 
     @pytest.mark.parametrize("mode,captured", [
         (["--workers", "1"], 12600),
         (["--workers", "2"], 6996),
         (["--workers", "2", "--live", "--interval", "0.05"], 6996),
-        (["--workers", "1", "--live", "--interval", "0.05"], 6996),
+        (["--workers", "1", "--live", "--interval", "0.05"], 12600),
         (["--workers", "1", "--shards", "2"], 6998),
     ])
     def test_captured(self, mode, captured):

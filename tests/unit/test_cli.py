@@ -5,6 +5,20 @@ import pytest
 from repro import cli
 from repro.cli import COMMANDS, EXPERIMENT_INDEX, build_parser, main
 
+#: Command lines whose count option is out of range, and that option.
+OUT_OF_RANGE = [
+    (["campaign", "--requests", "0"], "--requests"),
+    (["campaign", "--workers", "0", "--format", "json"], "--workers"),
+    (["campaign", "--batch", "0"], "--batch"),
+    (["campaign", "--shards", "0", "--format", "json"], "--shards"),
+    (["campaign", "--shards", "2", "--max-shards", "0"], "--max-shards"),
+    (["campaign", "--window", "0", "--format", "json"], "--window"),
+    (["top", "--requests", "-1"], "--requests"),
+    (["top", "--workers", "0"], "--workers"),
+    (["top", "--window", "0"], "--window"),
+    (["report", "nvp", "--window", "0"], "--window"),
+]
+
 
 class TestParser:
     def test_requires_a_command(self):
@@ -72,6 +86,7 @@ class TestOneCommandParser:
         ["report", "all", "--workers", "2", "--backend", "thread",
          "--trace-out", "t.json"],
         *([command, "--help"] for command in COMMANDS),
+        *(argv for argv, _ in OUT_OF_RANGE),
     ]
 
     @pytest.fixture
@@ -126,6 +141,20 @@ class TestOneCommandParser:
         assert stub["built"] == [named]
         if argv in self.VALID:
             assert full[0] is not None and named is not None
+
+
+class TestCountArguments:
+    """A count option below 1 is a usage error that names the option,
+    not a traceback, and never a run on a value it silently replaced."""
+
+    @pytest.mark.parametrize("argv,flag", OUT_OF_RANGE,
+                             ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
+    def test_out_of_range_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be a positive integer" in err
 
 
 class TestTables:
@@ -402,6 +431,14 @@ class TestLiveDashboardCommands:
             validate_frame(frame)
         return frames
 
+    @staticmethod
+    def _assert_reaches_the_dashboard(final):
+        """Every cell, served or executed, reached the dashboard, whose
+        SLI rows are the report's."""
+        assert final["cells"]["done"] == 16
+        for section in ("techniques", "stores"):
+            assert final["sli"][section] == final["report"]["sli"][section]
+
     def test_top_emits_valid_frames_floor(self, capsys):
         assert main(["top", "--requests", "8", "--seed", "3",
                      "--workers", "2", *self.LIVE]) == 0
@@ -421,8 +458,8 @@ class TestLiveDashboardCommands:
         plain = capsys.readouterr().out
         assert main(["campaign", *base, "--live", *self.LIVE]) == 0
         final = self._frames(capsys.readouterr().out)[-1]
-        # The streamed run's canonical report is byte-identical to the
-        # non-streaming path's output.
+        # The live run's canonical report is byte-identical to the
+        # plain run's output.
         assert self._report_text(final) == plain
 
     def test_live_sharded_final_report_matches_plain(self, capsys):
@@ -431,8 +468,7 @@ class TestLiveDashboardCommands:
         assert main(["campaign", *self.SHARDED, "--live", *self.LIVE]) == 0
         final = self._frames(capsys.readouterr().out)[-1]
         assert self._report_text(final) == plain
-        # One delta per shard, offered to the live view as it folds.
-        assert final["stream"]["received"] == 4
+        self._assert_reaches_the_dashboard(final)
 
     def test_live_resume_matches_plain(self, tmp_path, capsys):
         store = str(tmp_path / "checkpoints.jsonl")
@@ -447,8 +483,8 @@ class TestLiveDashboardCommands:
         assert "served=2 executed=2" in captured.err
         final = self._frames(captured.out)[-1]
         assert self._report_text(final) == plain
-        # Served and executed shards alike reach the live view.
-        assert final["stream"]["received"] == 4
+        # Served and executed shards alike reach the dashboard.
+        self._assert_reaches_the_dashboard(final)
 
     def test_flight_out_writes_validating_jsonl(self, tmp_path, capsys):
         from repro.observe.export.jsonl import validate_event_log

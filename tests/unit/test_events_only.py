@@ -19,7 +19,6 @@ from repro.harness.campaign import FaultCampaign
 from repro.harness.scenarios import SCENARIOS
 from repro.harness.shard import EVENTS_ONLY, ShardedCampaign
 from repro.observe import flightrec
-from repro.observe.stream import TelemetryStream
 from repro.runtime.pmap import ParallelMap
 from repro.runtime.store import ResultStore
 from repro.techniques import NVersionProgramming
@@ -128,11 +127,12 @@ class TestSession:
         assert summary["events"] == full.summary()["events"]
 
     def test_reset_keeps_the_mode(self):
-        tel = observe.Telemetry(events_only=True)
-        tel.reset()
-        assert tel.events_only
-        assert tel.tracer.capacity == 0
-        assert tel.metrics.recording is False
+        # A capture's snapshot starts afresh, in the same mode.
+        cap = observe.Capture(events_only=True)
+        cap.snapshot()
+        assert cap.events_only
+        assert cap.tracer.capacity == 0
+        assert cap.metrics.recording is False
 
     def test_nested_session_keeps_its_own_mode(self):
         with observe.session(events_only=True) as tel:
@@ -145,13 +145,16 @@ class TestSession:
 class TestWorkersInherit:
     @pytest.mark.parametrize("backend,workers", [
         ("serial", 1), ("process", 2)])
-    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("live", [False, True])
     @pytest.mark.parametrize("events_only", [False, True])
     def test_chunks_keep_what_the_parent_keeps(self, backend, workers,
-                                               streamed, events_only):
-        stream = TelemetryStream() if streamed else None
+                                               live, events_only):
+        seen = []
         with observe.session(events_only=events_only) as tel:
-            pool = ParallelMap(workers=workers, stream=stream)
+            if live:
+                # A live dashboard is one more subscriber of the bus.
+                tel.bus.subscribe("probe.*", seen.append)
+            pool = ParallelMap(workers=workers)
             modes = pool.map(probe, range(8), chunk_size=3)
         assert modes == [events_only] * 8
         assert tel.bus.counts["probe.item"] == 8
@@ -161,9 +164,10 @@ class TestWorkersInherit:
         else:
             assert len(tel.tracer.spans) == 8
             assert tel.metrics.value("probe_total") == 8.0
+        assert len(seen) == (8 if live else 0)
         assert pool.stats.backend == backend
-        if backend != "serial" or streamed:
-            assert pool.stats.captured_chunks >= 1
+        # A serial map runs in the session, watched or not.
+        assert (pool.stats.captured_chunks == 0) == (backend == "serial")
 
 
 def two_shard_runs(path, first, second):

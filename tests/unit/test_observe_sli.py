@@ -123,9 +123,10 @@ class TestSliMonitor:
         json.dumps(doc)
 
     def test_trials_per_sec_counts_from_attach(self):
-        # A live view is handed outcomes in bursts, one per delta.  The
-        # rate must cover the wall time since the monitor attached, not
-        # just the span between a burst's first and last outcome.
+        # A dashboard's monitor is handed a pooled chunk's outcomes in
+        # one burst, when the chunk is folded.  The rate must cover the
+        # wall time since the monitor attached, not just the span
+        # between a burst's first and last outcome.
         now = [0.0]
         bus = EventBus()
         monitor = SliMonitor(bus, wall_clock=lambda: now[0])

@@ -1,17 +1,16 @@
-"""Delta-snapshot streaming: schemas, the stream, and byte-identity.
+"""Delta documents, the fold of a map call's deltas, and dashboard
+frames.
 
-The contract under test (see docs/OBSERVABILITY.md): a streamed map
-call's canonical session — the ``repro-delta/v1`` documents each chunk
-hands back, folded in emission order — is byte-identical to the plain
-captured run, serial or on processes, and a chunk that fails in its worker
-adds nothing to it.  The stream is offered the deltas the session
-folds, in the same order, so its live view holds the session's
-history; it starts no process of its own.  Workload costs are dyadic
-and every trial binds the session to its environment's virtual clock,
-the same discipline as ``test_parallel_telemetry``.
+The contract under test (see docs/OBSERVABILITY.md): a pooled map
+call's session — the one ``repro-delta/v1`` document each captured
+chunk hands back, folded in submission order — is byte-identical to
+the serial run's, and a chunk that fails in its worker adds nothing to
+it.  A live view is one more subscriber of that session's bus, so it
+sees the session's history row for row.  Workload costs are dyadic and
+every trial binds the session to its environment's virtual clock, the
+same discipline as ``test_parallel_telemetry``.
 """
 
-import multiprocessing
 import os
 
 import pytest
@@ -19,11 +18,9 @@ import pytest
 from repro import observe
 from repro.environment import SimEnvironment
 from repro.observe.stream import (DELTA_SCHEMA, FRAME_SCHEMA,
-                                  LiveDashboard, TelemetryStream,
-                                  make_delta, validate_delta,
-                                  validate_frame)
+                                  LiveDashboard, make_delta,
+                                  validate_delta, validate_frame)
 from repro.runtime.pmap import ParallelMap
-from repro.runtime.pool import get_pool, shutdown_pools
 
 #: Pool self-metrics are backend- and transport-dependent by design;
 #: the byte-identity contract covers the workload series only.
@@ -72,11 +69,14 @@ def _fingerprint(tel):
     )
 
 
-def _run(backend, stream=None, workers=3, seeds=range(9)):
-    """One run under a session; returns (session, pool)."""
-    pool = ParallelMap(workers=1 if backend == "serial" else workers,
-                       stream=stream)
+def _run(backend, workers=3, seeds=range(9), seen=None):
+    """One run under a session; returns (session, pool).  With a
+    ``seen`` list, a subscriber of the session's bus (a live view)
+    appends every event it is delivered."""
+    pool = ParallelMap(workers=1 if backend == "serial" else workers)
     with observe.session() as tel:
+        if seen is not None:
+            tel.bus.subscribe("*", seen.append)
         results = pool.map(stream_trial, list(seeds), chunk_size=3)
     assert results == [seed * 2 for seed in seeds]
     assert pool.stats.backend == backend
@@ -84,7 +84,7 @@ def _run(backend, stream=None, workers=3, seeds=range(9)):
 
 
 def _snapshot(*counters, topic=None):
-    """A minimal real snapshot document for schema/collector tests."""
+    """A minimal real snapshot document for schema tests."""
     tel = observe.Telemetry()
     for name in counters:
         tel.count(name)
@@ -120,121 +120,54 @@ class TestDeltaSchema:
             validate_delta(bad)
 
 
-# -- the stream as a collector -----------------------------------------
-
-
-class TestStreamCollector:
-    """What a stream does with a delta: validate, count, fold live."""
-
-    def test_invalid_deltas_are_counted_not_raised(self):
-        stream = TelemetryStream()
-        stream.offer({"schema": "garbage"})
-        assert stream.stats() == {"received": 0, "folded_live": 0,
-                                  "invalid": 1}
-
-    def test_live_view_folds_in_arrival_order(self):
-        live = observe.Telemetry()
-        stream = TelemetryStream(live=live)
-        # The live view folds deltas in the order they are offered.
-        stream.offer(make_delta(0, 1,
-                                _snapshot("live_total", topic="second"),
-                                final=True))
-        stream.offer(make_delta(0, 0,
-                                _snapshot("live_total", topic="first")))
-        assert live.metrics.value("live_total") == 2
-        assert [event.topic for event in live.bus.history] == \
-            ["second", "first"]
-        assert stream.stats()["folded_live"] == 2
-
-
-# -- streamed byte-identity --------------------------------------------
+# -- the fold of a map call's deltas ----------------------------------
 
 
 class TestStreamedByteIdentity:
     def test_streamed_folds_identical_across_backends(self):
-        plain, _ = _run("serial")
-        expected = _fingerprint(plain)
-        # A worker chunk ships one delta; the in-process chunk makes
-        # one per item plus the tail.
-        for backend, deltas in (("serial", 10), ("process", 3)):
-            tel, pool = _run(backend, stream=TelemetryStream())
-            assert _fingerprint(tel) == expected, backend
-            assert pool.stats.streamed_chunks == pool.stats.chunks
-            assert pool.stats.deltas_merged == deltas, backend
-            # The stream was offered every delta the session folded.
-            assert pool.stream.received == pool.stats.deltas_merged
-
-    def test_serial_streamed_path_counts_one_chunk(self):
-        stream = TelemetryStream()
-        tel, pool = _run("serial", stream=stream)
-        assert pool.stats.chunks == 1
-        assert pool.stats.captured_chunks == 1
-        assert pool.stats.streamed_chunks == 1
-        # 9 items -> 9 per-item deltas + the final tail one.
-        assert pool.stats.deltas_merged == 10
-
-    def test_stream_is_reusable_across_map_calls(self):
-        stream = TelemetryStream()
-        first, pool = _run("process", stream=stream)
-        second, _ = _run("process", stream=stream)
-        assert _fingerprint(first) == _fingerprint(second)
-        assert stream.received == 2 * pool.stats.deltas_merged
-
-    def test_live_view_sees_the_same_workload_totals(self):
-        live = observe.Telemetry()
-        tel, _ = _run("process", stream=TelemetryStream(live=live))
-        assert live.metrics.value("stream_trials_total") == \
-            tel.metrics.value("stream_trials_total")
-        assert live.bus.counts == tel.bus.counts
+        plain, serial = _run("serial")
+        # The serial backend runs in the session and captures nothing.
+        assert (serial.stats.chunks, serial.stats.captured_chunks) == (1, 0)
+        tel, pool = _run("process")
+        assert _fingerprint(tel) == _fingerprint(plain)
+        # Each worker chunk hands back one delta, folded at its gather.
+        assert pool.stats.captured_chunks == pool.stats.chunks == 3
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_live_view_holds_the_session_history(self, backend):
-        # Deltas reach the live view in the order the session folds
-        # them, so it records the same history, whichever worker
-        # finished first.
+        # A subscriber of the session's bus is delivered every event in
+        # the order the session records it: a worker chunk's when the
+        # chunk is folded, whichever worker finished first.
         for _ in range(5):
-            live = observe.Telemetry()
-            tel, _ = _run(backend, stream=TelemetryStream(live=live))
+            seen = []
+            tel, _ = _run(backend, seen=seen)
             assert len(_history(tel)) == 9
-            assert _history(live) == _history(tel)
-            assert _fingerprint(live) == _fingerprint(tel)
+            assert [(e.topic, e.time, e.seq, e.payload)
+                    for e in seen] == _history(tel)
 
     def test_chunk_failing_in_its_worker_adds_nothing(self):
         plain, _ = _run("serial")
-        live = observe.Telemetry()
-        pool = ParallelMap(workers=3, stream=TelemetryStream(live=live))
+        seen = []
+        pool = ParallelMap(workers=3)
         with observe.session() as tel:
+            tel.bus.subscribe("*", seen.append)
             results = pool.map(flaky_trial, list(range(9)), chunk_size=3)
         assert results == [seed * 2 for seed in range(9)]
         # Chunk [3, 4, 5] failed at seed 4 and reran in the parent.
         assert pool.stats.serial_retries == 1
         assert pool.stats.dropped_snapshots == 1
         assert _fingerprint(tel) == _fingerprint(plain)
-        # Only the two good chunks' deltas reach the live view: the
-        # failed attempt handed nothing back, and its rerun wrote
-        # straight into the session.
-        assert pool.stats.deltas_merged == 2
-        assert pool.stream.received == 2
-        assert live.bus.counts["stream.tick"] == 6
+        # The failed attempt handed nothing back; its rerun published
+        # straight into the session, which a live view reads.
         assert tel.bus.counts["stream.tick"] == 9
+        assert len(seen) == 9
 
     def test_disabled_session_streams_nothing(self):
-        pool = ParallelMap(workers=2, stream=TelemetryStream())
+        pool = ParallelMap(workers=2)
         results = pool.map(stream_trial, list(range(6)), chunk_size=3)
         assert results == [seed * 2 for seed in range(6)]
-        assert pool.stats.streamed_chunks == 0
-        assert pool.stats.deltas_merged == 0
-
-
-class TestNoHelperProcess:
-    def test_streamed_map_leaves_only_the_pool_workers(self):
-        # A stream is fed in the process that folds the deltas, so a
-        # streamed map leaves no process alive but the pool's workers.
-        shutdown_pools()
-        _run("process", stream=TelemetryStream(live=observe.Telemetry()))
-        workers = set(get_pool(3)._executor._processes)
-        assert {child.pid for child in multiprocessing.active_children()} \
-            == workers
+        assert pool.stats.backend == "process"
+        assert pool.stats.captured_chunks == 0
 
 
 class TestHashSeedStability:
@@ -247,8 +180,7 @@ class TestHashSeedStability:
             "import sys; sys.path.insert(0, {src!r});"
             "sys.path.insert(0, {here!r});"
             "from test_stream import _run, _fingerprint, EXCLUDE;"
-            "from repro.observe.stream import TelemetryStream;"
-            "tel, _ = _run('process', stream=TelemetryStream());"
+            "tel, _ = _run('process');"
             "print(tel.metrics.render_prometheus(exclude=EXCLUDE))"
         ).format(src=str(pathlib.Path(__file__).resolve()
                          .parents[2] / "src"),
@@ -268,27 +200,29 @@ class TestHashSeedStability:
 
 
 class TestLiveDashboard:
-    def _dashboard(self, stream=None):
+    def _dashboard(self):
         from repro.observe.sli import SliMonitor
 
         live = observe.Telemetry()
         monitor = SliMonitor(live.bus, window=16)
         live.bus.publish("unit.outcome", pattern="nvp", ok=True)
-        return LiveDashboard(monitor, stream=stream,
-                             cells_total=4,
-                             counts=lambda: dict(live.bus.counts))
+        return LiveDashboard(monitor, cells_total=4)
 
     def test_frames_validate_and_number_sequentially(self):
-        dash = self._dashboard(stream=TelemetryStream())
+        dash = self._dashboard()
         first = dash.frame()
+        dash.cells_done = 3
         second = dash.frame()
         validate_frame(first)
         validate_frame(second)
+        assert FRAME_SCHEMA == "repro-top-frame/v2"
         assert first["schema"] == FRAME_SCHEMA
         assert (first["seq"], second["seq"]) == (0, 1)
         assert first["final"] is False
         assert first["cells"] == {"done": 0, "total": 4}
-        assert first["stream"]["received"] == 0
+        assert second["cells"] == {"done": 3, "total": 4}
+        # v2 frames carry no ``stream`` section.
+        assert "stream" not in first
         # No injected wall clock: elapsed stays None (DET005 — the
         # observe package never reads a process clock itself).
         assert first["elapsed_sec"] is None
