@@ -15,8 +15,17 @@ Each enabled per-site figure is the median of :data:`ROUNDS` rounds of
 :data:`N` sites, each round in a fresh session, and
 ``merge_ns_per_record`` is the cost of folding one round's snapshot
 (spans and events) into a session with an
-:class:`~repro.observe.sli.SliMonitor` attached, per record — the
-parent side of every pooled chunk.
+:class:`~repro.observe.sli.SliMonitor` attached, per record.
+
+Two figures price what a pooled campaign pays per event, on the mix of
+:data:`CAMPAIGN_TOPICS` (one event in three a ``unit.outcome``, the
+one topic of the mix the SLI monitor reads):
+``capture_publish_ns_per_site`` is a publish inside
+``observe.capture(events_only=True)``, the session a worker chunk runs
+in, and ``events_only_merge_ns_per_record`` folds such a capture's
+snapshot into an installed events-only session with an
+:class:`~repro.observe.sli.SliMonitor`, as the parent folds every
+chunk (the installed session's flight-ring tap included).
 
 Drift detection: the disabled-path ns/site is asserted against a
 pinned budget.  The budget is a generous ceiling (~6x the fastest
@@ -24,8 +33,10 @@ host observed) — it tolerates host variance but catches the failure
 mode that matters, the disabled check silently growing real work.
 
 The saved results table carries only deterministic facts (counter
-exactness, snapshot round-trip fidelity, the allocation-free verdict)
-so table-level drift detection stays meaningful.
+exactness, snapshot round-trip fidelity, a merged capture's flight
+ring and history equal to publishing its events one by one, the
+allocation-free verdict) so table-level drift detection stays
+meaningful.
 """
 
 import statistics
@@ -34,6 +45,7 @@ import tracemalloc
 
 from repro import observe
 from repro.harness.report import render_table
+from repro.observe.flightrec import FlightRecorder
 from repro.runtime.bench import update_harness_json
 
 from _common import BENCH_HARNESS_JSON, save_result
@@ -42,6 +54,10 @@ N = 20_000
 
 #: Rounds per enabled figure; the section reports their median.
 ROUNDS = 5
+
+#: The topics a captured round cycles through: a pooled campaign's
+#: chunks ship about one ``unit.outcome`` in three events.
+CAMPAIGN_TOPICS = ("unit.outcome", "adjudication.verdict", "fault.injected")
 
 #: Retained-bytes budget for the disabled resolve-and-check path: it
 #: must not build anything at all (same contract as H1's 512 bytes for
@@ -113,6 +129,67 @@ def _enabled_round(n):
     return timings, records, exact
 
 
+def _captured_snapshot(n):
+    """Seconds for ``n`` publishes in an events-only capture, and the
+    capture's snapshot."""
+    with observe.capture(events_only=True) as tel:
+        start = time.perf_counter()
+        for i in range(n):
+            tel.publish(CAMPAIGN_TOPICS[i % 3], pattern="bench",
+                        ok=i % 4 != 0, cost=1.0)
+        seconds = time.perf_counter() - start
+        return seconds, tel.snapshot()
+
+
+def _capture_round(n):
+    """One round: seconds per captured publish and per record folded
+    into an installed, SLI-monitored events-only session."""
+    publish, snapshot = _captured_snapshot(n)
+    with observe.session(events_only=True) as tel:
+        observe.SliMonitor(tel.bus)
+        start = time.perf_counter()
+        tel.merge(snapshot)
+        merge = time.perf_counter() - start
+    records = len(snapshot["events"]["events"])
+    return publish / n, merge / records
+
+
+class _RowClock:
+    """A clock that reads the given times in turn, so events published
+    one by one carry a snapshot's own times."""
+
+    def __init__(self, times):
+        self._times = iter(times)
+
+    @property
+    def now(self):
+        return next(self._times)
+
+
+def _merge_equals_one_by_one(n):
+    """A merged capture's flight ring, history and SLI rows equal those
+    of publishing its events one by one."""
+    _, snapshot = _captured_snapshot(n)
+    rows = snapshot["events"]["events"]
+    sides = []
+    for merged in (True, False):
+        tel = observe.Telemetry(
+            clock=None if merged else _RowClock(row[1] for row in rows),
+            events_only=True)
+        recorder = FlightRecorder()
+        recorder.attach(tel)
+        monitor = observe.SliMonitor(tel.bus)
+        if merged:
+            tel.merge(snapshot)
+        else:
+            for topic, _, _, payload in rows:
+                tel.publish(topic, **payload)
+        sides.append((recorder.captured, recorder.window(),
+                      [(e.topic, e.time, e.seq, e.payload)
+                       for e in tel.bus.history], monitor.rows()))
+    return sides[0] == sides[1]
+
+
 def _time_enabled_sites(n):
     """Median nanoseconds per site (and per merged record) over
     :data:`ROUNDS` rounds, plus the counter / publish / round-trip
@@ -124,6 +201,11 @@ def _time_enabled_sites(n):
         for site in ("counter", "publish", "span")}
     figures["merge_ns_per_record"] = statistics.median(
         timings["merge"] / records * 1e9 for timings, records, _ in samples)
+    captured = [_capture_round(n) for _ in range(ROUNDS)]
+    figures["capture_publish_ns_per_site"] = statistics.median(
+        publish for publish, _ in captured) * 1e9
+    figures["events_only_merge_ns_per_record"] = statistics.median(
+        merge for _, merge in captured) * 1e9
     exact = [all(column) for column in zip(*(facts for _, _, facts
                                               in samples))]
     return (figures, *exact)
@@ -141,6 +223,8 @@ def _experiment():
         ("enabled counter", N, counter_exact, "n/a"),
         ("enabled publish", N, published_exact, "n/a"),
         ("snapshot/merge round trip", N, roundtrip_exact, "n/a"),
+        ("merged ring and history", N, _merge_equals_one_by_one(N),
+         "n/a"),
     ]
     table = render_table(
         ("site", "iterations", "exact", "allocation-free"),

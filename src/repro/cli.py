@@ -44,6 +44,7 @@ from typing import List, Optional
 
 import repro.techniques  # noqa: F401 - populates the registry
 from repro import __version__
+from repro._util import positive_int
 from repro.taxonomy.paper import PAPER_TABLE2
 from repro.taxonomy.registry import default_registry
 from repro.taxonomy.tables import render_diff, render_table1, render_table2
@@ -743,20 +744,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    """The ``type=`` of a count option: an integer of at least 1, so an
-    out-of-range value is a usage error (exit 2) naming the option."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
-
-
 #: The subcommands, in the order ``repro --help`` lists them.
 COMMANDS = ("tables", "techniques", "experiments", "recommend", "campaign",
             "top", "bench", "lint", "certify", "demo", "trace", "metrics",
@@ -828,7 +815,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
             help="emit at least N frames (a floor, not a cap — lets CI "
                  "assert a frame count without racing the campaign)")
         sub_parser.add_argument(
-            "--window", type=_positive_int, default=256,
+            "--window", type=positive_int, default=256,
             help="SLI sliding-window size, in samples")
         sub_parser.add_argument(
             "--flight-out", metavar="PATH", default=None,
@@ -838,13 +825,13 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     if wanted("campaign"):
         campaign = sub.add_parser(
             "campaign", help="run a technique x fault-class injection matrix")
-        campaign.add_argument("--requests", type=_positive_int,
+        campaign.add_argument("--requests", type=positive_int,
                               default=120)
         campaign.add_argument("--seed", type=int, default=7)
-        campaign.add_argument("--workers", type=_positive_int, default=1,
+        campaign.add_argument("--workers", type=positive_int, default=1,
                               help="fan cells out over N worker processes: "
                                    "cells byte-identical to serial at any N")
-        campaign.add_argument("--batch", type=_positive_int, default=None,
+        campaign.add_argument("--batch", type=positive_int, default=None,
                               metavar="B",
                               help="cells per pool chunk: coarser units, "
                                    "~B× less pickle traffic, byte-identical "
@@ -861,7 +848,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                               help="refresh a dashboard, read from the "
                                    "run's telemetry session, as cells "
                                    "finish (equivalent to 'repro top')")
-        campaign.add_argument("--shards", type=_positive_int, default=None,
+        campaign.add_argument("--shards", type=positive_int, default=None,
                               metavar="N",
                               help="partition the matrix into N deterministic "
                                    "shards, each one pool work unit; with "
@@ -871,7 +858,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                               help="serve already-checkpointed shards from "
                                    "the --store log and execute only the "
                                    "remainder (byte-identical report)")
-        campaign.add_argument("--max-shards", type=_positive_int,
+        campaign.add_argument("--max-shards", type=positive_int,
                               default=None, metavar="K",
                               help="stop after K completed shards "
                                    "(deterministic interruption, for tests "
@@ -895,9 +882,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         top = sub.add_parser(
             "top", help="live campaign dashboard: refresh per-technique "
                         "SLIs as cells finish")
-        top.add_argument("--requests", type=_positive_int, default=120)
+        top.add_argument("--requests", type=positive_int, default=120)
         top.add_argument("--seed", type=int, default=7)
-        top.add_argument("--workers", type=_positive_int, default=2,
+        top.add_argument("--workers", type=positive_int, default=2,
                          help="pool workers for the campaign under watch")
         top.add_argument("--format", choices=("text", "json"),
                          default="text",
@@ -976,7 +963,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
     if wanted("demo"):
         demo = sub.add_parser("demo", help="run a small NVP demonstration")
-        demo.add_argument("--versions", type=int, default=5)
+        demo.add_argument("--versions", type=positive_int, default=5)
         demo.add_argument("--failure-rate", type=float, default=0.15)
         demo.add_argument("--seed", type=int, default=0)
         demo.set_defaults(func=_cmd_demo)
@@ -985,7 +972,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         from repro.harness.scenarios import SCENARIOS
 
         sub_parser.add_argument("scenario", choices=sorted(SCENARIOS))
-        sub_parser.add_argument("--requests", type=int, default=50)
+        sub_parser.add_argument("--requests", type=positive_int,
+                                default=50)
         sub_parser.add_argument("--seed", type=int, default=7)
 
     if wanted("trace"):
@@ -1020,9 +1008,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
                            "failure rate, recovery-latency percentiles)")
         report.add_argument("scenario", choices=("all", *sorted(SCENARIOS)),
                             help="scenario to report on, or 'all'")
-        report.add_argument("--requests", type=int, default=50)
+        report.add_argument("--requests", type=positive_int, default=50)
         report.add_argument("--seed", type=int, default=7)
-        report.add_argument("--window", type=_positive_int, default=256,
+        report.add_argument("--window", type=positive_int, default=256,
                             help="sliding-window size per technique, "
                                  "in samples")
         report.add_argument("--format", choices=("text", "json"),
@@ -1033,7 +1021,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         report.add_argument("--metrics-out", metavar="PATH",
                             help="export the session metrics as OpenMetrics "
                                  "text")
-        report.add_argument("--workers", type=int, default=1,
+        report.add_argument("--workers", type=positive_int, default=1,
                             help="fan scenarios out over a worker pool "
                                  "(telemetry merges in submission order)")
         report.set_defaults(func=_cmd_report)

@@ -42,7 +42,8 @@ class FaultInjector:
 
         Every activation is reported to the installed telemetry session
         as a ``fault.injected`` event and a
-        ``repro_faults_injected_total`` counter labelled by fault class.
+        ``repro_faults_injected_total`` counter labelled by fault class
+        (when the session's registry records).
         """
         for fault in self._faults:
             if fault.activates(args, env):
@@ -51,7 +52,9 @@ class FaultInjector:
                     tel.publish("fault.injected", fault=fault.name,
                                 fault_class=type(fault).__name__,
                                 effect=fault.effect)
-                    tel.metrics.inc("repro_faults_injected_total",
+                    metrics = tel.metrics
+                    if metrics.recording:
+                        metrics.inc("repro_faults_injected_total",
                                     fault_class=type(fault).__name__)
                 return fault.manifest(args, correct_value)
         return correct_value

@@ -27,19 +27,34 @@ Topics are dotted names.  A subscription matches an exact topic
 Cross-process aggregation: :meth:`EventBus.snapshot` freezes the bus
 (retained history, per-topic counts, publication count) into a
 picklable document; :meth:`EventBus.merge` folds such a document into
-another bus and *redelivers* the snapshot's retained events to the
-receiving bus's subscribers, so monitors attached to a parent session
-(e.g. :class:`~repro.observe.sli.SliMonitor`) observe worker-side
-events exactly as if they had been published locally.  Per-topic
-counts merge commutatively and associatively; history/seq follow merge
-order (the parallel runtime merges in submission order).
+another bus and *delivers* each of the snapshot's retained events to
+the receiving bus's subscribers routed its topic, so monitors attached
+to a parent session (e.g. :class:`~repro.observe.sli.SliMonitor`)
+observe worker-side events exactly as if they had been published
+locally.  Per-topic counts merge commutatively and associatively;
+history/seq follow merge order (the parallel runtime merges in
+submission order).
+
+Who builds what.  A merge builds an :class:`Event` (with its own copy
+of the payload) only for a row some subscriber is routed; every other
+row waits as a ``(topic, time, seq, payload)`` tuple and becomes an
+:class:`Event` when :attr:`EventBus.history` is read.  The process
+flight recorder is not a subscriber: it taps a bus through its
+:attr:`~EventBus.recorder` slot, which :meth:`EventBus.publish` hands
+each event and :meth:`EventBus.merge` a snapshot's rows, of which the
+ring keeps only the tail (see :mod:`repro.observe.flightrec`).  A
+:class:`Subscription` holds its bus through a weak reference, so a
+finished session's bus, history included, is freed by reference
+counting rather than left to the cyclic collector.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+import weakref
+from typing import (Any, Callable, Deque, Dict, List, Optional, Tuple,
+                    Union)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +77,8 @@ class Event:
 
     def __init__(self, topic: str, time: float, seq: int,
                  payload: Dict[str, Any]) -> None:
-        # Every publish and every merge redelivery builds one.  The
+        # Every publish builds one, and so does every merged row a
+        # subscriber is handed or a history read takes in.  The
         # generated frozen __init__ pays an object.__setattr__ call per
         # field; the slot descriptors store the same fields cheaper.
         _set_topic(self, topic)
@@ -86,12 +102,17 @@ Handler = Callable[[Event], None]
 
 class Subscription:
     """Handle returned by :meth:`EventBus.subscribe`; call
-    :meth:`cancel` to detach the handler."""
+    :meth:`cancel` to detach the handler.
+
+    The handle refers to its bus weakly: the bus holds its
+    subscriptions, and a strong reference back would make every bus a
+    cycle.  Cancelling once the bus is gone does nothing.
+    """
 
     __slots__ = ("topic", "handler", "_bus", "delivered")
 
     def __init__(self, bus: "EventBus", topic: str, handler: Handler) -> None:
-        self._bus = bus
+        self._bus = weakref.ref(bus)
         self.topic = topic
         self.handler = handler
         #: Number of events delivered to this subscription.
@@ -104,7 +125,9 @@ class Subscription:
         return pattern.endswith(".*") and topic.startswith(pattern[:-1])
 
     def cancel(self) -> None:
-        self._bus.unsubscribe(self)
+        bus = self._bus()
+        if bus is not None:
+            bus.unsubscribe(self)
 
 
 class EventBus:
@@ -127,9 +150,43 @@ class EventBus:
         #: handler takes effect from the next delivery on.
         self._routes: Dict[str, Tuple[Subscription, ...]] = {}
         self._seq = 0
-        self.history: Deque[Event] = collections.deque(maxlen=history)
+        self._history: Deque[Event] = collections.deque(maxlen=history)
+        #: What :attr:`history` has not taken in yet, oldest first and
+        #: all newer than it: merged events, merged rows no subscriber
+        #: was handed (as ``(topic, time, seq, payload)`` tuples, the
+        #: payload still the snapshot's own) and events published
+        #: after them.
+        self._pending: Deque[Union[Event, Tuple[str, float, int,
+                                                Dict[str, Any]]]] = \
+            collections.deque(maxlen=history)
         #: Per-topic publication counts (cheap aggregate, never trimmed).
         self.counts: Dict[str, int] = {}
+        #: The flight recorder tapping this bus, if any: :meth:`publish`
+        #: hands it each event (``record_event``) before the
+        #: subscribers, :meth:`merge` a snapshot's rows
+        #: (``record_rows``).  See :mod:`repro.observe.flightrec`.
+        self.recorder: Any = None
+
+    @property
+    def history(self) -> Deque[Event]:
+        """The retained events, oldest first: a deque bounded by the
+        bus's ``history`` size.
+
+        Reading it takes in what merges left pending, each row becoming
+        an :class:`Event` with a copy of its payload, so it holds
+        exactly what delivering every event at once would have kept.
+        It is always the same deque, filled in place.
+        """
+        pending = self._pending
+        if pending:
+            history = self._history
+            for item in pending:
+                if type(item) is tuple:
+                    topic, time, seq, payload = item
+                    item = Event(topic, time, seq, dict(payload))
+                history.append(item)
+            pending.clear()
+        return self._history
 
     def subscribe(self, topic: str, handler: Handler) -> Subscription:
         """Attach ``handler`` to a topic pattern; returns the handle."""
@@ -163,11 +220,15 @@ class EventBus:
         return route
 
     def publish(self, topic: str, **payload: Any) -> Event:
-        """Publish an event and deliver it to matching subscribers."""
+        """Publish an event: hand it to the tapping flight recorder,
+        then deliver it to matching subscribers."""
         event = Event(topic, self._now(), self._seq, payload)
         self._seq += 1
-        self.history.append(event)
+        (self._pending or self._history).append(event)
         self.counts[topic] = self.counts.get(topic, 0) + 1
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record_event(event)
         route = self._routes.get(topic)
         if route is None:
             route = self._route(topic)
@@ -204,18 +265,30 @@ class EventBus:
         """Fold a :meth:`snapshot` document into this bus.
 
         Retained events are appended with their sequence numbers
-        shifted past this bus's publication count and redelivered to
+        shifted past this bus's publication count and delivered to
         matching subscribers in recorded order; per-topic counts add
         (commutatively — counts survive even when the ring buffer
         trimmed the events themselves).
+
+        The tapping flight recorder is handed all the rows first.  A
+        row no subscriber is routed builds no :class:`Event` here: it
+        waits for a read of :attr:`history`.
         """
+        rows = snapshot["events"]
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record_rows(rows)
         seq_base = self._seq
-        for topic, time, seq, payload in snapshot["events"]:
-            event = Event(topic, time, seq + seq_base, dict(payload))
-            self.history.append(event)
+        pending = self._pending
+        for topic, time, seq, payload in rows:
             route = self._routes.get(topic)
             if route is None:
                 route = self._route(topic)
+            if not route:
+                pending.append((topic, time, seq + seq_base, payload))
+                continue
+            event = Event(topic, time, seq + seq_base, dict(payload))
+            pending.append(event)
             for subscription in route:
                 subscription.delivered += 1
                 subscription.handler(event)

@@ -11,16 +11,29 @@ and when something goes wrong the current window is dumped as a
 ``repro-flightrec/v1`` document and attached to the run's records.
 
 Wiring: every :class:`~repro.observe.telemetry.Telemetry` session
-attaches the calling process's recorder when it is first installed —
-an event-bus ``"*"`` subscription plus the :attr:`~repro.observe.
-tracer.Tracer.on_finish` tap — so the recorder sees whatever the
-installed session sees, including worker-side events *redelivered* by
-the parent's snapshot/delta merges.  A session that is never installed
-and a :class:`~repro.observe.telemetry.Capture` (a chunk's or a
-shard's, whose snapshot the parent merges) attach none, so each event
-reaches the ring once.  The recorder itself never publishes events and
-never appears in snapshots, so it cannot perturb the byte-identity
-contract of the snapshot/merge protocol.
+attaches the calling process's recorder when it is first installed.
+The recorder taps the session's pieces through two slots, the
+event bus's :attr:`~repro.observe.events.EventBus.recorder` and the
+tracer's :attr:`~repro.observe.tracer.Tracer.on_finish`, so it sees
+whatever the installed session sees, including worker-side events
+folded in by the parent's snapshot/delta merges.  It is not a bus
+subscriber: ``publish`` hands it each event before any subscriber,
+where a subscription made at the session's first install would sit,
+and ``merge`` hands it the snapshot's rows at once, before it delivers
+any of them.  Of those rows the ring keeps the last ``capacity``,
+which is all a window can show, and counts the rest in
+:attr:`FlightRecorder.captured`; the window and the count equal those
+of handing it every row in turn.  So anything that reads the recorder
+while a merge delivers its events (a ``repro top`` frame drawn by a
+``campaign.cell`` subscriber, a dump) reads a ``captured`` count and a
+window that already hold the whole merge.
+
+A session that is never installed and a
+:class:`~repro.observe.telemetry.Capture` (a chunk's or a shard's,
+whose snapshot the parent merges) attach none, so each event reaches
+the ring once.  The recorder itself never publishes events and never
+appears in snapshots, so it cannot perturb the byte-identity contract
+of the snapshot/merge protocol.
 
 Dump triggers wired by the framework (callers may add their own via
 :func:`dump`):
@@ -42,7 +55,8 @@ from __future__ import annotations
 
 import collections
 import os
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from typing import (Any, Deque, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.observe.events import Event
 from repro.observe.tracer import Span
@@ -76,20 +90,22 @@ class FlightRecorder:
     session, the window spans sessions.
 
     The ring holds the observed :class:`~repro.observe.events.Event`
-    and :class:`~repro.observe.tracer.Span` objects themselves; the
-    record dicts are built by :meth:`window` (and so :meth:`dump`).
-    Most records are evicted unread, so intake stays an append.  A
-    span or payload mutated after it was recorded therefore renders in
-    its final state.
+    and :class:`~repro.observe.tracer.Span` objects themselves, and a
+    merged snapshot's ``[topic, time, seq, payload]`` rows as they
+    came; the record dicts are built by :meth:`window` (and so
+    :meth:`dump`).  Most records are evicted unread, so intake stays
+    an append.  A span or payload mutated after it was recorded
+    therefore renders in its final state.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        #: ``(seq, event-or-span)`` pairs, oldest first.
-        self._ring: Deque[Tuple[int, Union[Event, Span]]] = \
-            collections.deque(maxlen=capacity)
+        #: ``(seq, item)`` pairs, oldest first; an item is an event, a
+        #: span or a merged snapshot row.
+        self._ring: Deque[Tuple[int, Union[Event, Span, Sequence[Any]]]] \
+            = collections.deque(maxlen=capacity)
         #: Total records ever observed (eviction never decrements it).
         self.captured = 0
         #: Dump documents produced so far.
@@ -100,9 +116,22 @@ class FlightRecorder:
     # -- intake ------------------------------------------------------------
 
     def record_event(self, event: Event) -> None:
-        """Bus handler: fold one published (or redelivered) event in."""
+        """Bus tap: fold one published event in."""
         self._ring.append((self.captured, event))
         self.captured += 1
+
+    def record_rows(self, rows: Sequence[Sequence[Any]]) -> None:
+        """Bus tap: fold a merged snapshot's ``[topic, time, seq,
+        payload]`` rows in, in order.
+
+        Only the last :attr:`capacity` rows can stay in the ring, so
+        only they are kept; the rest are counted in :attr:`captured`
+        as if each had been recorded and evicted.
+        """
+        first = self.captured
+        self.captured = end = first + len(rows)
+        tail = rows[-self.capacity:]
+        self._ring.extend(zip(range(end - len(tail), end), tail))
 
     def record_span(self, span: Span) -> None:
         """Tracer ``on_finish`` tap: fold one finished span in."""
@@ -115,7 +144,7 @@ class FlightRecorder:
         Called by :func:`~repro.observe.telemetry.install` on a
         session's first install, so callers normally never need to.
         """
-        telemetry.bus.subscribe("*", self.record_event)
+        telemetry.bus.recorder = self
         telemetry.tracer.on_finish = self.record_span
 
     # -- reads / dumps -----------------------------------------------------
@@ -131,9 +160,13 @@ class FlightRecorder:
             if isinstance(item, Span):
                 records.append({"topic": "span", "time": item.end,
                                 "seq": seq, "payload": item.to_dict()})
+                continue
+            if isinstance(item, Event):
+                topic, time, payload = item.topic, item.time, item.payload
             else:
-                records.append({"topic": item.topic, "time": item.time,
-                                "seq": seq, "payload": dict(item.payload)})
+                topic, time, _, payload = item
+            records.append({"topic": topic, "time": time, "seq": seq,
+                            "payload": dict(payload)})
         return records
 
     def clear(self) -> None:

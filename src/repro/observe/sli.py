@@ -26,7 +26,7 @@ the payloads carry the same name.
 
 The monitor works transparently across processes: the parallel runtime
 ships worker-side events home as snapshots, and
-:meth:`~repro.observe.events.EventBus.merge` *redelivers* them to
+:meth:`~repro.observe.events.EventBus.merge` *delivers* them to
 subscribers, so a monitor attached to the parent session sees pooled
 events exactly as it would serial ones (in submission order).
 """
@@ -158,7 +158,7 @@ class SliMonitor:
 
         With a wall clock, the first attach also starts the wall span:
         :meth:`trials_per_sec` counts from here, so outcomes handed
-        over in bursts (a pooled chunk's, redelivered when the chunk is
+        over in bursts (a pooled chunk's, delivered when the chunk is
         folded) are not credited to the span of the bursts alone.
         """
         if self._wall_clock is not None and self._wall_first is None:

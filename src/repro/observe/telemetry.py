@@ -103,7 +103,7 @@ class Telemetry:
             capacity is 0), and the metrics registry records nothing.
             The bus, and so every subscriber, sees exactly what a full
             session's would.  Snapshots keep the usual schema, with no
-            span and no series; merging a full snapshot in redelivers
+            span and no series; merging a full snapshot in delivers
             its events and drops the rest.
 
     The session taps the calling process's flight ring once it is
@@ -124,12 +124,18 @@ class Telemetry:
         self._fresh()
 
     def _fresh(self) -> None:
-        """Install a fresh tracer, registry and bus for this mode."""
+        """Install a fresh tracer, registry and bus for this mode.
+
+        An enabled session's :meth:`publish` is its bus's own, so a
+        site makes one call per event.
+        """
         self.tracer = Tracer(now=self._now)
         if self.events_only:
             self.tracer.capacity = 0
         self.metrics = MetricsRegistry(recording=not self.events_only)
         self.bus = self._Bus(now=self._now)
+        if self.enabled:
+            self.publish = self.bus.publish
 
     def _tap(self) -> None:
         """Tap the process flight ring once (:func:`install` calls
@@ -156,9 +162,11 @@ class Telemetry:
         return SpanScope(self.tracer, name, attrs)
 
     def publish(self, topic: str, **payload: Any) -> None:
-        """Publish an event when enabled; silently drop otherwise."""
-        if self.enabled:
-            self.bus.publish(topic, **payload)
+        """Publish an event when enabled; silently drop otherwise.
+
+        This method serves a disabled session only: an enabled one's
+        ``publish`` is its bus's (see :meth:`_fresh`).
+        """
 
     def count(self, name: str, amount: float = 1.0,
               **labels: Any) -> None:
@@ -188,8 +196,9 @@ class Telemetry:
         Metrics and event counts merge commutatively; spans and event
         history append in merge order (the parallel runtime merges
         worker snapshots in submission order, so pooled telemetry is
-        byte-identical to a serial run).  Events are redelivered to
-        this session's bus subscribers.
+        byte-identical to a serial run).  Each event is delivered to
+        the subscribers of this session's bus routed its topic (see
+        :meth:`~repro.observe.events.EventBus.merge`).
         """
         self.metrics.merge(snapshot["metrics"])
         self.tracer.merge(snapshot["spans"])

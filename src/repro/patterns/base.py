@@ -58,13 +58,16 @@ class PatternStats:
         redundant unit, so with telemetry disabled it must stay a
         direct attribute bump: the ``__dict__`` update below skips the
         ``setattr``/``getattr`` string-dispatch machinery (see
-        ``benchmarks/bench_h1_stats_hotpath.py``).
+        ``benchmarks/bench_h1_stats_hotpath.py``).  An events-only
+        session's registry records nothing, so it is not called.
         """
         fields = self.__dict__
         fields[counter] = fields[counter] + amount
         tel = _telemetry()
         if tel.enabled:
-            tel.metrics.inc(_METRIC_NAMES[counter], amount,
+            metrics = tel.metrics
+            if metrics.recording:
+                metrics.inc(_METRIC_NAMES[counter], amount,
                             pattern=self.owner or "pattern")
 
     def as_dict(self) -> dict:

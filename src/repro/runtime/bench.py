@@ -47,6 +47,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro._util import positive_float, positive_int
 from repro.harness.report import render_table
 from repro.runtime.pmap import ParallelMap
 from repro.runtime.store import MISS, ResultStore
@@ -417,7 +418,7 @@ def render_report(report: Dict[str, Any]) -> str:
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Install the ``bench`` arguments (shared by the ``repro`` CLI and
     ``benchmarks/run_all.py``)."""
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=positive_int, default=None,
                         help="pool size (default: CPU count)")
     parser.add_argument("--quick", action="store_true",
                         help="run only the fast deterministic subset")
@@ -428,7 +429,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--benchmarks-dir", type=pathlib.Path,
                         default=None,
                         help="suite location (default: auto-detected)")
-    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT,
+    parser.add_argument("--timeout", type=positive_float,
+                        default=DEFAULT_TIMEOUT,
                         help="per-benchmark deadline in seconds")
     parser.add_argument("--incremental", action="store_true",
                         help="serve benchmark files unchanged since the "

@@ -111,6 +111,17 @@ class TestFlightWindow:
     #: holds events only; spans show in its ``seq`` and ``time``
     #: fields, since every span reaches the ring and ticks the clock.
     CAPTURED = 12600
+    #: The pooled and sharded runs fill the ring from merged chunk and
+    #: shard snapshots, whose rows carry events only.  Computed while
+    #: the ring was a ``"*"`` bus subscription handed every merged
+    #: event one by one, so they pin that taking a merge's tail keeps
+    #: the same window and count.
+    POOLED_WINDOW = \
+        "d6c41469d4562354e20286f38d02cfe418193aeeed0cc8d755f4f2a7b03d4cb3"
+    POOLED_CAPTURED = 6996
+    SHARDED_WINDOW = \
+        "28c6f7ed6022f51f306d59690409f7d5ec5a7c4669412b849b3714598ba96b1a"
+    SHARDED_CAPTURED = 7000
 
     def test_window_after_a_serial_campaign(self, capsys, fresh_recorder):
         run(capsys, CAMPAIGN + ["--workers", "1"])
@@ -118,6 +129,19 @@ class TestFlightWindow:
         assert fresh_recorder.captured == self.CAPTURED
         assert len(window) == fresh_recorder.capacity
         assert sha256(json.dumps(window, sort_keys=True)) == self.WINDOW
+
+    @pytest.mark.parametrize("mode,captured,digest", [
+        (["--workers", "2"], POOLED_CAPTURED, POOLED_WINDOW),
+        (["--workers", "2", "--shards", "4"], SHARDED_CAPTURED,
+         SHARDED_WINDOW),
+    ], ids=["pooled", "sharded"])
+    def test_window_after_a_merged_campaign(self, capsys, fresh_recorder,
+                                            mode, captured, digest):
+        run(capsys, CAMPAIGN + mode)
+        window = fresh_recorder.window()
+        assert fresh_recorder.captured == captured
+        assert len(window) == fresh_recorder.capacity
+        assert sha256(json.dumps(window, sort_keys=True)) == digest
 
 
 class TestFullSessionCommands:

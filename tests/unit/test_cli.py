@@ -5,7 +5,8 @@ import pytest
 from repro import cli
 from repro.cli import COMMANDS, EXPERIMENT_INDEX, build_parser, main
 
-#: Command lines whose count option is out of range, and that option.
+#: Command lines whose count or duration option is out of range, and
+#: that option.
 OUT_OF_RANGE = [
     (["campaign", "--requests", "0"], "--requests"),
     (["campaign", "--workers", "0", "--format", "json"], "--workers"),
@@ -17,7 +18,16 @@ OUT_OF_RANGE = [
     (["top", "--workers", "0"], "--workers"),
     (["top", "--window", "0"], "--window"),
     (["report", "nvp", "--window", "0"], "--window"),
+    (["report", "nvp", "--requests", "-3"], "--requests"),
+    (["report", "all", "--workers", "0", "--format", "json"], "--workers"),
+    (["trace", "nvp", "--requests", "0"], "--requests"),
+    (["metrics", "nvp", "--requests", "0"], "--requests"),
+    (["demo", "--versions", "0"], "--versions"),
+    (["bench", "--workers", "0", "--only", "h1"], "--workers"),
+    (["bench", "--timeout", "0", "--only", "h1"], "--timeout"),
 ]
+#: The options of :data:`OUT_OF_RANGE` that take any positive number.
+DURATIONS = {"--timeout"}
 
 
 class TestParser:
@@ -144,8 +154,9 @@ class TestOneCommandParser:
 
 
 class TestCountArguments:
-    """A count option below 1 is a usage error that names the option,
-    not a traceback, and never a run on a value it silently replaced."""
+    """A count option below 1, or a duration of 0 or less, is a usage
+    error that names the option, not a traceback, and never a run on a
+    value it silently replaced."""
 
     @pytest.mark.parametrize("argv,flag", OUT_OF_RANGE,
                              ids=[" ".join(argv) for argv, _ in OUT_OF_RANGE])
@@ -154,7 +165,8 @@ class TestCountArguments:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: must be a positive integer" in err
+        noun = "number" if flag in DURATIONS else "integer"
+        assert f"argument {flag}: must be a positive {noun}" in err
 
 
 class TestTables:

@@ -8,13 +8,16 @@ implementation rather than against another backend of this one.
 """
 
 import argparse
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
 from repro import cli, observe
-from repro.observe import EventBus, MetricsRegistry, Telemetry
+from repro.observe import (Event, EventBus, MetricsRegistry, SliMonitor,
+                           Telemetry)
 from repro.observe.flightrec import FlightRecorder
 
 #: sha256 of ``json.dumps(tel.snapshot(), sort_keys=True)`` for the two
@@ -253,3 +256,123 @@ class TestFlightWindow:
         first[0]["seq"] = 99
         assert recorder.window() == [{"topic": "unit.e", "time": 1.0,
                                       "seq": 0, "payload": {"x": 1}}]
+
+
+class _Times:
+    """A clock that reads the given times in turn."""
+
+    def __init__(self, times):
+        self._times = iter(times)
+
+    @property
+    def now(self):
+        return next(self._times)
+
+
+def _worker_snapshot(rows, start=0):
+    """A snapshot of ``rows`` events of mixed topics, one in three a
+    ``unit.outcome``, published on a bus of its own."""
+    worker = EventBus(now=iter(range(start, start + rows)).__next__)
+    topics = ("unit.outcome", "adjudication.verdict", "fault.injected")
+    for i in range(start, start + rows):
+        worker.publish(topics[i % 3], i=i, ok=i % 2 == 0)
+    return worker.snapshot()
+
+
+def _eager_rows(snapshots, published_between):
+    """What delivering every row of each snapshot kept: its fields with
+    sequence numbers shifted as a merge shifts them, and one event
+    published after each merge."""
+    rows, seq = [], 0
+    for snapshot in snapshots:
+        rows.extend((topic, time, row_seq + seq, payload)
+                    for topic, time, row_seq, payload in snapshot["events"])
+        seq += snapshot["published"]
+        rows.append((published_between, 0.0, seq, {"after": seq}))
+        seq += 1
+    return rows
+
+
+class TestMergeFold:
+    """``EventBus.merge`` builds an ``Event`` only for a row some
+    subscriber is routed, the flight ring takes a merge's tail, and
+    history fills on read: each keeps what handing every row over in
+    turn kept."""
+
+    ROWS = 12
+
+    @pytest.mark.parametrize("capacity", [5, ROWS, 20])
+    def test_tail_equals_publishing_one_by_one(self, capacity):
+        snapshots = [_worker_snapshot(self.ROWS),
+                     _worker_snapshot(self.ROWS, start=self.ROWS)]
+        merged, eager = FlightRecorder(capacity), FlightRecorder(capacity)
+        merged_tel, eager_tel = Telemetry(), Telemetry()
+        merged.attach(merged_tel)
+        eager.attach(eager_tel)
+        for cell, snapshot in enumerate(snapshots):
+            rows = snapshot["events"]
+            merged_tel.bind_clock(_Times([cell]))
+            merged_tel.publish("campaign.cell", before=True)
+            merged_tel.bus.merge(snapshot)
+            eager_tel.bind_clock(_Times([cell] + [row[1] for row in rows]))
+            eager_tel.publish("campaign.cell", before=True)
+            for topic, _, _, payload in rows:
+                eager_tel.publish(topic, **payload)
+        assert merged.captured == eager.captured == 2 * (self.ROWS + 1)
+        assert len(merged) == min(capacity, merged.captured)
+        assert merged.window() == eager.window()
+
+    def test_history_equals_the_eager_fold(self):
+        snapshots = [_worker_snapshot(self.ROWS, start=self.ROWS * i)
+                     for i in range(3)]
+        bus = EventBus(history=20)
+        delivered = []
+        bus.subscribe("unit.outcome", delivered.append)
+        for snapshot in snapshots:
+            bus.merge(snapshot)
+            bus.publish("campaign.cell", after=bus.published)
+        want = _eager_rows(snapshots, "campaign.cell")[-20:]
+        history = list(bus.history)
+        assert all(type(event) is Event for event in history)
+        assert [(e.topic, e.time, e.seq, e.payload) for e in history] \
+            == want
+        theirs = {id(row[3]) for snapshot in snapshots
+                  for row in snapshot["events"]}
+        assert not any(id(event.payload) in theirs for event in history)
+        # An event a subscriber was handed is the one history keeps.
+        handed = {id(event) for event in delivered}
+        assert all(id(event) in handed for event in history
+                   if event.topic == "unit.outcome")
+        assert bus.snapshot()["events"] == [list(row) for row in want]
+
+    def test_reading_history_mid_merge_loses_no_later_row(self):
+        snapshot = _worker_snapshot(self.ROWS)
+        bus = EventBus()
+        held = []
+
+        def read_history(event):
+            if not held:
+                history = bus.history
+                held.append((history, len(history)))
+
+        bus.subscribe("unit.outcome", read_history)
+        bus.merge(snapshot)
+        history, seen = held[0]
+        assert seen == 1
+        assert bus.history is history
+        assert [(e.topic, e.time, e.seq, e.payload) for e in history] \
+            == [tuple(row) for row in snapshot["events"]]
+
+    def test_a_finished_bus_needs_no_collector(self):
+        gc.disable()
+        try:
+            bus = EventBus()
+            monitor = SliMonitor(bus)
+            bus.merge(_worker_snapshot(self.ROWS))
+            assert len(bus.history) == self.ROWS
+            dead = weakref.ref(bus)
+            del bus
+            assert dead() is None
+            monitor.detach()  # cancelling on a freed bus does nothing
+        finally:
+            gc.enable()
